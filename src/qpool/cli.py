@@ -172,8 +172,6 @@ def cmd_bloch(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise QpoolError(f"trials must be >= 1, got {args.trials}")
     lo, hi = _parse_dims(args.dims)
     dims = range(lo, hi + 1)
     reports: dict[str, harness.VerificationReport] = {}

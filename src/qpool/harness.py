@@ -146,6 +146,56 @@ def _random_diagonal_povm(
     return measurement.validate_povm([np.diag(row).astype(complex) for row in w])
 
 
+def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationReport:
+    """Run `trials` trials per dim, cycling through dims, into one report.
+
+    trial(dim, rng) returns (oracle_distance, norm_discrepancy).  A zero
+    probability or zero overlap redraws it from the same stream, at most
+    MAX_CHAIN_RESAMPLES times; a trial that never completes counts as an
+    infinite distance.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise QpoolError(f"tol must be finite and positive, got {tol!r}")
+    total = trials * len(dims)
+    report = VerificationReport(
+        trials=total, max_oracle_distance=0.0, max_norm_discrepancy=0.0
+    )
+    disc_sum = 0.0
+    for i in range(total):
+        tseed = trial_seed(seed, i)
+        rng = np.random.default_rng(tseed)
+        d = math.inf
+        for _ in range(MAX_CHAIN_RESAMPLES):
+            try:
+                d, disc = trial(dims[i % len(dims)], rng)
+            except (ZeroProbabilityError, IncompatibleStatesError):
+                report.resamples += 1
+                continue
+            report.max_norm_discrepancy = max(report.max_norm_discrepancy, disc)
+            disc_sum += disc
+            break
+        report.max_oracle_distance = max(report.max_oracle_distance, d)
+        if d > tol:
+            report.failures.append((tseed, d))
+    report.mean_norm_discrepancy = disc_sum / total
+    return report
+
+
+def _random_chain(make_povm, dim: int, n: int, rng) -> tuple[Scenario, list[np.ndarray]]:
+    """Draw n random POVMs with 2 to 4 outcomes from rng and run them in order.
+
+    Returns the run scenario and each observer's posterior.  Outcomes come
+    from rng itself, so the scenario's own seed is never read.
+    """
+    povms = tuple(make_povm(dim, int(rng.integers(2, 5)), rng) for _ in range(n))
+    scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rng)
+    posteriors = [
+        measurement.posterior_from_outcome(p.elements[k])
+        for p, k in zip(povms, scen.sampled_outcomes)
+    ]
+    return scen, posteriors
+
+
 def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> VerificationReport:
     """Pooled two-observer posteriors vs the two-step oracle.
 
@@ -156,41 +206,14 @@ def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> Verifi
     lo, hi = int(dim_range[0]), int(dim_range[1])
     if trials < 1 or lo < 2 or hi < lo:
         raise QpoolError(f"bad sweep parameters: trials={trials}, dims={lo}..{hi}")
-    dims = list(range(lo, hi + 1))
-    total = trials * len(dims)
-    report = VerificationReport(
-        trials=total, max_oracle_distance=0.0, max_norm_discrepancy=0.0
-    )
-    disc_sum = 0.0
-    for i in range(total):
-        dim = dims[i % len(dims)]
-        tseed = trial_seed(seed, i)
-        rng = np.random.default_rng(tseed)
-        d = math.inf
-        for _ in range(MAX_CHAIN_RESAMPLES):
-            pov_a = random_povm(dim, int(rng.integers(2, 5)), rng)
-            pov_b = random_povm(dim, int(rng.integers(2, 5)), rng)
-            scen = Scenario(dim=dim, povms=(pov_a, pov_b), seed=tseed)
-            try:
-                scen = run_scenario(scen, rng=rng)
-                ka, kb = scen.sampled_outcomes
-                rho_a = measurement.posterior_from_outcome(pov_a.elements[ka])
-                rho_b = measurement.posterior_from_outcome(pov_b.elements[kb])
-                pooled = pooling.pool_ordered(rho_a, rho_b)
-                d = linalg.frobenius_distance(pooled.pooled, oracle_pool(scen))
-            except (ZeroProbabilityError, IncompatibleStatesError):
-                report.resamples += 1
-                continue
-            report.max_norm_discrepancy = max(
-                report.max_norm_discrepancy, pooled.norm_discrepancy
-            )
-            disc_sum += pooled.norm_discrepancy
-            break
-        report.max_oracle_distance = max(report.max_oracle_distance, d)
-        if d > tol:
-            report.failures.append((tseed, d))
-    report.mean_norm_discrepancy = disc_sum / total
-    return report
+
+    def trial(dim, rng):
+        scen, (rho_a, rho_b) = _random_chain(random_povm, dim, 2, rng)
+        pooled = pooling.pool_ordered(rho_a, rho_b)
+        d = linalg.frobenius_distance(pooled.pooled, oracle_pool(scen))
+        return d, pooled.norm_discrepancy
+
+    return _sweep(list(range(lo, hi + 1)), trials, tol, seed, trial)
 
 
 def verify_commuting_reduction(trials: int, dim: int, tol: float, seed: int) -> VerificationReport:
@@ -201,41 +224,15 @@ def verify_commuting_reduction(trials: int, dim: int, tol: float, seed: int) -> 
     """
     if trials < 1 or dim < 2:
         raise QpoolError(f"bad sweep parameters: trials={trials}, dim={dim}")
-    report = VerificationReport(
-        trials=trials, max_oracle_distance=0.0, max_norm_discrepancy=0.0
-    )
-    disc_sum = 0.0
-    for i in range(trials):
-        tseed = trial_seed(seed, i)
-        rng = np.random.default_rng(tseed)
-        d = math.inf
-        for _ in range(MAX_CHAIN_RESAMPLES):
-            pov_a = _random_diagonal_povm(dim, int(rng.integers(2, 5)), rng)
-            pov_b = _random_diagonal_povm(dim, int(rng.integers(2, 5)), rng)
-            scen = Scenario(dim=dim, povms=(pov_a, pov_b), seed=tseed)
-            try:
-                scen = run_scenario(scen, rng=rng)
-                ka, kb = scen.sampled_outcomes
-                rho_a = measurement.posterior_from_outcome(pov_a.elements[ka])
-                rho_b = measurement.posterior_from_outcome(pov_b.elements[kb])
-                pooled = pooling.pool_symmetric(rho_a, rho_b)
-                classical = pooling.classical_pool(
-                    np.diag(rho_a).real, np.diag(rho_b).real
-                )
-                d = linalg.frobenius_distance(pooled.pooled, np.diag(classical))
-            except (ZeroProbabilityError, IncompatibleStatesError):
-                report.resamples += 1
-                continue
-            report.max_norm_discrepancy = max(
-                report.max_norm_discrepancy, pooled.norm_discrepancy
-            )
-            disc_sum += pooled.norm_discrepancy
-            break
-        report.max_oracle_distance = max(report.max_oracle_distance, d)
-        if d > tol:
-            report.failures.append((tseed, d))
-    report.mean_norm_discrepancy = disc_sum / trials
-    return report
+
+    def trial(dim, rng):
+        _, (rho_a, rho_b) = _random_chain(_random_diagonal_povm, dim, 2, rng)
+        pooled = pooling.pool_symmetric(rho_a, rho_b)
+        classical = pooling.classical_pool(np.diag(rho_a).real, np.diag(rho_b).real)
+        d = linalg.frobenius_distance(pooled.pooled, np.diag(classical))
+        return d, pooled.norm_discrepancy
+
+    return _sweep([dim], trials, tol, seed, trial)
 
 
 def verify_three_observer(
@@ -257,47 +254,21 @@ def verify_three_observer(
     if trials < 1 or dim < 2:
         raise QpoolError(f"bad sweep parameters: trials={trials}, dim={dim}")
     make_povm = _random_diagonal_povm if diagonal else random_povm
-    report = VerificationReport(
-        trials=trials, max_oracle_distance=0.0, max_norm_discrepancy=0.0
-    )
-    disc_sum = 0.0
-    for i in range(trials):
-        tseed = trial_seed(seed, i)
-        rng = np.random.default_rng(tseed)
-        d = math.inf
-        for _ in range(MAX_CHAIN_RESAMPLES):
-            povms = tuple(
-                make_povm(dim, int(rng.integers(2, 5)), rng) for _ in range(3)
-            )
-            scen = Scenario(dim=dim, povms=povms, seed=tseed)
-            try:
-                scen = run_scenario(scen, rng=rng)
-                posteriors = [
-                    measurement.posterior_from_outcome(p.elements[k])
-                    for p, k in zip(povms, scen.sampled_outcomes)
-                ]
-                ordered = pooling.pool_ordered_multi(posteriors)
-                d = linalg.frobenius_distance(ordered.pooled, oracle_pool(scen))
-                symmetric = pooling.pool_symmetric_multi(posteriors, norm_mode="trace")
-            except (ZeroProbabilityError, IncompatibleStatesError):
-                report.resamples += 1
-                continue
-            try:
-                linalg.validate_density(symmetric.pooled, tol=1e-9)
-            except QpoolError:
-                # Invalid pooled output counts as an infinite-distance
-                # failure so the report invariant still holds.
-                d = math.inf
-            report.max_norm_discrepancy = max(
-                report.max_norm_discrepancy, symmetric.norm_discrepancy
-            )
-            disc_sum += symmetric.norm_discrepancy
-            break
-        report.max_oracle_distance = max(report.max_oracle_distance, d)
-        if d > tol:
-            report.failures.append((tseed, d))
-    report.mean_norm_discrepancy = disc_sum / trials
-    return report
+
+    def trial(dim, rng):
+        scen, posteriors = _random_chain(make_povm, dim, 3, rng)
+        ordered = pooling.pool_ordered_multi(posteriors)
+        d = linalg.frobenius_distance(ordered.pooled, oracle_pool(scen))
+        symmetric = pooling.pool_symmetric_multi(posteriors, norm_mode="trace")
+        try:
+            linalg.validate_density(symmetric.pooled, tol=1e-9)
+        except QpoolError:
+            # Invalid pooled output counts as an infinite-distance failure
+            # so the report invariant still holds.
+            d = math.inf
+        return d, symmetric.norm_discrepancy
+
+    return _sweep([dim], trials, tol, seed, trial)
 
 
 def merge_reports(reports) -> VerificationReport:

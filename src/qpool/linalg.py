@@ -108,7 +108,8 @@ def trace_product(a, b) -> float:
     if ma.shape != mb.shape:
         raise DimMismatchError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
     t = complex(np.einsum("ij,ji->", ma, mb))
-    assert abs(t.imag) <= 1e-12, f"Tr[AB] has imaginary part {t.imag:.3e}"
+    if not abs(t.imag) <= 1e-12:
+        raise NotHermitianError(f"Tr[AB] has imaginary part {t.imag:.3e}")
     return t.real
 
 

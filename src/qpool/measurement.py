@@ -8,6 +8,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    BadTraceError,
     DimMismatchError,
     NotCompleteError,
     NotPositiveError,
@@ -81,9 +82,11 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     if r.shape[0] != povm.dim:
         raise DimMismatchError(f"state dim {r.shape[0]} vs POVM dim {povm.dim}")
     p = np.array([np.einsum("ij,ji->", e, r).real for e in povm.elements])
-    assert p.min() >= -ZERO_PROBABILITY_TOL, f"probability {p.min():.3e} < 0"
+    if not p.min() >= -ZERO_PROBABILITY_TOL:
+        raise NotPositiveError(f"probability {p.min():.3e} < 0")
     p[p < 0.0] = 0.0
-    assert abs(p.sum() - 1.0) <= COMPLETENESS_TOL, f"probabilities sum to {p.sum()!r}"
+    if not abs(p.sum() - 1.0) <= COMPLETENESS_TOL:
+        raise BadTraceError(f"probabilities sum to {p.sum()!r}")
     return p
 
 
@@ -116,15 +119,10 @@ def efficient_update(kraus: EfficientKraus, rho) -> np.ndarray:
     defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
     if defect > UNITARY_TOL:
         raise NotUnitaryError(f"U^dag U differs from I by {defect:.3e}")
-    e = linalg.as_complex_matrix(kraus.effect)
     r = linalg.as_complex_matrix(rho)
-    if e.shape != r.shape or u.shape != r.shape:
+    if u.shape != r.shape:
         raise DimMismatchError("effect, unitary, and state dims must all agree")
-    p = float(np.einsum("ij,ji->", e, r).real)
-    if p <= ZERO_PROBABILITY_TOL:
-        raise ZeroProbabilityError(f"outcome probability {p:.3e} is numerically zero")
-    s = linalg.hermitian_sqrt(e)
-    return linalg.hermitianize(u @ s @ r @ s @ u.conj().T) / p
+    return linalg.hermitianize(u @ bare_update(kraus.effect, r) @ u.conj().T)
 
 
 def posterior_from_outcome(effect) -> np.ndarray:

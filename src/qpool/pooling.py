@@ -93,54 +93,32 @@ def classical_pool(pa, pb) -> np.ndarray:
     return prod / overlap
 
 
+def _trace_of_product(arrs) -> complex:
+    """Tr[rho_1 ... rho_n], with the last factor taken as sum_ij P_ij B_ji."""
+    prod = arrs[0]
+    for a in arrs[1:-1]:
+        prod = prod @ a
+    return complex((prod * arrs[-1].T).sum())
+
+
 def pool_ordered(first, second) -> PoolReport:
     """Pool two states where `second` belongs to the later measurer.
 
-    The pooled state is sqrt(rho_B) rho_A sqrt(rho_B) normalized by its own
-    trace, which equals Tr[rho_A rho_B] up to rounding.  Order matters only
-    through which state is conjugated outermost.
+    The n = 2 case of pool_ordered_multi: sqrt(rho_B) rho_A sqrt(rho_B)
+    normalized by its own trace, which equals Tr[rho_A rho_B] up to
+    rounding.  Order matters only through which state is outermost.
     """
-    a, b = _check_same_dims((first, second))
-    c = linalg.trace_product(a, b)
-    if c <= INCOMPATIBLE_TOL:
-        raise IncompatibleStatesError(f"Tr[rho_A rho_B] = {c:.3e} is numerically zero")
-    s = linalg.hermitian_sqrt(b)
-    num = linalg.hermitianize(s @ a @ s)
-    t = float(np.trace(num).real)
-    return PoolReport(
-        pooled=num / t,
-        compatibility=_clamp01(c),
-        paper_norm=c,
-        trace_norm=t,
-        norm_discrepancy=abs(t - c),
-    )
+    return pool_ordered_multi((first, second))
 
 
 def pool_symmetric(first, second) -> PoolReport:
     """Pool two states without an ordering: average of both nestings.
 
-    Returns (sqrt(A) B sqrt(A) + sqrt(B) A sqrt(B)) normalized by its own
-    trace.  The numerator is built so that swapping the arguments gives a
-    bitwise identical pooled state.
+    The n = 2 case of pool_symmetric_multi: (sqrt(A) B sqrt(A) +
+    sqrt(B) A sqrt(B)) normalized by its own trace.  Float addition
+    commutes, so swapping the arguments gives a bitwise identical result.
     """
-    a, b = _check_same_dims((first, second))
-    c = linalg.trace_product(a, b)
-    if c <= INCOMPATIBLE_TOL:
-        raise IncompatibleStatesError(f"Tr[rho_A rho_B] = {c:.3e} is numerically zero")
-    sa = linalg.hermitian_sqrt(a)
-    sb = linalg.hermitian_sqrt(b)
-    # Elementwise float addition commutes, so the swapped call builds the
-    # exact same numerator.
-    num = linalg.hermitianize(sa @ b @ sa) + linalg.hermitianize(sb @ a @ sb)
-    t = float(np.trace(num).real)
-    paper = 2.0 * c
-    return PoolReport(
-        pooled=num / t,
-        compatibility=_clamp01(c),
-        paper_norm=paper,
-        trace_norm=t,
-        norm_discrepancy=abs(t - paper),
-    )
+    return pool_symmetric_multi((first, second))
 
 
 def pool_ordered_multi(states) -> PoolReport:
@@ -161,10 +139,7 @@ def pool_ordered_multi(states) -> PoolReport:
     t = float(np.trace(num).real)
     if t <= INCOMPATIBLE_TOL:
         raise IncompatibleStatesError(f"nested trace {t:.3e} is numerically zero")
-    prod = arrs[0]
-    for s in arrs[1:]:
-        prod = prod @ s
-    ptr = complex(np.trace(prod))
+    ptr = _trace_of_product(arrs)
     return PoolReport(
         pooled=num / t,
         compatibility=_clamp01(t),
@@ -197,10 +172,9 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
         raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
     arrs = _check_same_dims(states)
     sqrts = [linalg.hermitian_sqrt(a) for a in arrs]
-    dim = arrs[0].shape[0]
     # itertools.permutations enumerates in a fixed order, so the float
     # accumulation below is deterministic.
-    num = np.zeros((dim, dim), dtype=complex)
+    num = np.zeros_like(arrs[0])
     for perm in permutations(range(n)):
         term = arrs[perm[0]]
         for i in perm[1:]:
@@ -210,10 +184,7 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     t = float(np.trace(num).real)
     if t <= INCOMPATIBLE_TOL:
         raise IncompatibleStatesError(f"permutation-sum trace {t:.3e} is numerically zero")
-    prod = arrs[0]
-    for a in arrs[1:]:
-        prod = prod @ a
-    ptr = complex(np.trace(prod)) * factorial(n)
+    ptr = _trace_of_product(arrs) * factorial(n)
     paper = ptr.real
     if norm_mode == "paper":
         if paper <= INCOMPATIBLE_TOL:
@@ -239,5 +210,4 @@ def compatibility(a, b) -> float:
     Equals (1/2)(1 + a . b) for qubits with Bloch vectors a and b, and
     reaches 1 only for identical pure states.
     """
-    ma, mb = _check_same_dims((a, b))
-    return linalg.trace_product(ma, mb)
+    return linalg.trace_product(a, b)

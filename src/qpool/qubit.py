@@ -95,7 +95,8 @@ def pool_bloch(a, b) -> np.ndarray:
         )
     pooled = (w.alpha * va + w.beta * vb) / compat
     n = float(np.linalg.norm(pooled))
-    assert n <= 1.0 + 1e-9, f"pooled Bloch norm {n!r} exceeds 1"
+    if not n <= 1.0 + 1e-9:
+        raise BlochTooLongError(f"pooled Bloch norm {n!r} exceeds 1")
     if n > 1.0:
         pooled = pooled / n
     return pooled

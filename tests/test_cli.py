@@ -203,6 +203,15 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--trials", "2", "--dims", "5..2"]) == 2
         assert cli.main(["verify", "--trials", "2", "--dims", "abc"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_non_positive_or_non_finite_tolerance_exits_2(self, tol, capsys):
+        code = cli.main(
+            ["verify", "--suite", "all", "--trials", "2", "--dims", "2..2",
+             "--tol", tol]
+        )
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_impossible_tolerance_exits_1(self, capsys):
         code = cli.main(
             ["verify", "--suite", "two", "--trials", "2", "--dims", "2..2",

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +126,20 @@ class TestTraceProduct:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatchError):
             linalg.trace_product(np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_complex_trace_raises_under_optimize(self):
+        # python -O strips asserts; the imaginary-part check must survive it.
+        code = (
+            "from qpool import linalg\n"
+            "from qpool.errors import QpoolError\n"
+            "try:\n"
+            "    linalg.trace_product([[0, 1j], [0, 0]], [[0, 0], [1, 0]])\n"
+            "except QpoolError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestBlochMaps:

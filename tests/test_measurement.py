@@ -3,6 +3,7 @@ import pytest
 
 from qpool import linalg, measurement
 from qpool.errors import (
+    BadTraceError,
     DimMismatchError,
     NotCompleteError,
     NotPositiveError,
@@ -78,6 +79,18 @@ class TestOutcomeProbabilities:
         povm = measurement.validate_povm(PROJECTIVE_Z)
         with pytest.raises(DimMismatchError):
             measurement.outcome_probabilities(povm, np.eye(3) / 3)
+
+    @pytest.mark.parametrize(
+        "rho, error",
+        [
+            (np.diag([1.5, -0.5]).astype(complex), NotPositiveError),
+            (np.eye(2, dtype=complex), BadTraceError),
+        ],
+    )
+    def test_invalid_state_raises_typed_error(self, rho, error):
+        povm = measurement.validate_povm(PROJECTIVE_Z)
+        with pytest.raises(error):
+            measurement.outcome_probabilities(povm, rho)
 
 
 class TestBareUpdate:
