@@ -7,6 +7,8 @@ first-principles sequential-measurement oracle, and exposes the qubit
 closed form in Bloch coordinates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadRankError,
     BadTraceError,
@@ -70,59 +72,5 @@ from .qubit import BlochWeights, bloch_weights, certainty_weight, pool_bloch, we
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadRankError",
-    "BadTraceError",
-    "BlochTooLongError",
-    "BlochWeights",
-    "DimMismatchError",
-    "DomainError",
-    "EfficientKraus",
-    "IncompatibleStatesError",
-    "LengthMismatchError",
-    "NotCompleteError",
-    "NotHermitianError",
-    "NotPositiveError",
-    "NotUnitaryError",
-    "PoolReport",
-    "Povm",
-    "QpoolError",
-    "Scenario",
-    "SingularSumError",
-    "TooFewStatesError",
-    "TooManyStatesError",
-    "VerificationReport",
-    "ZeroEffectError",
-    "ZeroProbabilityError",
-    "bare_update",
-    "bloch_to_density",
-    "bloch_weights",
-    "certainty_weight",
-    "classical_pool",
-    "compatibility",
-    "density_to_bloch",
-    "efficient_update",
-    "frobenius_distance",
-    "hermitian_sqrt",
-    "hermitianize",
-    "maximally_mixed",
-    "oracle_pool",
-    "outcome_probabilities",
-    "pool_bloch",
-    "pool_ordered",
-    "pool_ordered_multi",
-    "pool_symmetric",
-    "pool_symmetric_multi",
-    "posterior_from_outcome",
-    "random_density",
-    "random_povm",
-    "run_scenario",
-    "sample_outcome",
-    "trace_product",
-    "validate_density",
-    "validate_povm",
-    "verify_commuting_reduction",
-    "verify_three_observer",
-    "verify_two_observer",
-    "weight_factor",
-]
+# Every public name imported above, minus the submodules those imports bind.
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))

@@ -22,27 +22,21 @@ EXIT_USAGE = 2
 EXIT_INCOMPATIBLE = 3
 
 
-def _fmt17(x: float) -> str:
-    # 17 significant digits round-trip any double exactly.
-    return format(float(x), ".17g")
+def _file_text(payload: dict) -> str:
+    # Float repr is the shortest text that reads back to the same double.
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _matrix_rows_json(m: np.ndarray) -> str:
-    rows = []
-    for row in m:
-        rows.append(
-            "[" + ",".join(f"[{_fmt17(e.real)},{_fmt17(e.imag)}]" for e in row) + "]"
-        )
-    return "[" + ",".join(rows) + "]"
+def _pairs(m: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
 
 
 def matrix_file_text(m: np.ndarray) -> str:
-    return f'{{"dim":{m.shape[0]},"matrix":{_matrix_rows_json(m)}}}\n'
+    return _file_text({"dim": m.shape[0], "matrix": _pairs(m)})
 
 
 def povm_file_text(povm: measurement.Povm) -> str:
-    elements = ",".join(_matrix_rows_json(e) for e in povm.elements)
-    return f'{{"dim":{povm.dim},"elements":[{elements}]}}\n'
+    return _file_text({"dim": povm.dim, "elements": [_pairs(e) for e in povm.elements]})
 
 
 def _rows_to_matrix(rows, dim: int, what: str) -> np.ndarray:
@@ -56,7 +50,7 @@ def _rows_to_matrix(rows, dim: int, what: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(type(v) in (int, float) for v in entry)
             ):
                 raise QpoolError(
                     f"{what} entry ({i},{j}) must be a [re, im] number pair"
@@ -65,21 +59,22 @@ def _rows_to_matrix(rows, dim: int, what: str) -> np.ndarray:
     return out
 
 
-def parse_matrix_payload(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or "matrix" not in obj:
-        raise QpoolError('matrix file must be {"dim": ..., "matrix": ...}')
+def _payload_dim(obj, key: str, what: str) -> int:
+    if not isinstance(obj, dict) or "dim" not in obj or key not in obj:
+        raise QpoolError(f'{what} file must be {{"dim": ..., "{key}": ...}}')
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise QpoolError(f"dim must be a positive integer, got {dim!r}")
+    return dim
+
+
+def parse_matrix_payload(obj) -> np.ndarray:
+    dim = _payload_dim(obj, "matrix", "matrix")
     return _rows_to_matrix(obj["matrix"], dim, "matrix")
 
 
 def parse_povm_payload(obj) -> measurement.Povm:
-    if not isinstance(obj, dict) or "dim" not in obj or "elements" not in obj:
-        raise QpoolError('POVM file must be {"dim": ..., "elements": ...}')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise QpoolError(f"dim must be a positive integer, got {dim!r}")
+    dim = _payload_dim(obj, "elements", "POVM")
     elements = obj["elements"]
     if not isinstance(elements, list) or not elements:
         raise QpoolError("elements must be a non-empty list of matrices")
@@ -93,12 +88,6 @@ def load_density(path: str) -> np.ndarray:
         obj = json.load(fh)
     m = parse_matrix_payload(obj)
     return linalg.validate_density(m, tol=FILE_DENSITY_TOL)
-
-
-def load_povm(path: str) -> measurement.Povm:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return parse_povm_payload(obj)
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -272,7 +261,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Non-finite input ends in a typed error; numpy's warnings would only repeat it.
+        with np.errstate(invalid="ignore", over="ignore"):
+            return args.func(args)
     except IncompatibleStatesError:
         print(INCOMPATIBLE_MESSAGE, file=sys.stderr)
         return EXIT_INCOMPATIBLE

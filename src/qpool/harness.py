@@ -151,8 +151,8 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
 
     trial(dim, rng) returns (oracle_distance, norm_discrepancy).  A zero
     probability or zero overlap redraws it from the same stream, at most
-    MAX_CHAIN_RESAMPLES times; a trial that never completes counts as an
-    infinite distance.
+    MAX_CHAIN_RESAMPLES times; a trial that never completes, or whose
+    distance is NaN, counts as an infinite distance.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise QpoolError(f"tol must be finite and positive, got {tol!r}")
@@ -174,8 +174,9 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
             report.max_norm_discrepancy = max(report.max_norm_discrepancy, disc)
             disc_sum += disc
             break
+        d = math.inf if math.isnan(d) else d
         report.max_oracle_distance = max(report.max_oracle_distance, d)
-        if d > tol:
+        if not d <= tol:
             report.failures.append((tseed, d))
     report.mean_norm_discrepancy = disc_sum / total
     return report

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .errors import (
     BadTraceError,
     BlochTooLongError,
     DimMismatchError,
+    DomainError,
     NotHermitianError,
     NotPositiveError,
     QpoolError,
 )
 
 DEFAULT_TOL = 1e-10
+
+# A probability, overlap, trace or discarded imaginary part this small is zero.
+ZERO_TOL = 1e-12
+
+# Bloch vectors and lengths up to 1 + BLOCH_SLACK count as on the unit sphere.
+BLOCH_SLACK = 1e-12
 
 # Eigenvalues below this are treated as exact zeros by hermitian_sqrt.
 # Must stay coordinated with qubit._PURE_NORM_SNAP: a qubit of Bloch length n
@@ -52,6 +61,26 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
+def check_finite(m: np.ndarray, what: str) -> None:
+    """Raise NotHermitianError if M has a NaN or inf entry (which makes its sum non-finite)."""
+    if not cmath.isfinite(m.sum()):
+        raise NotHermitianError(f"{what} has a non-finite entry")
+
+
+def check_positive(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Check M is Hermitian with eigenvalues >= -tol; return them in ascending order.
+
+    A NaN or inf entry makes the Hermiticity defect non-finite, so it fails.
+    """
+    defect = hermiticity_defect(m)
+    if not defect <= tol:
+        raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
+    w = np.linalg.eigvalsh(hermitianize(m))
+    if w[0] < -tol:
+        raise NotPositiveError(f"{what} has negative eigenvalue {w[0]:.3e} below -{tol:.0e}")
+    return w
+
+
 def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check that M is a density matrix and return a cleaned copy.
 
@@ -65,14 +94,8 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     NotHermitianError, NotPositiveError, BadTraceError
     """
     a = as_complex_matrix(m)
-    if hermiticity_defect(a) > tol:
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |M - M^dag| = {hermiticity_defect(a):.3e}"
-        )
+    w = check_positive(a, tol, "matrix")
     h = hermitianize(a)
-    w = np.linalg.eigvalsh(h)
-    if w[0] < -tol:
-        raise NotPositiveError(f"negative eigenvalue {w[0]:.3e} below -{tol:.0e}")
     tr = float(np.trace(h).real)
     if abs(tr - 1.0) > tol:
         raise BadTraceError(f"trace {tr!r} differs from 1 by more than {tol:.0e}")
@@ -93,6 +116,7 @@ def hermitian_sqrt(m) -> np.ndarray:
     would otherwise be amplified to ~1e-8 in the result.
     """
     a = as_complex_matrix(m)
+    check_finite(a, "matrix")
     h = hermitianize(a)
     w, v = np.linalg.eigh(h)
     if w[0] < -DEFAULT_TOL:
@@ -108,23 +132,31 @@ def trace_product(a, b) -> float:
     if ma.shape != mb.shape:
         raise DimMismatchError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
     t = complex(np.einsum("ij,ji->", ma, mb))
-    if not abs(t.imag) <= 1e-12:
+    if not abs(t.imag) <= ZERO_TOL:
         raise NotHermitianError(f"Tr[AB] has imaginary part {t.imag:.3e}")
     return t.real
+
+
+def as_bloch_vector(v) -> tuple[np.ndarray, float]:
+    """Return v as a float vector of shape (3,) (else DomainError) with its norm.
+
+    A norm that is not at most 1 + BLOCH_SLACK raises BlochTooLongError.
+    """
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise DomainError(f"Bloch vector must have shape (3,), got {a.shape}")
+    n = float(np.linalg.norm(a))
+    if not n <= 1.0 + BLOCH_SLACK:
+        raise BlochTooLongError(f"Bloch vector norm {n!r} exceeds 1")
+    return a, n
 
 
 def bloch_to_density(v) -> np.ndarray:
     """Qubit density matrix (I + v . sigma) / 2 for a Bloch vector v.
 
-    Norms in (1, 1 + 1e-12] are rescaled onto the unit sphere; anything
-    longer raises BlochTooLongError.
+    Norms in (1, 1 + BLOCH_SLACK] are rescaled onto the unit sphere.
     """
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise QpoolError(f"Bloch vector must have shape (3,), got {a.shape}")
-    n = float(np.linalg.norm(a))
-    if n > 1.0 + 1e-12:
-        raise BlochTooLongError(f"Bloch vector norm {n!r} exceeds 1")
+    a, n = as_bloch_vector(v)
     if n > 1.0:
         a = a / n
     x, y, z = a

@@ -19,7 +19,6 @@ from .errors import (
 
 COMPLETENESS_TOL = 1e-9
 UNITARY_TOL = 1e-9
-ZERO_PROBABILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,16 +59,10 @@ def validate_povm(elements, tol: float = COMPLETENESS_TOL) -> Povm:
             raise DimMismatchError(
                 f"element {i} has dim {e.shape[0]}, expected {dim}"
             )
-        if linalg.hermiticity_defect(e) > linalg.DEFAULT_TOL:
-            raise NotPositiveError(f"element {i} is not Hermitian")
-        w = np.linalg.eigvalsh(linalg.hermitianize(e))
-        if w[0] < -linalg.DEFAULT_TOL:
-            raise NotPositiveError(
-                f"element {i} has negative eigenvalue {w[0]:.3e}"
-            )
+        linalg.check_positive(e, linalg.DEFAULT_TOL, f"element {i}")
     total = sum(arrs)
     defect = float(np.abs(total - np.eye(dim)).max())
-    if defect > tol:
+    if not defect <= tol:
         raise NotCompleteError(
             f"effects sum to I only within {defect:.3e}, tol {tol:.0e}"
         )
@@ -82,7 +75,7 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     if r.shape[0] != povm.dim:
         raise DimMismatchError(f"state dim {r.shape[0]} vs POVM dim {povm.dim}")
     p = np.array([np.einsum("ij,ji->", e, r).real for e in povm.elements])
-    if not p.min() >= -ZERO_PROBABILITY_TOL:
+    if not p.min() >= -linalg.ZERO_TOL:
         raise NotPositiveError(f"probability {p.min():.3e} < 0")
     p[p < 0.0] = 0.0
     if not abs(p.sum() - 1.0) <= COMPLETENESS_TOL:
@@ -101,7 +94,7 @@ def bare_update(effect, rho) -> np.ndarray:
     if e.shape != r.shape:
         raise DimMismatchError(f"effect dim {e.shape[0]} vs state dim {r.shape[0]}")
     p = float(np.einsum("ij,ji->", e, r).real)
-    if p <= ZERO_PROBABILITY_TOL:
+    if not p > linalg.ZERO_TOL:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} is numerically zero")
     s = linalg.hermitian_sqrt(e)
     return linalg.hermitianize(s @ r @ s) / p
@@ -131,8 +124,9 @@ def posterior_from_outcome(effect) -> np.ndarray:
     This is what bare_update yields when applied to the maximally mixed state.
     """
     e = linalg.as_complex_matrix(effect)
+    linalg.check_finite(e, "effect")
     t = float(np.trace(e).real)
-    if t <= 1e-12:
+    if not t > linalg.ZERO_TOL:
         raise ZeroEffectError(f"effect trace {t:.3e} is numerically zero")
     return linalg.hermitianize(e) / t
 

@@ -18,8 +18,6 @@ from .errors import (
     TooManyStatesError,
 )
 
-INCOMPATIBLE_TOL = 1e-12
-
 # Symmetric multi-observer pooling sums n! nested terms; 6! = 720 is the
 # largest count we are willing to evaluate.
 MAX_SYMMETRIC_STATES = 6
@@ -82,11 +80,11 @@ def classical_pool(pa, pb) -> np.ndarray:
         raise QpoolError("probability vectors must be one-dimensional")
     if a.shape != b.shape:
         raise LengthMismatchError(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    if a.min() < -1e-12 or b.min() < -1e-12:
-        raise QpoolError("probability vectors must be nonnegative")
+    if not all(np.isfinite(v).all() and v.min() >= -linalg.ZERO_TOL for v in (a, b)):
+        raise QpoolError("probability vectors must be finite and nonnegative")
     prod = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
     overlap = float(prod.sum())
-    if overlap <= INCOMPATIBLE_TOL:
+    if not overlap > linalg.ZERO_TOL:
         raise IncompatibleStatesError(
             f"distributions share no support: sum of products {overlap:.3e}"
         )
@@ -131,13 +129,15 @@ def pool_ordered_multi(states) -> PoolReport:
     if len(states) < 2:
         raise TooFewStatesError(f"need at least two states, got {len(states)}")
     arrs = _check_same_dims(states)
+    # The innermost state is the only one hermitian_sqrt does not gate.
+    linalg.check_finite(arrs[0], "state 0")
     num = arrs[0]
     for s in arrs[1:]:
         r = linalg.hermitian_sqrt(s)
         num = r @ num @ r
     num = linalg.hermitianize(num)
     t = float(np.trace(num).real)
-    if t <= INCOMPATIBLE_TOL:
+    if not t > linalg.ZERO_TOL:
         raise IncompatibleStatesError(f"nested trace {t:.3e} is numerically zero")
     ptr = _trace_of_product(arrs)
     return PoolReport(
@@ -182,12 +182,12 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
         num = num + term
     num = linalg.hermitianize(num)
     t = float(np.trace(num).real)
-    if t <= INCOMPATIBLE_TOL:
+    if not t > linalg.ZERO_TOL:
         raise IncompatibleStatesError(f"permutation-sum trace {t:.3e} is numerically zero")
     ptr = _trace_of_product(arrs) * factorial(n)
     paper = ptr.real
     if norm_mode == "paper":
-        if paper <= INCOMPATIBLE_TOL:
+        if not paper > linalg.ZERO_TOL:
             raise IncompatibleStatesError(
                 f"closed-form denominator {paper:.3e} is numerically zero"
             )

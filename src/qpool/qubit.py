@@ -8,9 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BlochTooLongError, DomainError, IncompatibleStatesError
-from .linalg import EIGENVALUE_FLOOR
-
-DOMAIN_SLACK = 1e-12
+from .linalg import BLOCH_SLACK, EIGENVALUE_FLOOR, ZERO_TOL, as_bloch_vector
 
 # A qubit of Bloch length n has smallest eigenvalue (1 - n) / 2.  Lengths at
 # or above this are treated as exactly pure so the closed form and the
@@ -32,7 +30,7 @@ def weight_factor(x: float) -> float:
     Decreases from 2 (total ignorance) to 1 (pure state); it is the
     denominator that sets how strongly a state's direction is weighted.
     """
-    if not -DOMAIN_SLACK <= x <= 1.0 + DOMAIN_SLACK:
+    if not -BLOCH_SLACK <= x <= 1.0 + BLOCH_SLACK:
         raise DomainError(f"Bloch length {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return 1.0 + math.sqrt(1.0 - x * x)
@@ -47,13 +45,8 @@ def certainty_weight(x: float) -> float:
     return x / weight_factor(x)
 
 
-def _effective_norm(v: np.ndarray) -> float:
-    n = float(np.linalg.norm(v))
-    if n > 1.0 + DOMAIN_SLACK:
-        raise BlochTooLongError(f"Bloch vector norm {n!r} exceeds 1")
-    if n >= _PURE_NORM_SNAP:
-        return 1.0
-    return min(n, 1.0)
+def _effective_norm(n: float) -> float:
+    return 1.0 if n >= _PURE_NORM_SNAP else n
 
 
 def bloch_weights(a, b) -> BlochWeights:
@@ -64,10 +57,12 @@ def bloch_weights(a, b) -> BlochWeights:
     both inside weight_factor and in the squared-norm terms; mixing snapped
     and raw values would split the two purification routes apart.
     """
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    na = _effective_norm(va)
-    nb = _effective_norm(vb)
+    return _weights(*as_bloch_vector(a), *as_bloch_vector(b))
+
+
+def _weights(va: np.ndarray, na: float, vb: np.ndarray, nb: float) -> BlochWeights:
+    na = _effective_norm(na)
+    nb = _effective_norm(nb)
     ab = float(np.dot(va, vb))
     fa = weight_factor(na)
     fb = weight_factor(nb)
@@ -83,13 +78,11 @@ def pool_bloch(a, b) -> np.ndarray:
     symmetric pooled state.  Raises IncompatibleStatesError when the states
     are antipodal pure (zero overlap).
     """
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    if va.shape != (3,) or vb.shape != (3,):
-        raise DomainError("Bloch vectors must have shape (3,)")
-    w = bloch_weights(va, vb)
+    va, na = as_bloch_vector(a)
+    vb, nb = as_bloch_vector(b)
+    w = _weights(va, na, vb, nb)
     compat = 0.5 * (1.0 + float(np.dot(va, vb)))
-    if compat <= 1e-12:
+    if not compat > ZERO_TOL:
         raise IncompatibleStatesError(
             f"overlap {compat:.3e} is numerically zero (antipodal pure states)"
         )

@@ -57,6 +57,8 @@ class TestMatrixFileRoundTrip:
             {"dim": 2, "matrix": [[[1, 0], [0, 0]]]},
             {"dim": 1, "matrix": [[[1, 0, 0]]]},
             {"dim": 1, "matrix": [[["1", "0"]]]},
+            {"dim": True, "matrix": [[[1, 0]]]},
+            {"dim": 1, "matrix": [[[True, False]]]},
         ],
     )
     def test_malformed_payload_rejected(self, payload):
@@ -135,6 +137,29 @@ class TestPoolCommand:
         )
         assert code == 2
         assert "trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dim": 2, "matrix": [[[NaN,0],[0,0]],[[0,0],[1,0]]]}',
+            '{"dim": 2, "matrix": [[[0.5,0],[Infinity,0]],[[0,0],[0.5,0]]]}',
+            '{"dim": 2, "matrix": [[[0.5,0],[0,-Infinity]],[[0,0],[0.5,0]]]}',
+            '{"dim": true, "matrix": [[[1,0]]]}',
+            '{"dim": 2, "matrix": [[[true,0],[0,0]],[[0,0],[false,0]]]}',
+        ],
+    )
+    def test_non_finite_or_boolean_file_exits_2(self, state_files, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = str(tmp_path / "x.json")
+        for argv in (
+            ["pool", "--mode", "symmetric", "--in", str(bad), state_files["z0"], "--out", out],
+            ["compat", state_files["z0"], str(bad)],
+        ):
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
 
 
 class TestCompatCommand:

@@ -147,6 +147,19 @@ class TestVerifySweeps:
         with pytest.raises(QpoolError):
             harness.verify_two_observer(5, (3, 2), 1e-10, 1)
 
+    def test_nan_distance_is_a_failure(self, monkeypatch):
+        def nan_pool(first, second):
+            return pooling.PoolReport(
+                pooled=np.full((first.shape[0],) * 2, np.nan, dtype=complex),
+                compatibility=1.0, paper_norm=1.0, trace_norm=1.0, norm_discrepancy=0.0,
+            )
+
+        monkeypatch.setattr(pooling, "pool_ordered", nan_pool)
+        report = harness.verify_two_observer(5, (2, 3), 1e-10, 0)
+        assert report.max_oracle_distance == np.inf
+        assert len(report.failures) == 10
+        assert all(d == np.inf for _, d in report.failures)
+
     def test_impossible_tolerance_reports_failures(self):
         report = harness.verify_two_observer(5, (2, 2), 1e-18, 7)
         assert report.failures

@@ -6,6 +6,7 @@ from qpool.errors import (
     BadTraceError,
     DimMismatchError,
     NotCompleteError,
+    NotHermitianError,
     NotPositiveError,
     NotUnitaryError,
     ZeroEffectError,
@@ -49,6 +50,11 @@ class TestValidatePovm:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimMismatchError):
             measurement.validate_povm([np.eye(2), np.eye(3)])
+
+    def test_non_hermitian_element_rejected(self):
+        skew = np.array([[0.0, 0.1], [-0.1, 0.0]])
+        with pytest.raises(NotHermitianError):
+            measurement.validate_povm([0.5 * np.eye(2) + skew, 0.5 * np.eye(2) - skew])
 
 
 class TestOutcomeProbabilities:

@@ -157,3 +157,7 @@ class TestPoolBloch:
     def test_bad_shape(self):
         with pytest.raises(DomainError):
             qubit.pool_bloch([0.0, 1.0], [0.0, 0.0, 1.0])
+
+    def test_weights_reject_bad_shape(self):
+        with pytest.raises(DomainError):
+            qubit.bloch_weights([0.0, 0.5], [0.5, 0.0])
