@@ -9,25 +9,7 @@ closed form in Bloch coordinates.
 
 from types import ModuleType as _ModuleType
 
-from .errors import (
-    BadRankError,
-    BadTraceError,
-    BlochTooLongError,
-    DimMismatchError,
-    DomainError,
-    IncompatibleStatesError,
-    LengthMismatchError,
-    NotCompleteError,
-    NotHermitianError,
-    NotPositiveError,
-    NotUnitaryError,
-    QpoolError,
-    SingularSumError,
-    TooFewStatesError,
-    TooManyStatesError,
-    ZeroEffectError,
-    ZeroProbabilityError,
-)
+from .errors import IncompatibleStatesError, QpoolError, ZeroProbabilityError
 from .harness import (
     Scenario,
     VerificationReport,

@@ -1,69 +1,13 @@
-"""Exception types raised by qpool validation and domain checks."""
+"""Exception types, one for each thing a caller does with a failure."""
 
 
 class QpoolError(ValueError):
-    """Base class for all qpool errors."""
-
-
-class NotHermitianError(QpoolError):
-    """Matrix is not Hermitian within tolerance."""
-
-
-class NotPositiveError(QpoolError):
-    """Operator has an eigenvalue below the allowed negative tolerance."""
-
-
-class BadTraceError(QpoolError):
-    """Matrix trace differs from 1 beyond tolerance."""
-
-
-class DimMismatchError(QpoolError):
-    """Operands have incompatible dimensions."""
-
-
-class BlochTooLongError(QpoolError):
-    """Bloch vector norm exceeds 1 beyond tolerance."""
-
-
-class NotCompleteError(QpoolError):
-    """POVM elements do not sum to the identity within tolerance."""
+    """Rejected input; the message names the rule it broke.  Base of the other two."""
 
 
 class ZeroProbabilityError(QpoolError):
     """Measurement outcome has numerically vanishing probability."""
 
 
-class NotUnitaryError(QpoolError):
-    """Matrix fails the unitarity check U^dag U = I."""
-
-
-class ZeroEffectError(QpoolError):
-    """POVM effect has numerically vanishing trace."""
-
-
 class IncompatibleStatesError(QpoolError):
     """States of knowledge have numerically zero overlap; pooling is undefined."""
-
-
-class LengthMismatchError(QpoolError):
-    """Probability vectors have different lengths."""
-
-
-class TooFewStatesError(QpoolError):
-    """Pooling requires at least two states."""
-
-
-class TooManyStatesError(QpoolError):
-    """Permutation-sum pooling is capped (factorial term count)."""
-
-
-class SingularSumError(QpoolError):
-    """Random POVM construction produced a near-singular normalizer."""
-
-
-class BadRankError(QpoolError):
-    """Requested rank is outside [1, dim]."""
-
-
-class DomainError(QpoolError):
-    """Scalar argument is outside the function's domain."""

@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
-from .errors import (
-    BadTraceError,
-    BlochTooLongError,
-    DimMismatchError,
-    DomainError,
-    NotHermitianError,
-    NotPositiveError,
-    QpoolError,
-)
+from .errors import QpoolError
 
 DEFAULT_TOL = 1e-10
 
@@ -29,11 +22,6 @@ BLOCH_SLACK = 1e-12
 # has smallest eigenvalue (1 - n) / 2, so the matrix route and the closed-form
 # route purify together at n >= 1 - 2 * EIGENVALUE_FLOOR.
 EIGENVALUE_FLOOR = 1e-12
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -62,23 +50,25 @@ def maximally_mixed(dim: int) -> np.ndarray:
 
 
 def check_finite(m: np.ndarray, what: str) -> None:
-    """Raise NotHermitianError if M has a NaN or inf entry (which makes its sum non-finite)."""
+    """Raise QpoolError if M has a NaN or inf entry (which makes its sum non-finite)."""
     if not cmath.isfinite(m.sum()):
-        raise NotHermitianError(f"{what} has a non-finite entry")
+        raise QpoolError(f"{what} has a non-finite entry")
 
 
-def check_positive(m: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Check M is Hermitian with eigenvalues >= -tol; return them in ascending order.
+def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check M is Hermitian with eigenvalues >= -tol.
 
+    Returns the eigenvalues in ascending order and the Hermitian part of M.
     A NaN or inf entry makes the Hermiticity defect non-finite, so it fails.
     """
     defect = hermiticity_defect(m)
     if not defect <= tol:
-        raise NotHermitianError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
-    w = np.linalg.eigvalsh(hermitianize(m))
+        raise QpoolError(f"{what} is not Hermitian: max |M - M^dag| = {defect:.3e}")
+    h = hermitianize(m)
+    w = np.linalg.eigvalsh(h)
     if w[0] < -tol:
-        raise NotPositiveError(f"{what} has negative eigenvalue {w[0]:.3e} below -{tol:.0e}")
-    return w
+        raise QpoolError(f"{what} has negative eigenvalue {w[0]:.3e} below -{tol:.0e}")
+    return w, h
 
 
 def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -89,16 +79,12 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     is renormalized to unit trace.  Inputs that already satisfy the
     invariants exactly come back unchanged.
 
-    Raises
-    ------
-    NotHermitianError, NotPositiveError, BadTraceError
+    Raises QpoolError naming the rule that failed.
     """
-    a = as_complex_matrix(m)
-    w = check_positive(a, tol, "matrix")
-    h = hermitianize(a)
+    w, h = check_positive(as_complex_matrix(m), tol, "matrix")
     tr = float(np.trace(h).real)
     if abs(tr - 1.0) > tol:
-        raise BadTraceError(f"trace {tr!r} differs from 1 by more than {tol:.0e}")
+        raise QpoolError(f"trace {tr!r} differs from 1 by more than {tol:.0e}")
     if w[0] < 0.0:
         # Clip rounding-level negatives and rebuild.
         w_full, v = np.linalg.eigh(h)
@@ -120,7 +106,7 @@ def hermitian_sqrt(m) -> np.ndarray:
     h = hermitianize(a)
     w, v = np.linalg.eigh(h)
     if w[0] < -DEFAULT_TOL:
-        raise NotPositiveError(f"negative eigenvalue {w[0]:.3e} below -{DEFAULT_TOL:.0e}")
+        raise QpoolError(f"negative eigenvalue {w[0]:.3e} below -{DEFAULT_TOL:.0e}")
     w[w < EIGENVALUE_FLOOR] = 0.0
     return hermitianize((v * np.sqrt(w)) @ v.conj().T)
 
@@ -130,24 +116,24 @@ def trace_product(a, b) -> float:
     ma = as_complex_matrix(a)
     mb = as_complex_matrix(b)
     if ma.shape != mb.shape:
-        raise DimMismatchError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
+        raise QpoolError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
     t = complex(np.einsum("ij,ji->", ma, mb))
     if not abs(t.imag) <= ZERO_TOL:
-        raise NotHermitianError(f"Tr[AB] has imaginary part {t.imag:.3e}")
+        raise QpoolError(f"Tr[AB] has imaginary part {t.imag:.3e}")
     return t.real
 
 
 def as_bloch_vector(v) -> tuple[np.ndarray, float]:
-    """Return v as a float vector of shape (3,) (else DomainError) with its norm.
+    """Return v as a float vector of shape (3,) with its norm.
 
-    A norm that is not at most 1 + BLOCH_SLACK raises BlochTooLongError.
+    Another shape, or a norm that is not at most 1 + BLOCH_SLACK, raises QpoolError.
     """
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
-        raise DomainError(f"Bloch vector must have shape (3,), got {a.shape}")
+        raise QpoolError(f"Bloch vector must have shape (3,), got {a.shape}")
     n = float(np.linalg.norm(a))
     if not n <= 1.0 + BLOCH_SLACK:
-        raise BlochTooLongError(f"Bloch vector norm {n!r} exceeds 1")
+        raise QpoolError(f"Bloch vector norm {n!r} exceeds 1")
     return a, n
 
 
@@ -169,7 +155,8 @@ def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector of a 2x2 density matrix, components Re Tr[rho sigma_i]."""
     r = as_complex_matrix(rho)
     if r.shape != (2, 2):
-        raise DimMismatchError(f"expected a 2x2 matrix, got {r.shape}")
+        raise QpoolError(f"expected a 2x2 matrix, got {r.shape}")
+    check_finite(r, "matrix")
     x = float(r[1, 0].real + r[0, 1].real)
     y = float(r[1, 0].imag - r[0, 1].imag)
     z = float(r[0, 0].real - r[1, 1].real)
@@ -177,9 +164,12 @@ def density_to_bloch(rho) -> np.ndarray:
 
 
 def frobenius_distance(a, b) -> float:
-    """Frobenius norm of A - B."""
+    """Frobenius norm of A - B; QpoolError if it is not finite (a NaN or inf entry)."""
     ma = as_complex_matrix(a)
     mb = as_complex_matrix(b)
     if ma.shape != mb.shape:
-        raise DimMismatchError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
-    return float(np.linalg.norm(ma - mb))
+        raise QpoolError(f"dimension mismatch: {ma.shape[0]} vs {mb.shape[0]}")
+    d = float(np.linalg.norm(ma - mb))
+    if not math.isfinite(d):
+        raise QpoolError(f"distance {d!r} is not finite")
+    return d

@@ -7,15 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    BadTraceError,
-    DimMismatchError,
-    NotCompleteError,
-    NotPositiveError,
-    NotUnitaryError,
-    ZeroEffectError,
-    ZeroProbabilityError,
-)
+from .errors import QpoolError, ZeroProbabilityError
 
 COMPLETENESS_TOL = 1e-9
 UNITARY_TOL = 1e-9
@@ -51,21 +43,17 @@ def validate_povm(elements, tol: float = COMPLETENESS_TOL) -> Povm:
     operator tolerance (1e-10); tol governs only the completeness sum.
     """
     if len(elements) == 0:
-        raise NotCompleteError("POVM has no elements")
+        raise QpoolError("POVM has no elements")
     arrs = [linalg.as_complex_matrix(e) for e in elements]
     dim = arrs[0].shape[0]
     for i, e in enumerate(arrs):
         if e.shape[0] != dim:
-            raise DimMismatchError(
-                f"element {i} has dim {e.shape[0]}, expected {dim}"
-            )
+            raise QpoolError(f"element {i} has dim {e.shape[0]}, expected {dim}")
         linalg.check_positive(e, linalg.DEFAULT_TOL, f"element {i}")
     total = sum(arrs)
     defect = float(np.abs(total - np.eye(dim)).max())
     if not defect <= tol:
-        raise NotCompleteError(
-            f"effects sum to I only within {defect:.3e}, tol {tol:.0e}"
-        )
+        raise QpoolError(f"effects sum to I only within {defect:.3e}, tol {tol:.0e}")
     return Povm(dim=dim, elements=tuple(arrs))
 
 
@@ -73,13 +61,13 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     """Outcome distribution p_k = Re Tr[E_k rho]."""
     r = linalg.as_complex_matrix(rho)
     if r.shape[0] != povm.dim:
-        raise DimMismatchError(f"state dim {r.shape[0]} vs POVM dim {povm.dim}")
+        raise QpoolError(f"state dim {r.shape[0]} vs POVM dim {povm.dim}")
     p = np.array([np.einsum("ij,ji->", e, r).real for e in povm.elements])
     if not p.min() >= -linalg.ZERO_TOL:
-        raise NotPositiveError(f"probability {p.min():.3e} < 0")
+        raise QpoolError(f"probability {p.min():.3e} < 0")
     p[p < 0.0] = 0.0
     if not abs(p.sum() - 1.0) <= COMPLETENESS_TOL:
-        raise BadTraceError(f"probabilities sum to {p.sum()!r}")
+        raise QpoolError(f"probabilities sum to {p.sum()!r}")
     return p
 
 
@@ -92,7 +80,7 @@ def bare_update(effect, rho) -> np.ndarray:
     e = linalg.as_complex_matrix(effect)
     r = linalg.as_complex_matrix(rho)
     if e.shape != r.shape:
-        raise DimMismatchError(f"effect dim {e.shape[0]} vs state dim {r.shape[0]}")
+        raise QpoolError(f"effect dim {e.shape[0]} vs state dim {r.shape[0]}")
     p = float(np.einsum("ij,ji->", e, r).real)
     if not p > linalg.ZERO_TOL:
         raise ZeroProbabilityError(f"outcome probability {p:.3e} is numerically zero")
@@ -111,10 +99,10 @@ def efficient_update(kraus: EfficientKraus, rho) -> np.ndarray:
     u = linalg.as_complex_matrix(kraus.unitary)
     defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
     if defect > UNITARY_TOL:
-        raise NotUnitaryError(f"U^dag U differs from I by {defect:.3e}")
+        raise QpoolError(f"U^dag U differs from I by {defect:.3e}")
     r = linalg.as_complex_matrix(rho)
     if u.shape != r.shape:
-        raise DimMismatchError("effect, unitary, and state dims must all agree")
+        raise QpoolError("effect, unitary, and state dims must all agree")
     return linalg.hermitianize(u @ bare_update(kraus.effect, r) @ u.conj().T)
 
 
@@ -127,7 +115,7 @@ def posterior_from_outcome(effect) -> np.ndarray:
     linalg.check_finite(e, "effect")
     t = float(np.trace(e).real)
     if not t > linalg.ZERO_TOL:
-        raise ZeroEffectError(f"effect trace {t:.3e} is numerically zero")
+        raise QpoolError(f"effect trace {t:.3e} is numerically zero")
     return linalg.hermitianize(e) / t
 
 

@@ -9,14 +9,7 @@ from math import factorial
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimMismatchError,
-    IncompatibleStatesError,
-    LengthMismatchError,
-    QpoolError,
-    TooFewStatesError,
-    TooManyStatesError,
-)
+from .errors import IncompatibleStatesError, QpoolError
 
 # Symmetric multi-observer pooling sums n! nested terms; 6! = 720 is the
 # largest count we are willing to evaluate.
@@ -68,7 +61,7 @@ def _check_same_dims(states) -> list[np.ndarray]:
     dim = arrs[0].shape[0]
     for i, a in enumerate(arrs):
         if a.shape[0] != dim:
-            raise DimMismatchError(f"state {i} has dim {a.shape[0]}, expected {dim}")
+            raise QpoolError(f"state {i} has dim {a.shape[0]}, expected {dim}")
     return arrs
 
 
@@ -76,10 +69,10 @@ def classical_pool(pa, pb) -> np.ndarray:
     """Pool two independent classical distributions: renormalized product."""
     a = np.asarray(pa, dtype=float)
     b = np.asarray(pb, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise QpoolError("probability vectors must be one-dimensional")
+    if a.ndim != 1 or b.ndim != 1 or a.size == 0:
+        raise QpoolError("probability vectors must be one-dimensional and non-empty")
     if a.shape != b.shape:
-        raise LengthMismatchError(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
+        raise QpoolError(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
     if not all(np.isfinite(v).all() and v.min() >= -linalg.ZERO_TOL for v in (a, b)):
         raise QpoolError("probability vectors must be finite and nonnegative")
     prod = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
@@ -127,7 +120,7 @@ def pool_ordered_multi(states) -> PoolReport:
     ordered pooling.
     """
     if len(states) < 2:
-        raise TooFewStatesError(f"need at least two states, got {len(states)}")
+        raise QpoolError(f"need at least two states, got {len(states)}")
     arrs = _check_same_dims(states)
     # The innermost state is the only one hermitian_sqrt does not gate.
     linalg.check_finite(arrs[0], "state 0")
@@ -163,11 +156,9 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     """
     n = len(states)
     if n < 2:
-        raise TooFewStatesError(f"need at least two states, got {n}")
+        raise QpoolError(f"need at least two states, got {n}")
     if n > MAX_SYMMETRIC_STATES:
-        raise TooManyStatesError(
-            f"symmetric pooling is capped at {MAX_SYMMETRIC_STATES} states, got {n}"
-        )
+        raise QpoolError(f"symmetric pooling is capped at {MAX_SYMMETRIC_STATES} states, got {n}")
     if norm_mode not in NORM_MODES:
         raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
     arrs = _check_same_dims(states)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BlochTooLongError, DomainError, IncompatibleStatesError
+from .errors import IncompatibleStatesError, QpoolError
 from .linalg import BLOCH_SLACK, EIGENVALUE_FLOOR, ZERO_TOL, as_bloch_vector
 
 # A qubit of Bloch length n has smallest eigenvalue (1 - n) / 2.  Lengths at
@@ -31,7 +31,7 @@ def weight_factor(x: float) -> float:
     denominator that sets how strongly a state's direction is weighted.
     """
     if not -BLOCH_SLACK <= x <= 1.0 + BLOCH_SLACK:
-        raise DomainError(f"Bloch length {x!r} outside [0, 1]")
+        raise QpoolError(f"Bloch length {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return 1.0 + math.sqrt(1.0 - x * x)
 
@@ -89,7 +89,7 @@ def pool_bloch(a, b) -> np.ndarray:
     pooled = (w.alpha * va + w.beta * vb) / compat
     n = float(np.linalg.norm(pooled))
     if not n <= 1.0 + 1e-9:
-        raise BlochTooLongError(f"pooled Bloch norm {n!r} exceeds 1")
+        raise QpoolError(f"pooled Bloch norm {n!r} exceeds 1")
     if n > 1.0:
         pooled = pooled / n
     return pooled

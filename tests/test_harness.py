@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qpool import harness, linalg, measurement, pooling
-from qpool.errors import BadRankError, QpoolError
+from qpool.errors import QpoolError
 
 Z0 = np.diag([1.0, 0.0]).astype(complex)
 Z1 = np.diag([0.0, 1.0]).astype(complex)
@@ -32,9 +32,9 @@ class TestRandomDensity:
 
     def test_bad_rank(self):
         rng = np.random.default_rng(53)
-        with pytest.raises(BadRankError):
+        with pytest.raises(QpoolError, match=r"outside \[1, 3\]"):
             harness.random_density(3, 0, rng)
-        with pytest.raises(BadRankError):
+        with pytest.raises(QpoolError, match=r"outside \[1, 3\]"):
             harness.random_density(3, 4, rng)
 
 

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpool import linalg
-from qpool.errors import (
-    BadTraceError,
-    BlochTooLongError,
-    DimMismatchError,
-    NotHermitianError,
-    NotPositiveError,
-    QpoolError,
-)
+from qpool.errors import QpoolError
 
 Z0 = np.diag([1.0, 0.0]).astype(complex)
 Z1 = np.diag([0.0, 1.0]).astype(complex)
@@ -45,16 +38,16 @@ class TestValidateDensity:
         assert abs(np.trace(out).real - 1.0) < 1e-15
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(BadTraceError):
+        with pytest.raises(QpoolError, match=r"differs from 1"):
             linalg.validate_density(np.diag([0.6, 0.5]).astype(complex))
 
     def test_rejects_non_hermitian(self):
         m = np.array([[0.5, 1e-3], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(QpoolError, match=r"not Hermitian"):
             linalg.validate_density(m)
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(QpoolError, match=r"negative eigenvalue"):
             linalg.validate_density(np.diag([1.5, -0.5]).astype(complex))
 
     def test_rejects_non_square(self):
@@ -88,7 +81,7 @@ class TestHermitianSqrt:
             assert np.abs(s @ s - m).max() < 1e-12
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveError):
+        with pytest.raises(QpoolError, match=r"negative eigenvalue"):
             linalg.hermitian_sqrt(np.diag([1.0, -1.0]).astype(complex))
 
     def test_floors_rounding_scale_eigenvalues(self):
@@ -124,7 +117,7 @@ class TestTraceProduct:
                 assert abs(t - linalg.trace_product(b, a)) < 1e-14
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(QpoolError, match=r"dimension mismatch"):
             linalg.trace_product(np.eye(2) / 2, np.eye(3) / 3)
 
     def test_complex_trace_raises_under_optimize(self):
@@ -167,7 +160,7 @@ class TestBlochMaps:
         assert abs(np.trace(rho).real - 1.0) < 1e-15
 
     def test_too_long_rejected(self):
-        with pytest.raises(BlochTooLongError):
+        with pytest.raises(QpoolError, match=r"exceeds 1"):
             linalg.bloch_to_density([0.0, 0.0, 1.001])
 
     def test_bad_shape_rejected(self):
@@ -175,7 +168,7 @@ class TestBlochMaps:
             linalg.bloch_to_density([1.0, 0.0])
 
     def test_density_to_bloch_needs_qubit(self):
-        with pytest.raises(DimMismatchError):
+        with pytest.raises(QpoolError, match=r"expected a 2x2 matrix"):
             linalg.density_to_bloch(np.eye(3) / 3)
 
 
@@ -189,7 +182,7 @@ def test_frobenius_distance_zero_on_self():
 
 
 def test_frobenius_distance_dim_mismatch():
-    with pytest.raises(DimMismatchError):
+    with pytest.raises(QpoolError, match=r"dimension mismatch"):
         linalg.frobenius_distance(np.eye(2), np.eye(3))
 
 

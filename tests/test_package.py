@@ -1,5 +1,7 @@
+import ast
 import inspect
 import math
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -55,6 +57,11 @@ BOUNDARIES = {
     "bloch_to_density": (lambda rng, d: [_bloch(rng)], linalg.bloch_to_density),
     "pool_ordered": (_densities(2), pooling.pool_ordered),
     "pool_symmetric": (_densities(2), pooling.pool_symmetric),
+    "frobenius_distance": (_densities(2), linalg.frobenius_distance),
+    "density_to_bloch": (
+        lambda rng, d: [linalg.bloch_to_density(_bloch(rng))],
+        linalg.density_to_bloch,
+    ),
 }
 
 
@@ -81,3 +88,11 @@ def test_non_finite_entry_raises_typed_error(name, dim, seed, bad, where, imag):
         flat[k] = bad
     with pytest.raises(QpoolError):
         call(*args)
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so no invariant may rest on one.
+    for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"

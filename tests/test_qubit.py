@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpool import linalg, pooling, qubit
-from qpool.errors import BlochTooLongError, DomainError, IncompatibleStatesError
+from qpool.errors import IncompatibleStatesError, QpoolError
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -28,9 +28,9 @@ class TestWeightFactor:
         assert qubit.weight_factor(x) == pytest.approx(expected, abs=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QpoolError, match=r"outside \[0, 1\]"):
             qubit.weight_factor(-0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(QpoolError, match=r"outside \[0, 1\]"):
             qubit.weight_factor(1.1)
         # Rounding-level overshoot is clipped, not rejected.
         assert qubit.weight_factor(1.0 + 5e-13) == 1.0
@@ -81,7 +81,7 @@ class TestBlochWeights:
         assert w_near.beta == pytest.approx(w_pure.beta, abs=1e-13)
 
     def test_too_long_rejected(self):
-        with pytest.raises(BlochTooLongError):
+        with pytest.raises(QpoolError, match=r"exceeds 1"):
             qubit.bloch_weights([0.0, 0.0, 1.01], Z)
 
 
@@ -155,9 +155,9 @@ class TestPoolBloch:
             assert w.alpha * na >= w.beta * nb - 1e-12
 
     def test_bad_shape(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QpoolError, match=r"shape \(3,\)"):
             qubit.pool_bloch([0.0, 1.0], [0.0, 0.0, 1.0])
 
     def test_weights_reject_bad_shape(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(QpoolError, match=r"shape \(3,\)"):
             qubit.bloch_weights([0.0, 0.5], [0.5, 0.0])
