@@ -144,16 +144,13 @@ def cmd_compat(args) -> int:
 
 
 def cmd_bloch(args) -> int:
-    a = _parse_bloch(args.a)
-    b = _parse_bloch(args.b)
-    weights = qubit.bloch_weights(a, b)
-    pooled = qubit.pool_bloch(a, b)
+    pooled, weights, compat = qubit._pool(_parse_bloch(args.a), _parse_bloch(args.b))
     _emit(
         {
             "pooled": [float(x) for x in pooled],
             "alpha": weights.alpha,
             "beta": weights.beta,
-            "compatibility": 0.5 * (1.0 + float(np.dot(a, b))),
+            "compatibility": compat,
         },
         args.pretty,
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -11,8 +10,8 @@ import numpy as np
 from . import linalg
 from .errors import IncompatibleStatesError, QpoolError
 
-# Symmetric multi-observer pooling sums n! nested terms; 6! = 720 is the
-# largest count we are willing to evaluate.
+# Symmetric multi-observer pooling costs n * (2^(n-1) - 1) conjugations (186
+# at n = 6); the cap on n is a fixed count, not yet derived from that cost.
 MAX_SYMMETRIC_STATES = 6
 
 NORM_MODES = ("trace", "paper")
@@ -146,6 +145,11 @@ def pool_ordered_multi(states) -> PoolReport:
 def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     """Pool n >= 2 unordered states: sum of nestings over all n! orderings.
 
+    The sum is grouped by the outermost observer j,
+    S(T) = sum_{j in T} sqrt(rho_j) S(T - {j}) sqrt(rho_j) with
+    S({i}) = rho_i, so it costs n * (2^(n-1) - 1) conjugations where the
+    literal sum costs n! * (n - 1).
+
     Parameters
     ----------
     states : sequence of density matrices, equal dims, 2 <= n <= 6.
@@ -163,15 +167,18 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
         raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
     arrs = _check_same_dims(states)
     sqrts = [linalg.hermitian_sqrt(a) for a in arrs]
-    # itertools.permutations enumerates in a fixed order, so the float
-    # accumulation below is deterministic.
-    num = np.zeros_like(arrs[0])
-    for perm in permutations(range(n)):
-        term = arrs[perm[0]]
-        for i in perm[1:]:
-            term = sqrts[i] @ term @ sqrts[i]
-        num = num + term
-    num = linalg.hermitianize(num)
+    # sums[mask] is S of the observers whose bits are set in mask.  Ascending
+    # masks build every subset before its supersets, and ascending bits fix
+    # the order of each float sum, so results are deterministic.
+    sums = [None] * (1 << n)
+    for mask in range(1, 1 << n):
+        if mask & (mask - 1) == 0:
+            sums[mask] = arrs[mask.bit_length() - 1]
+        else:
+            sums[mask] = sum(
+                sqrts[j] @ sums[mask ^ (1 << j)] @ sqrts[j] for j in range(n) if mask >> j & 1
+            )
+    num = linalg.hermitianize(sums[-1])
     t = float(np.trace(num).real)
     if not t > linalg.ZERO_TOL:
         raise IncompatibleStatesError(f"permutation-sum trace {t:.3e} is numerically zero")

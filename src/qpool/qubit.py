@@ -57,13 +57,14 @@ def bloch_weights(a, b) -> BlochWeights:
     both inside weight_factor and in the squared-norm terms; mixing snapped
     and raw values would split the two purification routes apart.
     """
-    return _weights(*as_bloch_vector(a), *as_bloch_vector(b))
+    va, na = as_bloch_vector(a)
+    vb, nb = as_bloch_vector(b)
+    return _weights(float(np.dot(va, vb)), na, nb)
 
 
-def _weights(va: np.ndarray, na: float, vb: np.ndarray, nb: float) -> BlochWeights:
+def _weights(ab: float, na: float, nb: float) -> BlochWeights:
     na = _effective_norm(na)
     nb = _effective_norm(nb)
-    ab = float(np.dot(va, vb))
     fa = weight_factor(na)
     fb = weight_factor(nb)
     alpha = 0.5 + 0.25 * (ab / fa - nb * nb / fb)
@@ -78,10 +79,16 @@ def pool_bloch(a, b) -> np.ndarray:
     symmetric pooled state.  Raises IncompatibleStatesError when the states
     are antipodal pure (zero overlap).
     """
+    return _pool(a, b)[0]
+
+
+def _pool(a, b) -> tuple[np.ndarray, BlochWeights, float]:
+    """pool_bloch's result with the weights and the overlap it was built from."""
     va, na = as_bloch_vector(a)
     vb, nb = as_bloch_vector(b)
-    w = _weights(va, na, vb, nb)
-    compat = 0.5 * (1.0 + float(np.dot(va, vb)))
+    ab = float(np.dot(va, vb))
+    w = _weights(ab, na, nb)
+    compat = 0.5 * (1.0 + ab)
     if not compat > ZERO_TOL:
         raise IncompatibleStatesError(
             f"overlap {compat:.3e} is numerically zero (antipodal pure states)"
@@ -92,4 +99,4 @@ def pool_bloch(a, b) -> np.ndarray:
         raise QpoolError(f"pooled Bloch norm {n!r} exceeds 1")
     if n > 1.0:
         pooled = pooled / n
-    return pooled
+    return pooled, w, compat

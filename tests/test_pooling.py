@@ -1,3 +1,6 @@
+from itertools import permutations
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,7 +216,54 @@ class TestPoolOrderedMulti:
         assert 0.0 <= out.compatibility <= 1.0
 
 
+def _permutation_sum(states) -> np.ndarray:
+    """The symmetric numerator as the paper writes it: one nested term per ordering."""
+    arrs = [np.asarray(s, dtype=complex) for s in states]
+    roots = [linalg.hermitian_sqrt(a) for a in arrs]
+    num = np.zeros_like(arrs[0])
+    for perm in permutations(range(len(arrs))):
+        term = arrs[perm[0]]
+        for i in perm[1:]:
+            term = roots[i] @ term @ roots[i]
+        num = num + term
+    return linalg.hermitianize(num)
+
+
 class TestPoolSymmetricMulti:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_permutation_sum(self, n, dim):
+        rng = np.random.default_rng(1000 + 10 * n + dim)
+        for rank in range(1, dim + 1):
+            states = [random_density(dim, rank, rng) for _ in range(n)]
+            num = _permutation_sum(states)
+            denoms = {
+                "trace": np.trace(num).real,
+                "paper": factorial(n) * np.trace(np.linalg.multi_dot(states)).real,
+            }
+            for mode, denom in denoms.items():
+                if not denom > linalg.ZERO_TOL:
+                    with pytest.raises(IncompatibleStatesError):
+                        pooling.pool_symmetric_multi(states, norm_mode=mode)
+                    continue
+                want = num / denom
+                got = pooling.pool_symmetric_multi(states, norm_mode=mode).pooled
+                # A paper denominator far below the trace scales the pooled
+                # entries, and their rounding, up by the same factor.
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_two_states_bitwise_closed_form(self):
+        rng = np.random.default_rng(34)
+        for dim in (2, 3, 4):
+            a = random_density(dim, dim, rng)
+            b = random_density(dim, 1, rng)
+            ra, rb = linalg.hermitian_sqrt(a), linalg.hermitian_sqrt(b)
+            num = linalg.hermitianize(ra @ b @ ra + rb @ a @ rb)
+            want = num / np.trace(num).real
+            for pair in ((a, b), (b, a)):
+                got = pooling.pool_symmetric_multi(pair).pooled
+                assert got.tobytes() == want.tobytes()
+
     def test_two_states_matches_pairwise_both_modes(self):
         rng = np.random.default_rng(30)
         a = random_density(3, 3, rng)
