@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -83,18 +84,39 @@ def parse_povm_payload(obj) -> measurement.Povm:
     )
 
 
+def parse_density_payload(obj) -> np.ndarray:
+    return linalg.validate_density(parse_matrix_payload(obj), tol=FILE_DENSITY_TOL)
+
+
 def load_density(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    m = parse_matrix_payload(obj)
-    return linalg.validate_density(m, tol=FILE_DENSITY_TOL)
+    return parse_density_payload(obj)
+
+
+def _write_file(path: str, text: str, parse) -> None:
+    """Write text to path only if parse, the reader for that kind of file, accepts it.
+
+    The gate runs before the file is opened, so a rejected result leaves no file.
+    """
+    parse(json.loads(text))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _json_safe(obj):
+    # A distance that is not finite (a trial that never completed) prints as null.
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(v) for v in obj]
+    return obj
 
 
 def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2))
-    else:
-        print(json.dumps(obj))
+    print(json.dumps(_json_safe(obj), indent=2 if pretty else None, allow_nan=False))
 
 
 def _parse_bloch(text: str) -> np.ndarray:
@@ -126,9 +148,8 @@ def cmd_pool(args) -> int:
     if args.mode == "ordered":
         report = pooling.pool_ordered_multi(states)
     else:
-        report = pooling.pool_symmetric_multi(states, norm_mode=args.norm)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(matrix_file_text(report.pooled))
+        report = pooling.pool_symmetric_multi(states)
+    _write_file(args.out, matrix_file_text(report.pooled), parse_density_payload)
     payload = {"compatibility": report.compatibility}
     if len(states) >= 3:
         payload["norm_discrepancy"] = report.norm_discrepancy
@@ -189,13 +210,11 @@ def cmd_random(args) -> int:
     if args.kind == "state":
         rank = args.rank if args.rank is not None else args.dim
         m = harness.random_density(args.dim, rank, rng)
-        text = matrix_file_text(m)
+        _write_file(args.out, matrix_file_text(m), parse_density_payload)
     else:
         outcomes = args.outcomes if args.outcomes is not None else 2
         povm = harness.random_povm(args.dim, outcomes, rng)
-        text = povm_file_text(povm)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        _write_file(args.out, povm_file_text(povm), parse_povm_payload)
     return EXIT_OK
 
 
@@ -211,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pool.add_argument(
         "--in", dest="inputs", nargs="+", required=True, metavar="FILE",
         help="input state files, in measurement order for --mode ordered",
-    )
-    p_pool.add_argument(
-        "--norm", choices=pooling.NORM_MODES, default="trace",
-        help="denominator for symmetric pooling of three or more states",
     )
     p_pool.add_argument("--out", required=True, metavar="FILE")
     p_pool.add_argument("--pretty", action="store_true")

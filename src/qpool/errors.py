@@ -2,7 +2,16 @@
 
 
 class QpoolError(ValueError):
-    """Rejected input; the message names the rule it broke.  Base of the other two."""
+    """Rejected input; the message names the rule it broke.  Base of the other two.
+
+    For a stack of inputs (leading batch axes), ``lanes`` holds the flat
+    index of every input that broke the rule; it is empty when the input is
+    a single matrix or vector, or when the rule is not one input's.
+    """
+
+    def __init__(self, *args, lanes=()):
+        super().__init__(*args)
+        self.lanes = tuple(lanes)
 
 
 class ZeroProbabilityError(QpoolError):

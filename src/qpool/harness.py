@@ -1,9 +1,15 @@
 """First-principles oracle and randomized verification sweeps.
 
-The oracle never calls the pooling rules: it replays the measurement
-history as a chain of bare updates starting from total ignorance.  The
-verify_* sweeps generate random scenarios, pool the observers' individual
-posteriors, and compare against the oracle.
+The oracle never calls the pooling rules: it is the state reached by a
+chain of bare updates starting from total ignorance, the chain that
+run_scenario walks while it samples the outcomes.  The verify_* sweeps
+generate random scenarios, pool the observers' individual posteriors, and
+compare against the oracle.
+
+A sweep runs all its trials at one dim as one stack, each lane drawing
+from its own trial stream in the order a lone trial would.  A lane that
+trips a gate is rerun alone from a fresh stream, so the report is the one
+that running every trial alone gives.
 """
 
 from __future__ import annotations
@@ -27,12 +33,18 @@ SINGULAR_SUM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Scenario:
-    """One measurement history: POVMs applied in order, outcomes once run."""
+    """One measurement history: POVMs applied in order, outcomes once run.
+
+    final_state is the state the run's chain of bare updates ends in: the
+    oracle for the pooled observers.  POVMs with stacked elements hold one
+    history per lane; their outcomes are then arrays with one index per lane.
+    """
 
     dim: int
     povms: tuple[measurement.Povm, ...]
     seed: int
-    sampled_outcomes: tuple[int, ...] | None = None
+    sampled_outcomes: tuple | None = None
+    final_state: np.ndarray | None = None
 
 
 @dataclass
@@ -66,38 +78,54 @@ def trial_seed(seed: int, index: int) -> int:
     return (seed + index * TRIAL_SEED_STRIDE) % 2**64
 
 
-def run_scenario(scenario: Scenario, rng: np.random.Generator | None = None) -> Scenario:
+def _outcome_effect(povm: measurement.Povm, k) -> np.ndarray:
+    """The effect of outcome k; per lane when k is an array of indices."""
+    if np.ndim(k) == 0:
+        return povm.elements[k]
+    return np.stack(povm.elements, axis=1)[np.arange(len(k)), k]
+
+
+def _ignorance(scenario: Scenario) -> np.ndarray:
+    """I/dim, once per lane of the scenario's POVMs."""
+    rho = linalg.maximally_mixed(scenario.dim)
+    return np.broadcast_to(rho, scenario.povms[0].elements[0].shape) if scenario.povms else rho
+
+
+def run_scenario(scenario: Scenario, rng=None) -> Scenario:
     """Sample one outcome per POVM along the updated state; return a copy.
 
     The state starts maximally mixed and is bare-updated after each
-    outcome.  With rng None a fresh stream is seeded from scenario.seed;
-    the sweeps pass their own stream instead so outcome draws stay
-    independent of the POVM entries drawn earlier from the same stream.
+    outcome; the copy carries the outcomes and the final state.  With rng
+    None a fresh stream is seeded from scenario.seed; the sweeps pass their
+    own stream instead so outcome draws stay independent of the POVM entries
+    drawn earlier from the same stream.  For stacked POVMs, rng is a
+    sequence with one generator per lane.
     """
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
-    rho = linalg.maximally_mixed(scenario.dim)
+    rho = _ignorance(scenario)
     outcomes = []
     for povm in scenario.povms:
         k = measurement.sample_outcome(povm, rho, rng)
-        rho = measurement.bare_update(povm.elements[k], rho)
+        rho = measurement.bare_update(_outcome_effect(povm, k), rho)
         outcomes.append(k)
-    return replace(scenario, sampled_outcomes=tuple(outcomes))
+    return replace(scenario, sampled_outcomes=tuple(outcomes), final_state=rho)
 
 
 def oracle_pool(scenario: Scenario) -> np.ndarray:
-    """What the measurement record itself implies: chained bare updates.
+    """What a measurement record itself implies: chained bare updates.
 
     Starts from I/dim and applies each recorded outcome's effect in order.
-    This is the ground truth the pooling rules are checked against.
+    This is the ground truth the pooling rules are checked against, for a
+    record held outside a run (run_scenario carries it as final_state).
     """
     if scenario.sampled_outcomes is None:
         raise QpoolError("scenario has no sampled outcomes; run it first")
     if len(scenario.sampled_outcomes) != len(scenario.povms):
         raise QpoolError("outcome count does not match POVM count")
-    rho = linalg.maximally_mixed(scenario.dim)
+    rho = _ignorance(scenario)
     for povm, k in zip(scenario.povms, scenario.sampled_outcomes):
-        rho = measurement.bare_update(povm.elements[k], rho)
+        rho = measurement.bare_update(_outcome_effect(povm, k), rho)
     return rho
 
 
@@ -110,90 +138,174 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return linalg.hermitianize(m) / float(np.trace(m).real)
 
 
-def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> measurement.Povm:
-    """Random POVM: Wishart draws whitened by their sum, S^-1/2 G_k S^-1/2."""
-    if n_outcomes < 2:
-        raise QpoolError(f"POVM needs at least two outcomes, got {n_outcomes}")
+def _lane_args(rng, n_outcomes) -> tuple[list, list[int], bool]:
+    """Generators and outcome counts per lane, and whether the call is for one POVM."""
+    if isinstance(rng, np.random.Generator):
+        return [rng], [int(n_outcomes)], True
+    rngs, counts = list(rng), [int(m) for m in n_outcomes]
+    if len(rngs) != len(counts) or not rngs:
+        raise QpoolError(f"{len(rngs)} generators for {len(counts)} outcome counts")
+    return rngs, counts, False
+
+
+def _stacked_povm(elements: np.ndarray, single: bool) -> measurement.Povm:
+    """Validate (lanes, outcomes, dim, dim) effects as one POVM per lane."""
+    return measurement.validate_povm(list(elements[0] if single else elements.swapaxes(0, 1)))
+
+
+def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
+    """Random POVM: Wishart draws whitened by their sum, S^-1/2 G_k S^-1/2.
+
+    With a sequence of generators for rng and one outcome count per
+    generator for n_outcomes, draws one POVM per lane from that lane's
+    generator, in the order a single call draws, and returns them stacked:
+    elements of shape (lanes, dim, dim), padded with zero effects up to the
+    largest count.  A lane whose normalizer is near-singular redraws from
+    its own generator.
+    """
+    rngs, counts, single = _lane_args(rng, n_outcomes)
+    if min(counts) < 2:
+        raise QpoolError(f"POVM needs at least two outcomes, got {min(counts)}")
+    g = np.zeros((len(rngs), max(counts), dim, dim), dtype=complex)
+    elements = np.zeros_like(g)
+    pending = np.arange(len(rngs))
     for _ in range(MAX_POVM_ATTEMPTS):
-        gs = []
-        for _ in range(n_outcomes):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            gs.append(g @ g.conj().T)
-        s = linalg.hermitianize(sum(gs))
+        for i in pending:
+            x = rngs[i].standard_normal((counts[i], 2, dim, dim))
+            g[i, : counts[i]] = x[:, 0] + 1j * x[:, 1]
+        wishart = g[pending] @ linalg.dagger(g[pending])
+        s = linalg.hermitianize(wishart.sum(axis=1))
         w, v = np.linalg.eigh(s)
-        if w[0] < SINGULAR_SUM_TOL:
+        ok = w[:, 0] >= SINGULAR_SUM_TOL
+        inv_sqrt = (v[ok] * (1.0 / np.sqrt(w[ok]))[:, None, :]) @ linalg.dagger(v[ok])
+        inv_sqrt = inv_sqrt[:, None]
+        elements[pending[ok]] = linalg.hermitianize(inv_sqrt @ wishart[ok] @ inv_sqrt)
+        pending = pending[~ok]
+        if not len(pending):
+            return _stacked_povm(elements, single)
+    raise QpoolError(
+        f"POVM normalizer stayed near-singular after {MAX_POVM_ATTEMPTS} attempts",
+        lanes=() if single else pending.tolist(),
+    )
+
+
+def _random_diagonal_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
+    # Columns normalized to 1, so completeness holds to rounding; padding
+    # rows are zero, so they change no column sum.
+    rngs, counts, single = _lane_args(rng, n_outcomes)
+    w = np.zeros((len(rngs), max(counts), dim))
+    for i, (r, m) in enumerate(zip(rngs, counts)):
+        w[i, :m] = r.random((m, dim))
+    w = w / w.sum(axis=1, keepdims=True)
+    return _stacked_povm((w[..., None] * np.eye(dim)).astype(complex), single)
+
+
+def _passing(run, lanes: np.ndarray):
+    """Split lanes into those run accepts and those it rejects.
+
+    run(lanes) either returns, or raises QpoolError naming the lanes it
+    rejects by position in the array it was given (all of them when it
+    names none); the rest are then run again.  Returns run's result on the
+    accepted lanes (None when there are none), the accepted lanes and the
+    rejected ones.
+    """
+    rejected = []
+    while len(lanes):
+        try:
+            return run(lanes), lanes, rejected
+        except QpoolError as exc:
+            bad = np.zeros(len(lanes), dtype=bool)
+            bad[list(exc.lanes) or slice(None)] = True
+            rejected += lanes[bad].tolist()
+            lanes = lanes[~bad]
+    return None, lanes, rejected
+
+
+def _trial_alone(trial, dim: int, tseed: int) -> tuple[float, float, int]:
+    """One trial as a stack of one, redrawn from its stream after a zero
+    probability or zero overlap at most MAX_CHAIN_RESAMPLES times.
+
+    Returns (oracle_distance, norm_discrepancy, resamples); a trial that never
+    completes has an infinite distance and no discrepancy.
+    """
+    rng = np.random.default_rng(tseed)
+    for redraw in range(MAX_CHAIN_RESAMPLES):
+        try:
+            d, disc = trial(dim, [rng])
+        except (ZeroProbabilityError, IncompatibleStatesError):
             continue
-        inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-        elements = [linalg.hermitianize(inv_sqrt @ g @ inv_sqrt) for g in gs]
-        return measurement.validate_povm(elements)
-    raise QpoolError(f"POVM normalizer stayed near-singular after {MAX_POVM_ATTEMPTS} attempts")
-
-
-def _random_diagonal_povm(
-    dim: int, n_outcomes: int, rng: np.random.Generator
-) -> measurement.Povm:
-    # Columns normalized to 1, so completeness holds to rounding.
-    w = rng.random((n_outcomes, dim))
-    w = w / w.sum(axis=0)
-    return measurement.validate_povm([np.diag(row).astype(complex) for row in w])
+        return float(d[0]), float(np.ravel(disc)[0]), redraw
+    return math.inf, 0.0, MAX_CHAIN_RESAMPLES
 
 
 def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationReport:
     """Run `trials` trials per dim, cycling through dims, into one report.
 
-    trial(dim, rng) returns (oracle_distance, norm_discrepancy).  A zero
-    probability or zero overlap redraws it from the same stream, at most
-    MAX_CHAIN_RESAMPLES times; a trial that never completes counts as an
-    infinite distance.
+    Trial i draws from default_rng(trial_seed(seed, i)).  trial(dim, rngs)
+    runs one trial per generator as a stack and returns per-lane
+    (oracle_distance, norm_discrepancy).  The trials at one dim run as one
+    stack; a lane that raises QpoolError there runs alone (_trial_alone).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise QpoolError(f"tol must be finite and positive, got {tol!r}")
     total = trials * len(dims)
+    dist = np.full(total, math.inf)
+    disc = np.zeros(total)
+    resamples = 0
+    for j, dim in enumerate(dims):
+
+        def stacked(lanes, dim=dim):
+            return trial(dim, [np.random.default_rng(trial_seed(seed, int(i))) for i in lanes])
+
+        got, kept, tripped = _passing(stacked, np.arange(j, total, len(dims)))
+        if len(kept):
+            dist[kept], disc[kept] = got
+        for i in tripped:
+            dist[i], disc[i], redraws = _trial_alone(trial, dim, trial_seed(seed, i))
+            resamples += redraws
     report = VerificationReport(
-        trials=total, max_oracle_distance=0.0, max_norm_discrepancy=0.0
+        trials=total, max_oracle_distance=0.0, max_norm_discrepancy=0.0, resamples=resamples
     )
     disc_sum = 0.0
-    for i in range(total):
-        tseed = trial_seed(seed, i)
-        rng = np.random.default_rng(tseed)
-        d = math.inf
-        for _ in range(MAX_CHAIN_RESAMPLES):
-            try:
-                d, disc = trial(dims[i % len(dims)], rng)
-            except (ZeroProbabilityError, IncompatibleStatesError):
-                report.resamples += 1
-                continue
-            report.max_norm_discrepancy = max(report.max_norm_discrepancy, disc)
-            disc_sum += disc
-            break
+    for i, (d, c) in enumerate(zip(dist.tolist(), disc.tolist())):
         report.max_oracle_distance = max(report.max_oracle_distance, d)
+        report.max_norm_discrepancy = max(report.max_norm_discrepancy, c)
+        disc_sum += c
         if not d <= tol:
-            report.failures.append((tseed, d))
+            report.failures.append((trial_seed(seed, i), d))
     report.mean_norm_discrepancy = disc_sum / total
     return report
 
 
-def _distance(pooled: np.ndarray, reference: np.ndarray) -> float:
-    """Frobenius distance, or inf when a NaN or inf entry makes it non-finite.
+def _distance(pooled: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per-lane Frobenius distance, or inf where it is not finite (a NaN or inf entry).
 
-    A rule that returns such a state fails its trial instead of ending the sweep.
+    A pooled result of the wrong shape is inf in every lane.  A rule that
+    returns such a state fails its trial instead of ending the sweep.
     """
-    try:
-        return linalg.frobenius_distance(pooled, reference)
-    except QpoolError:
-        return math.inf
+    d = np.full(reference.shape[:-2], math.inf)
+    if np.shape(pooled) == reference.shape:
+        got, kept, _ = _passing(
+            lambda ls: linalg.frobenius_distance(pooled[ls], reference[ls]), np.arange(len(d))
+        )
+        if len(kept):
+            d[kept] = got
+    return d
 
 
-def _random_chain(make_povm, dim: int, n: int, rng) -> tuple[Scenario, list[np.ndarray]]:
-    """Draw n random POVMs with 2 to 4 outcomes from rng and run them in order.
+def _random_chain(make_povm, dim: int, n: int, rngs) -> tuple[Scenario, list[np.ndarray]]:
+    """Draw n random POVMs with 2 to 4 outcomes per lane and run them in order.
 
-    Returns the run scenario and each observer's posterior.  Outcomes come
-    from rng itself, so the scenario's own seed is never read.
+    Returns the run scenario and each observer's posterior, stacked over
+    the lanes.  Outcomes come from each lane's own generator, so the
+    scenario's own seed is never read.
     """
-    povms = tuple(make_povm(dim, int(rng.integers(2, 5)), rng) for _ in range(n))
-    scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rng)
+    povms = tuple(
+        make_povm(dim, [int(r.integers(2, 5)) for r in rngs], rngs) for _ in range(n)
+    )
+    scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rngs)
     posteriors = [
-        measurement.posterior_from_outcome(p.elements[k])
+        measurement.posterior_from_outcome(_outcome_effect(p, k))
         for p, k in zip(povms, scen.sampled_outcomes)
     ]
     return scen, posteriors
@@ -210,11 +322,10 @@ def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> Verifi
     if trials < 1 or lo < 2 or hi < lo:
         raise QpoolError(f"bad sweep parameters: trials={trials}, dims={lo}..{hi}")
 
-    def trial(dim, rng):
-        scen, (rho_a, rho_b) = _random_chain(random_povm, dim, 2, rng)
+    def trial(dim, rngs):
+        scen, (rho_a, rho_b) = _random_chain(random_povm, dim, 2, rngs)
         pooled = pooling.pool_ordered(rho_a, rho_b)
-        d = _distance(pooled.pooled, oracle_pool(scen))
-        return d, pooled.norm_discrepancy
+        return _distance(pooled.pooled, scen.final_state), pooled.norm_discrepancy
 
     return _sweep(list(range(lo, hi + 1)), trials, tol, seed, trial)
 
@@ -228,11 +339,13 @@ def verify_commuting_reduction(trials: int, dim: int, tol: float, seed: int) -> 
     if trials < 1 or dim < 2:
         raise QpoolError(f"bad sweep parameters: trials={trials}, dim={dim}")
 
-    def trial(dim, rng):
-        _, (rho_a, rho_b) = _random_chain(_random_diagonal_povm, dim, 2, rng)
+    def trial(dim, rngs):
+        _, (rho_a, rho_b) = _random_chain(_random_diagonal_povm, dim, 2, rngs)
         pooled = pooling.pool_symmetric(rho_a, rho_b)
-        classical = pooling.classical_pool(np.diag(rho_a).real, np.diag(rho_b).real)
-        d = _distance(pooled.pooled, np.diag(classical))
+        classical = pooling.classical_pool(
+            np.diagonal(rho_a, axis1=-2, axis2=-1).real, np.diagonal(rho_b, axis1=-2, axis2=-1).real
+        )
+        d = _distance(pooled.pooled, classical[..., None] * np.eye(dim))
         return d, pooled.norm_discrepancy
 
     return _sweep([dim], trials, tol, seed, trial)
@@ -258,17 +371,17 @@ def verify_three_observer(
         raise QpoolError(f"bad sweep parameters: trials={trials}, dim={dim}")
     make_povm = _random_diagonal_povm if diagonal else random_povm
 
-    def trial(dim, rng):
-        scen, posteriors = _random_chain(make_povm, dim, 3, rng)
+    def trial(dim, rngs):
+        scen, posteriors = _random_chain(make_povm, dim, 3, rngs)
         ordered = pooling.pool_ordered_multi(posteriors)
-        d = _distance(ordered.pooled, oracle_pool(scen))
+        d = _distance(ordered.pooled, scen.final_state)
         symmetric = pooling.pool_symmetric_multi(posteriors, norm_mode="trace")
-        try:
-            linalg.validate_density(symmetric.pooled, tol=1e-9)
-        except QpoolError:
-            # Invalid pooled output counts as an infinite-distance failure
-            # so the report invariant still holds.
-            d = math.inf
+        # Invalid pooled output counts as an infinite-distance failure so
+        # the report invariant still holds.
+        _, _, invalid = _passing(
+            lambda ls: linalg.validate_density(symmetric.pooled[ls], tol=1e-9), np.arange(len(d))
+        )
+        d[invalid] = math.inf
         return d, symmetric.norm_discrepancy
 
     return _sweep([dim], trials, tol, seed, trial)

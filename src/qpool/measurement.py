@@ -41,33 +41,41 @@ def validate_povm(elements, tol: float = COMPLETENESS_TOL) -> Povm:
 
     Element-level Hermiticity and positivity are held to the standard
     operator tolerance (1e-10); tol governs only the completeness sum.
+    Each element may be a stack (the same leading axes for all), which
+    checks one POVM per lane.
     """
     if len(elements) == 0:
         raise QpoolError("POVM has no elements")
     arrs = [linalg.as_complex_matrix(e) for e in elements]
-    dim = arrs[0].shape[0]
+    shape = arrs[0].shape
+    dim = shape[-1]
     for i, e in enumerate(arrs):
-        if e.shape[0] != dim:
-            raise QpoolError(f"element {i} has dim {e.shape[0]}, expected {dim}")
+        if e.shape[-1] != dim:
+            raise QpoolError(f"element {i} has dim {e.shape[-1]}, expected {dim}")
+        if e.shape != shape:
+            raise QpoolError(f"element {i} has stack shape {e.shape[:-2]}, expected {shape[:-2]}")
         linalg.check_positive(e, linalg.DEFAULT_TOL, f"element {i}")
     total = sum(arrs)
-    defect = float(np.abs(total - np.eye(dim)).max())
-    if not defect <= tol:
-        raise QpoolError(f"effects sum to I only within {defect:.3e}, tol {tol:.0e}")
+    defect = np.abs(total - np.eye(dim)).max(axis=(-2, -1))
+    linalg.require(
+        defect <= tol, f"effects sum to I only within {{:.3e}}, tol {tol:.0e}", defect
+    )
     return Povm(dim=dim, elements=tuple(arrs))
 
 
 def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
-    """Outcome distribution p_k = Re Tr[E_k rho]."""
+    """Outcome distribution p_k = Re Tr[E_k rho], along the last axis."""
     r = linalg.as_complex_matrix(rho)
-    if r.shape[0] != povm.dim:
-        raise QpoolError(f"state dim {r.shape[0]} vs POVM dim {povm.dim}")
-    p = np.array([np.einsum("ij,ji->", e, r).real for e in povm.elements])
-    if not p.min() >= -linalg.ZERO_TOL:
-        raise QpoolError(f"probability {p.min():.3e} < 0")
+    if r.shape[-1] != povm.dim:
+        raise QpoolError(f"state dim {r.shape[-1]} vs POVM dim {povm.dim}")
+    p = np.stack([np.einsum("...ij,...ji->...", e, r).real for e in povm.elements], axis=-1)
+    low = p.min(axis=-1)
+    linalg.require(low >= -linalg.ZERO_TOL, "probability {:.3e} < 0", low)
     p[p < 0.0] = 0.0
-    if not abs(p.sum() - 1.0) <= COMPLETENESS_TOL:
-        raise QpoolError(f"probabilities sum to {p.sum()!r}")
+    total = p.sum(axis=-1)
+    linalg.require(
+        abs(total - 1.0) <= COMPLETENESS_TOL, "probabilities sum to {!r}", total
+    )
     return p
 
 
@@ -79,13 +87,19 @@ def bare_update(effect, rho) -> np.ndarray:
     """
     e = linalg.as_complex_matrix(effect)
     r = linalg.as_complex_matrix(rho)
+    if e.shape[-1] != r.shape[-1]:
+        raise QpoolError(f"effect dim {e.shape[-1]} vs state dim {r.shape[-1]}")
     if e.shape != r.shape:
-        raise QpoolError(f"effect dim {e.shape[0]} vs state dim {r.shape[0]}")
-    p = float(np.einsum("ij,ji->", e, r).real)
-    if not p > linalg.ZERO_TOL:
-        raise ZeroProbabilityError(f"outcome probability {p:.3e} is numerically zero")
+        raise QpoolError(f"effect stack {e.shape[:-2]} vs state stack {r.shape[:-2]}")
+    p = np.einsum("...ij,...ji->...", e, r).real
+    linalg.require(
+        p > linalg.ZERO_TOL,
+        "outcome probability {:.3e} is numerically zero",
+        p,
+        ZeroProbabilityError,
+    )
     s = linalg.hermitian_sqrt(e)
-    return linalg.hermitianize(s @ r @ s) / p
+    return linalg.hermitianize(s @ r @ s) / linalg.per_matrix(p)
 
 
 def efficient_update(kraus: EfficientKraus, rho) -> np.ndarray:
@@ -113,18 +127,25 @@ def posterior_from_outcome(effect) -> np.ndarray:
     """
     e = linalg.as_complex_matrix(effect)
     linalg.check_finite(e, "effect")
-    t = float(np.trace(e).real)
-    if not t > linalg.ZERO_TOL:
-        raise QpoolError(f"effect trace {t:.3e} is numerically zero")
-    return linalg.hermitianize(e) / t
+    t = linalg.trace(e)
+    linalg.require(t > linalg.ZERO_TOL, "effect trace {:.3e} is numerically zero", t)
+    return linalg.hermitianize(e) / linalg.per_matrix(t)
 
 
-def sample_outcome(povm: Povm, rho, rng: np.random.Generator) -> int:
+def sample_outcome(povm: Povm, rho, rng):
     """Draw one outcome index by inverse-CDF sampling on one uniform variate.
 
-    Ties at the cumulative boundaries break toward the lower index.
+    Ties at the cumulative boundaries break toward the lower index.  For a
+    stack of POVMs and states with one leading axis, rng is a sequence of
+    generators, one per lane; each lane draws its variate from its own
+    generator and the result is an array of indices.
     """
     p = outcome_probabilities(povm, rho)
-    cum = np.cumsum(p / p.sum())
-    k = int(np.searchsorted(cum, rng.random(), side="left"))
-    return min(k, len(p) - 1)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if len(rngs) != p[..., 0].size:
+        raise QpoolError(f"{len(rngs)} generators for {p[..., 0].size} lanes")
+    u = np.array([g.random() for g in rngs]).reshape(p.shape[:-1])
+    cum = np.cumsum(p / p.sum(axis=-1, keepdims=True), axis=-1)
+    # The count of cumulative values below u is searchsorted(cum, u, "left").
+    k = np.minimum((cum < u[..., None]).sum(axis=-1), p.shape[-1] - 1)
+    return int(k) if k.ndim == 0 else k

@@ -21,6 +21,9 @@ NORM_MODES = ("trace", "paper")
 class PoolReport:
     """Pooled state plus the normalization bookkeeping behind it.
 
+    For stacked inputs, ``pooled`` is the stack of pooled states and each
+    number below is an array with one value per lane.
+
     Attributes
     ----------
     pooled : np.ndarray
@@ -51,44 +54,50 @@ class PoolReport:
     paper_norm_imag: float = 0.0
 
 
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
 def _check_same_dims(states) -> list[np.ndarray]:
     arrs = [linalg.as_complex_matrix(s) for s in states]
-    dim = arrs[0].shape[0]
+    shape = arrs[0].shape
     for i, a in enumerate(arrs):
-        if a.shape[0] != dim:
-            raise QpoolError(f"state {i} has dim {a.shape[0]}, expected {dim}")
+        if a.shape[-1] != shape[-1]:
+            raise QpoolError(f"state {i} has dim {a.shape[-1]}, expected {shape[-1]}")
+        if a.shape != shape:
+            raise QpoolError(f"state {i} has stack shape {a.shape[:-2]}, expected {shape[:-2]}")
     return arrs
 
 
 def classical_pool(pa, pb) -> np.ndarray:
-    """Pool two independent classical distributions: renormalized product."""
+    """Pool two independent classical distributions: renormalized product.
+
+    Leading axes index a stack of pairs; the distributions run along the last axis.
+    """
     a = np.asarray(pa, dtype=float)
     b = np.asarray(pb, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.size == 0:
-        raise QpoolError("probability vectors must be one-dimensional and non-empty")
+    if a.ndim < 1 or b.ndim < 1 or a.shape[-1] == 0:
+        raise QpoolError("probability vectors must be non-empty along their last axis")
+    if a.shape[-1] != b.shape[-1]:
+        raise QpoolError(f"lengths differ: {a.shape[-1]} vs {b.shape[-1]}")
     if a.shape != b.shape:
-        raise QpoolError(f"lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    if not all(np.isfinite(v).all() and v.min() >= -linalg.ZERO_TOL for v in (a, b)):
-        raise QpoolError("probability vectors must be finite and nonnegative")
+        raise QpoolError(f"stack shapes differ: {a.shape[:-1]} vs {b.shape[:-1]}")
+    ok = np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
+    ok &= (a.min(axis=-1) >= -linalg.ZERO_TOL) & (b.min(axis=-1) >= -linalg.ZERO_TOL)
+    linalg.require(ok, "probability vectors must be finite and nonnegative")
     prod = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
-    overlap = float(prod.sum())
-    if not overlap > linalg.ZERO_TOL:
-        raise IncompatibleStatesError(
-            f"distributions share no support: sum of products {overlap:.3e}"
-        )
-    return prod / overlap
+    overlap = prod.sum(axis=-1)
+    linalg.require(
+        overlap > linalg.ZERO_TOL,
+        "distributions share no support: sum of products {:.3e}",
+        overlap,
+        IncompatibleStatesError,
+    )
+    return prod / overlap[..., None]
 
 
-def _trace_of_product(arrs) -> complex:
+def _trace_of_product(arrs):
     """Tr[rho_1 ... rho_n], with the last factor taken as sum_ij P_ij B_ji."""
     prod = arrs[0]
     for a in arrs[1:-1]:
         prod = prod @ a
-    return complex((prod * arrs[-1].T).sum())
+    return (prod * arrs[-1].swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 def pool_ordered(first, second) -> PoolReport:
@@ -128,13 +137,15 @@ def pool_ordered_multi(states) -> PoolReport:
         r = linalg.hermitian_sqrt(s)
         num = r @ num @ r
     num = linalg.hermitianize(num)
-    t = float(np.trace(num).real)
-    if not t > linalg.ZERO_TOL:
-        raise IncompatibleStatesError(f"nested trace {t:.3e} is numerically zero")
+    t = linalg.trace(num)
+    linalg.require(
+        t > linalg.ZERO_TOL, "nested trace {:.3e} is numerically zero", t, IncompatibleStatesError
+    )
     ptr = _trace_of_product(arrs)
     return PoolReport(
-        pooled=num / t,
-        compatibility=_clamp01(t),
+        pooled=num / linalg.per_matrix(t),
+        # t > 0 past the gate above, so only the upper clamp can bite.
+        compatibility=np.minimum(t, 1.0),
         paper_norm=ptr.real,
         trace_norm=t,
         norm_discrepancy=abs(t - ptr.real),
@@ -179,22 +190,28 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
                 sqrts[j] @ sums[mask ^ (1 << j)] @ sqrts[j] for j in range(n) if mask >> j & 1
             )
     num = linalg.hermitianize(sums[-1])
-    t = float(np.trace(num).real)
-    if not t > linalg.ZERO_TOL:
-        raise IncompatibleStatesError(f"permutation-sum trace {t:.3e} is numerically zero")
+    t = linalg.trace(num)
+    linalg.require(
+        t > linalg.ZERO_TOL,
+        "permutation-sum trace {:.3e} is numerically zero",
+        t,
+        IncompatibleStatesError,
+    )
     ptr = _trace_of_product(arrs) * factorial(n)
     paper = ptr.real
     if norm_mode == "paper":
-        if not paper > linalg.ZERO_TOL:
-            raise IncompatibleStatesError(
-                f"closed-form denominator {paper:.3e} is numerically zero"
-            )
-        pooled = num / paper
+        linalg.require(
+            paper > linalg.ZERO_TOL,
+            "closed-form denominator {:.3e} is numerically zero",
+            paper,
+            IncompatibleStatesError,
+        )
+        pooled = num / linalg.per_matrix(paper)
     else:
-        pooled = num / t
+        pooled = num / linalg.per_matrix(t)
     return PoolReport(
         pooled=pooled,
-        compatibility=_clamp01(t / factorial(n)),
+        compatibility=np.minimum(t / factorial(n), 1.0),
         paper_norm=paper,
         trace_norm=t,
         norm_discrepancy=abs(t - paper),

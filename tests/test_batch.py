@@ -1,0 +1,325 @@
+"""Stacked calls agree lane by lane with single calls, and a sweep that runs
+its trials as a stack reports what running every trial alone reports."""
+
+import numpy as np
+import pytest
+
+from qpool import harness, linalg, measurement, pooling
+from qpool.errors import IncompatibleStatesError, QpoolError, ZeroProbabilityError
+
+LANES = 5
+LANE_TOL = 1e-15
+REPORT_TOL = 1e-14
+
+# harness.verify_two_observer(5, (2, 3), 1e-18, 7) fails every trial; these
+# are its failing trial seeds, in report order, as the one-trial-at-a-time
+# sweep produced them.
+PINNED_FAILURE_SEEDS = [
+    7,
+    11400714819323198492,
+    4354685564936845361,
+    15755400384260043846,
+    8709371129873690715,
+    1663341875487337584,
+    13064056694810536069,
+    6018027440424182938,
+    17418742259747381423,
+    10372713005361028292,
+]
+
+
+def _states(rng, dim, lanes=LANES):
+    return np.stack([harness.random_density(dim, dim, rng) for _ in range(lanes)])
+
+
+def _effects(rng, dim, lanes=LANES):
+    g = rng.standard_normal((lanes, dim, dim)) + 1j * rng.standard_normal((lanes, dim, dim))
+    return linalg.hermitianize(g @ linalg.dagger(g)) / (2 * dim)
+
+
+def _povms(dim, seed, lanes=LANES):
+    rngs = [np.random.default_rng([seed, i]) for i in range(lanes)]
+    return harness.random_povm(dim, [2 + i % 3 for i in range(lanes)], rngs)
+
+
+def _numbers(result):
+    """The arrays a result is compared by: a PoolReport's fields, or the result itself."""
+    if isinstance(result, pooling.PoolReport):
+        return [
+            result.pooled,
+            result.compatibility,
+            result.paper_norm,
+            result.trace_norm,
+            result.norm_discrepancy,
+            result.paper_norm_imag,
+        ]
+    if isinstance(result, measurement.Povm):
+        return list(result.elements)
+    if isinstance(result, tuple):
+        return list(result)
+    return [result]
+
+
+def _cases(dim):
+    """(name, call) pairs; call(sel) runs the function on lane sel of each stacked input."""
+    rng = np.random.default_rng(100 + dim)
+    a, b, c = _states(rng, dim), _states(rng, dim), _states(rng, dim)
+    e = _effects(rng, dim)
+    povm = _povms(dim, dim)
+    p = rng.random((LANES, dim))
+    q = rng.random((LANES, dim))
+    return [
+        ("hermitian_sqrt", lambda s: linalg.hermitian_sqrt(e[s])),
+        ("check_positive", lambda s: linalg.check_positive(a[s], 1e-10, "m")),
+        ("validate_density", lambda s: linalg.validate_density(a[s])),
+        ("validate_povm", lambda s: measurement.validate_povm([x[s] for x in povm.elements])),
+        ("outcome_probabilities", lambda s: measurement.outcome_probabilities(povm, a)[s]),
+        ("bare_update", lambda s: measurement.bare_update(e[s], a[s])),
+        ("posterior_from_outcome", lambda s: measurement.posterior_from_outcome(e[s])),
+        ("pool_ordered_multi", lambda s: pooling.pool_ordered_multi([a[s], b[s], c[s]])),
+        ("pool_symmetric_multi", lambda s: pooling.pool_symmetric_multi([a[s], b[s], c[s]])),
+        (
+            "pool_symmetric_multi paper",
+            lambda s: pooling.pool_symmetric_multi([a[s], b[s], c[s]], norm_mode="paper"),
+        ),
+        ("classical_pool", lambda s: pooling.classical_pool(p[s], q[s])),
+        ("frobenius_distance", lambda s: linalg.frobenius_distance(a[s], b[s])),
+        ("trace_product", lambda s: linalg.trace_product(a[s], b[s])),
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_call_matches_single_calls(dim):
+    for name, call in _cases(dim):
+        stacked = _numbers(call(slice(None)))
+        for i in range(LANES):
+            single = _numbers(call(i))
+            for got, want in zip(stacked, single):
+                np.testing.assert_allclose(
+                    np.asarray(got)[i], want, rtol=0, atol=LANE_TOL, err_msg=f"{name} lane {i}"
+                )
+
+
+BAD_LANES = (1, 3)
+
+
+def _bad_lane_cases():
+    """(name, call, error type); lanes BAD_LANES fail one gate, the others pass."""
+    rng = np.random.default_rng(7)
+    a, b = _states(rng, 3), _states(rng, 3)
+    bad = list(BAD_LANES)
+    nan = a.copy()
+    nan[bad, 0, 1] = np.nan
+    negative = a.copy()
+    negative[bad] = np.diag([1.2, -0.1, -0.1]).astype(complex)
+    not_hermitian = a.copy()
+    not_hermitian[bad, 0, 1] += 1e-3
+    trace_off = a.copy()
+    trace_off[bad] *= 1.1
+    pure = np.zeros((LANES, 3, 3), dtype=complex)
+    pure[:, 0, 0] = 1.0
+    orthogonal = a.copy()
+    orthogonal[bad] = np.diag([0.0, 0.5, 0.5]).astype(complex)
+    incomplete = [x.copy() for x in _povms(3, 11).elements]
+    incomplete[0][bad] *= 1.5
+    p = rng.random((LANES, 3)) + 0.1
+    disjoint, q, negative_p = p.copy(), p.copy(), p.copy()
+    disjoint[bad] = [1.0, 0.0, 0.0]
+    q[bad] = [0.0, 1.0, 1.0]
+    negative_p[bad, 0] = -0.5
+    return [
+        ("hermitian_sqrt nan", lambda s: linalg.hermitian_sqrt(nan[s]), QpoolError),
+        ("hermitian_sqrt negative", lambda s: linalg.hermitian_sqrt(negative[s]), QpoolError),
+        (
+            "check_positive hermitian",
+            lambda s: linalg.check_positive(not_hermitian[s], 1e-10, "m"),
+            QpoolError,
+        ),
+        (
+            "check_positive negative",
+            lambda s: linalg.check_positive(negative[s], 1e-10, "m"),
+            QpoolError,
+        ),
+        ("validate_density trace", lambda s: linalg.validate_density(trace_off[s]), QpoolError),
+        (
+            "validate_povm completeness",
+            lambda s: measurement.validate_povm([x[s] for x in incomplete]),
+            QpoolError,
+        ),
+        (
+            "bare_update zero probability",
+            lambda s: measurement.bare_update(pure[s], orthogonal[s]),
+            ZeroProbabilityError,
+        ),
+        ("posterior nan", lambda s: measurement.posterior_from_outcome(nan[s]), QpoolError),
+        (
+            "pool_ordered_multi orthogonal",
+            lambda s: pooling.pool_ordered_multi([pure[s], orthogonal[s]]),
+            IncompatibleStatesError,
+        ),
+        (
+            "pool_symmetric_multi orthogonal",
+            lambda s: pooling.pool_symmetric_multi([orthogonal[s], pure[s]]),
+            IncompatibleStatesError,
+        ),
+        (
+            "classical_pool disjoint",
+            lambda s: pooling.classical_pool(disjoint[s], q[s]),
+            IncompatibleStatesError,
+        ),
+        ("classical negative", lambda s: pooling.classical_pool(negative_p[s], p[s]), QpoolError),
+        ("frobenius_distance nan", lambda s: linalg.frobenius_distance(nan[s], b[s]), QpoolError),
+    ]
+
+
+BAD_LANE_CASES = _bad_lane_cases()
+
+
+@pytest.mark.parametrize("name,call,error", BAD_LANE_CASES, ids=[c[0] for c in BAD_LANE_CASES])
+def test_stacked_call_flags_the_lanes_single_calls_reject(name, call, error):
+    with pytest.raises(error) as stacked:
+        call(slice(None))
+    assert stacked.type is error
+    assert stacked.value.lanes == BAD_LANES
+    for i in range(LANES):
+        if i in BAD_LANES:
+            with pytest.raises(error) as single:
+                call(i)
+            assert single.type is error
+            assert single.value.lanes == ()
+        else:
+            call(i)
+
+
+def test_random_povm_lanes_draw_what_single_calls_draw():
+    counts = [2, 4, 3]
+    stacked = harness.random_povm(3, counts, [np.random.default_rng(s) for s in (1, 2, 3)])
+    assert len(stacked) == max(counts)
+    for i, (m, s) in enumerate(zip(counts, (1, 2, 3))):
+        single = harness.random_povm(3, m, np.random.default_rng(s))
+        for k in range(max(counts)):
+            want = single.elements[k] if k < m else np.zeros((3, 3))
+            np.testing.assert_allclose(stacked.elements[k][i], want, rtol=0, atol=LANE_TOL)
+
+
+class _SingularBlocks:
+    """A generator whose first `zeros` Gaussian blocks are all zeros: singular POVM normalizers."""
+
+    def __init__(self, seed, zeros=1):
+        self.rng = np.random.default_rng(seed)
+        self.zeros = zeros
+
+    def standard_normal(self, shape):
+        block = self.rng.standard_normal(shape)
+        self.zeros -= 1
+        return block if self.zeros < 0 else np.zeros(shape)
+
+
+def test_a_singular_normalizer_redraws_from_its_own_lane():
+    stacked = harness.random_povm(2, [3, 2], [_SingularBlocks(4), np.random.default_rng(5)])
+    for i, (m, rng) in enumerate(((3, _SingularBlocks(4)), (2, np.random.default_rng(5)))):
+        single = harness.random_povm(2, [m], [rng])
+        for k in range(m):
+            np.testing.assert_allclose(
+                stacked.elements[k][i], single.elements[k][0], rtol=0, atol=LANE_TOL
+            )
+    never = _SingularBlocks(7, zeros=harness.MAX_POVM_ATTEMPTS)
+    with pytest.raises(QpoolError, match="near-singular") as exc:
+        harness.random_povm(2, [2, 2], [np.random.default_rng(6), never])
+    assert exc.value.lanes == (1,)
+
+
+def test_run_scenario_lanes_sample_what_single_runs_sample():
+    povms = tuple(_povms(3, seed) for seed in (21, 22))
+    ran = harness.run_scenario(
+        harness.Scenario(dim=3, povms=povms, seed=0),
+        rng=[np.random.default_rng(i) for i in range(LANES)],
+    )
+    for i in range(LANES):
+        lane = tuple(measurement.Povm(3, tuple(e[i] for e in p.elements)) for p in povms)
+        single = harness.run_scenario(
+            harness.Scenario(dim=3, povms=lane, seed=0), rng=np.random.default_rng(i)
+        )
+        assert tuple(int(k[i]) for k in ran.sampled_outcomes) == single.sampled_outcomes
+        np.testing.assert_allclose(ran.final_state[i], single.final_state, rtol=0, atol=LANE_TOL)
+        # The state the run ends in is the oracle a replay of its record gives.
+        np.testing.assert_allclose(
+            single.final_state, harness.oracle_pool(single), rtol=0, atol=LANE_TOL
+        )
+
+
+def test_two_observer_failure_seeds_are_pinned():
+    report = harness.verify_two_observer(5, (2, 3), 1e-18, 7)
+    assert [s for s, _ in report.failures] == PINNED_FAILURE_SEEDS
+    assert report.resamples == 0
+
+
+def test_three_observer_discrepancies_are_pinned():
+    # Each trial's discrepancy depends on every draw of its stream, so these
+    # values, from the one-trial-at-a-time sweep, pin the draw order.
+    report = harness.verify_three_observer(6, 3, 13)
+    assert report.max_norm_discrepancy == pytest.approx(0.049471344419311336, rel=1e-12)
+    assert report.mean_norm_discrepancy == pytest.approx(0.01950750609914446, rel=1e-12)
+
+
+def _assert_same_report(got, want):
+    assert (got.trials, got.resamples) == (want.trials, want.resamples)
+    assert [s for s, _ in got.failures] == [s for s, _ in want.failures]
+    np.testing.assert_allclose(
+        [d for _, d in got.failures], [d for _, d in want.failures], rtol=0, atol=REPORT_TOL
+    )
+    for name in ("max_oracle_distance", "max_norm_discrepancy", "mean_norm_discrepancy"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), abs=REPORT_TOL), name
+
+
+def _tripping(monkeypatch, attr, lanes, once):
+    """Make pooling.<attr> raise on stacks of more than one lane.
+
+    It names `lanes` (none: every lane), the first time only when `once`.
+    """
+    original = getattr(pooling, attr)
+    calls = []
+
+    def tripping(*args, **kwargs):
+        states = args[0] if attr.endswith("_multi") else args
+        if np.shape(states[0])[0] > 1 and not (once and calls):
+            calls.append(1)
+            raise ZeroProbabilityError("forced to the fallback", lanes=lanes)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pooling, attr, tripping)
+    return calls
+
+
+SWEEPS = [
+    ("pool_ordered", lambda: harness.verify_two_observer(6, (2, 3), 1e-18, 11)),
+    ("pool_symmetric", lambda: harness.verify_commuting_reduction(6, 3, 1e-18, 12)),
+    ("pool_ordered_multi", lambda: harness.verify_three_observer(6, 3, 13, tol=1e-18)),
+]
+
+
+@pytest.mark.parametrize("attr,sweep", SWEEPS, ids=[a for a, _ in SWEEPS])
+def test_a_lane_forced_to_the_fallback_gives_the_all_serial_report(monkeypatch, attr, sweep):
+    batched = sweep()
+    with monkeypatch.context() as m:
+        calls = _tripping(m, attr, lanes=(), once=False)
+        serial = sweep()
+        assert calls
+    with monkeypatch.context() as m:
+        calls = _tripping(m, attr, lanes=(2,), once=True)
+        one_lane = sweep()
+        assert calls == [1]
+    assert serial.failures
+    _assert_same_report(one_lane, serial)
+    _assert_same_report(batched, serial)
+
+
+def test_a_trial_that_never_completes_redraws_then_fails(monkeypatch):
+    def incompatible(first, second):
+        raise IncompatibleStatesError("never compatible")
+
+    monkeypatch.setattr(pooling, "pool_ordered", incompatible)
+    report = harness.verify_two_observer(2, (2, 2), 1e-10, 3)
+    assert report.resamples == 2 * harness.MAX_CHAIN_RESAMPLES
+    assert [d for _, d in report.failures] == [np.inf, np.inf]
+    assert report.mean_norm_discrepancy == 0.0

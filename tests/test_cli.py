@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qpool import cli, linalg, measurement
+from qpool import cli, harness, linalg, measurement, pooling
 from qpool.harness import random_density, random_povm
 
 Z0_TEXT = '{"dim": 2, "matrix": [[[1,0],[0,0]],[[0,0],[0,0]]]}'
@@ -330,3 +330,62 @@ def test_console_script_end_to_end(tmp_path):
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestWriteGate:
+    def test_pool_result_the_reader_rejects_exits_2_and_writes_nothing(
+        self, state_files, tmp_path, capsys, monkeypatch
+    ):
+        # A result of trace 1.13, as the removed --norm paper mode produced.
+        def inflated(states, norm_mode="trace"):
+            return pooling.PoolReport(
+                pooled=np.diag([0.565, 0.565]).astype(complex), compatibility=0.5,
+                paper_norm=0.5, trace_norm=0.565, norm_discrepancy=0.065,
+            )
+
+        monkeypatch.setattr(pooling, "pool_symmetric_multi", inflated)
+        out = tmp_path / "out.json"
+        code = cli.main(
+            ["pool", "--mode", "symmetric", "--in", state_files["z0"],
+             state_files["plus"], state_files["mixed"], "--out", str(out)]
+        )
+        assert code == 2
+        assert "error: trace 1.13 differs from 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_random_state_the_reader_rejects_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "random_density", lambda dim, rank, rng: np.eye(dim) / 2)
+        out = tmp_path / "s.json"
+        assert cli.main(["random", "state", "--dim", "3", "--out", str(out)]) == 2
+        assert "differs from 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_norm_flag_is_gone(self, state_files, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["pool", "--mode", "symmetric", "--norm", "paper", "--in",
+                 state_files["z0"], state_files["plus"], "--out", str(tmp_path / "x.json")]
+            )
+        assert exc.value.code == 2
+
+
+def _no_constants(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_verify_stdout_is_strict_json_when_trials_fail_with_nan(monkeypatch, capsys):
+    def nan_pool(first, second):
+        return pooling.PoolReport(
+            pooled=np.full(np.shape(first), np.nan, dtype=complex),
+            compatibility=1.0, paper_norm=1.0, trace_norm=1.0, norm_discrepancy=0.0,
+        )
+
+    monkeypatch.setattr(pooling, "pool_ordered", nan_pool)
+    code = cli.main(["verify", "--suite", "all", "--trials", "2", "--dims", "2..3", "--seed", "4"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert payload["two"]["max_oracle_distance"] is None
+    assert [d for _, d in payload["two"]["failures"]] == [None] * 4
+    assert payload["three"]["failures"] == []
