@@ -32,10 +32,8 @@ from .linalg import (
     validate_density,
 )
 from .measurement import (
-    EfficientKraus,
     Povm,
     bare_update,
-    efficient_update,
     outcome_probabilities,
     posterior_from_outcome,
     sample_outcome,

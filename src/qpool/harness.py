@@ -79,16 +79,29 @@ def trial_seed(seed: int, index: int) -> int:
 
 
 def _outcome_effect(povm: measurement.Povm, k) -> np.ndarray:
-    """The effect of outcome k; per lane when k is an array of indices."""
-    if np.ndim(k) == 0:
-        return povm.elements[k]
-    return np.stack(povm.elements, axis=1)[np.arange(len(k)), k]
+    """The effect of outcome k, an integer in [0, len(povm)).
+
+    For stacked POVMs k is an integer array with one index per lane.
+    """
+    idx = np.asarray(k)
+    if idx.dtype.kind not in "iu" or ((idx < 0) | (idx >= len(povm))).any():
+        raise QpoolError(f"outcome {k!r} is not an integer in [0, {len(povm)})")
+    effects = np.stack(povm.elements, axis=-3)
+    # One True per lane, at its outcome: the mask has the shape of a lane's
+    # outcome distribution, and picks the effects out in lane order.
+    picked = idx[..., None] == np.arange(len(povm))
+    linalg.same_shape((effects[..., 0, 0], picked), ("POVM", "outcome mask"))
+    return effects[picked].reshape(effects.shape[:-3] + effects.shape[-2:])
 
 
 def _ignorance(scenario: Scenario) -> np.ndarray:
-    """I/dim, once per lane of the scenario's POVMs."""
+    """I/dim, once per lane of the scenario's POVMs, which must have that dim."""
     rho = linalg.maximally_mixed(scenario.dim)
-    return np.broadcast_to(rho, scenario.povms[0].elements[0].shape) if scenario.povms else rho
+    if scenario.povms:
+        effect = scenario.povms[0].elements[0]
+        rho = np.broadcast_to(rho, effect.shape[:-2] + rho.shape)
+        linalg.same_shape((effect, rho), ("POVM 0", "I/dim"))
+    return rho
 
 
 def run_scenario(scenario: Scenario, rng=None) -> Scenario:
@@ -140,12 +153,13 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 
 def _lane_args(rng, n_outcomes) -> tuple[list, list[int], bool]:
     """Generators and outcome counts per lane, and whether the call is for one POVM."""
-    if isinstance(rng, np.random.Generator):
-        return [rng], [int(n_outcomes)], True
-    rngs, counts = list(rng), [int(m) for m in n_outcomes]
-    if len(rngs) != len(counts) or not rngs:
-        raise QpoolError(f"{len(rngs)} generators for {len(counts)} outcome counts")
-    return rngs, counts, False
+    single = isinstance(rng, np.random.Generator)
+    rngs, counts = [rng] if single else list(rng), [int(m) for m in np.ravel(n_outcomes)]
+    if len(rngs) != len(counts) or not rngs or single != (np.ndim(n_outcomes) == 0):
+        raise QpoolError(
+            "rng and n_outcomes must be one generator and one count, or equal-length sequences"
+        )
+    return rngs, counts, single
 
 
 def _stacked_povm(elements: np.ndarray, single: bool) -> measurement.Povm:
@@ -248,6 +262,8 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     """
     if not (math.isfinite(tol) and tol > 0):
         raise QpoolError(f"tol must be finite and positive, got {tol!r}")
+    if trials < 1 or not dims or min(dims) < 2:
+        raise QpoolError(f"bad sweep parameters: trials={trials}, dims={list(dims)}")
     total = trials * len(dims)
     dist = np.full(total, math.inf)
     disc = np.zeros(total)
@@ -319,8 +335,6 @@ def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> Verifi
     Frobenius distance to the oracle.
     """
     lo, hi = int(dim_range[0]), int(dim_range[1])
-    if trials < 1 or lo < 2 or hi < lo:
-        raise QpoolError(f"bad sweep parameters: trials={trials}, dims={lo}..{hi}")
 
     def trial(dim, rngs):
         scen, (rho_a, rho_b) = _random_chain(random_povm, dim, 2, rngs)
@@ -336,8 +350,6 @@ def verify_commuting_reduction(trials: int, dim: int, tol: float, seed: int) -> 
     All operators commute, so the pooled state must be the diagonal matrix
     of the renormalized product of the two posterior distributions.
     """
-    if trials < 1 or dim < 2:
-        raise QpoolError(f"bad sweep parameters: trials={trials}, dim={dim}")
 
     def trial(dim, rngs):
         _, (rho_a, rho_b) = _random_chain(_random_diagonal_povm, dim, 2, rngs)
@@ -367,8 +379,6 @@ def verify_three_observer(
     discrepancy.  With diagonal=True all effects commute and the
     discrepancy itself must vanish to rounding.
     """
-    if trials < 1 or dim < 2:
-        raise QpoolError(f"bad sweep parameters: trials={trials}, dim={dim}")
     make_povm = _random_diagonal_povm if diagonal else random_povm
 
     def trial(dim, rngs):

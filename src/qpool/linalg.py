@@ -3,7 +3,8 @@
 The matrix functions other than the Bloch maps take one matrix or a stack
 of them: an array whose leading axes index the matrices ("lanes") and whose
 last two axes are square.  A single matrix is the stack with no leading axes, so both run the
-same code.  A gate that some lanes of a stack fail raises once, with the
+same code.  Inputs that pair lane by lane must have the same shape
+(same_shape).  A gate that some lanes of a stack fail raises once, with the
 failing lanes in the error's ``lanes``.
 """
 
@@ -168,18 +169,30 @@ def hermitian_sqrt(m) -> np.ndarray:
     return hermitianize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def _same_shape(ma: np.ndarray, mb: np.ndarray) -> None:
-    if ma.shape[-1] != mb.shape[-1]:
-        raise QpoolError(f"dimension mismatch: {ma.shape[-1]} vs {mb.shape[-1]}")
-    if ma.shape != mb.shape:
-        raise QpoolError(f"stack shape mismatch: {ma.shape[:-2]} vs {mb.shape[:-2]}")
+def same_shape(arrays, names) -> None:
+    """Raise QpoolError unless every array has exactly the shape of the first.
+
+    The rule for inputs that pair lane by lane: the same dim (last axis),
+    then the same stack axes; nothing broadcasts across lanes.  names labels
+    the arrays in the message: one label per array, or a str that labels
+    array i as "<names> <i>".  Labels are only built when the gate raises.
+    """
+    shape = arrays[0].shape
+    for i, a in enumerate(arrays):
+        if a.shape != shape:
+            name = f"{names} {i}" if isinstance(names, str) else names[i]
+            if a.shape[-1] != shape[-1]:
+                raise QpoolError(
+                    f"dimension mismatch: {name} has dim {a.shape[-1]}, expected {shape[-1]}"
+                )
+            raise QpoolError(f"shape mismatch: {name} has shape {a.shape}, expected {shape}")
 
 
 def trace_product(a, b):
     """Tr[A B] for Hermitian A, B of equal dimension, as a real number per matrix pair."""
     ma = as_complex_matrix(a)
     mb = as_complex_matrix(b)
-    _same_shape(ma, mb)
+    same_shape((ma, mb), ("a", "b"))
     t = np.einsum("...ij,...ji->...", ma, mb)
     require(abs(t.imag) <= ZERO_TOL, "Tr[AB] has imaginary part {:.3e}", t.imag)
     return t.real
@@ -232,7 +245,7 @@ def frobenius_distance(a, b):
     """
     ma = as_complex_matrix(a)
     mb = as_complex_matrix(b)
-    _same_shape(ma, mb)
+    same_shape((ma, mb), ("a", "b"))
     d = np.linalg.norm(ma - mb, axis=(-2, -1))
     require(np.isfinite(d), "distance {!r} is not finite", d)
     return d

@@ -10,7 +10,6 @@ from . import linalg
 from .errors import QpoolError, ZeroProbabilityError
 
 COMPLETENESS_TOL = 1e-9
-UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -24,50 +23,37 @@ class Povm:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class EfficientKraus:
-    """Measurement operator U sqrt(E): a bare effect plus optional extra unitary.
-
-    With unitary None the update is purely information-driven (the minimal
-    disturbance consistent with learning the outcome).
-    """
-
-    effect: np.ndarray
-    unitary: np.ndarray | None = None
-
-
-def validate_povm(elements, tol: float = COMPLETENESS_TOL) -> Povm:
-    """Check effects are Hermitian PSD with sum I within tol; return a Povm.
+def validate_povm(elements) -> Povm:
+    """Check effects are Hermitian PSD summing to I; return a Povm.
 
     Element-level Hermiticity and positivity are held to the standard
-    operator tolerance (1e-10); tol governs only the completeness sum.
-    Each element may be a stack (the same leading axes for all), which
-    checks one POVM per lane.
+    operator tolerance (1e-10), the sum to COMPLETENESS_TOL.  Each element
+    may be a stack (the same leading axes for all), which checks one POVM
+    per lane.
     """
     if len(elements) == 0:
         raise QpoolError("POVM has no elements")
     arrs = [linalg.as_complex_matrix(e) for e in elements]
-    shape = arrs[0].shape
-    dim = shape[-1]
+    linalg.same_shape(arrs, "element")
     for i, e in enumerate(arrs):
-        if e.shape[-1] != dim:
-            raise QpoolError(f"element {i} has dim {e.shape[-1]}, expected {dim}")
-        if e.shape != shape:
-            raise QpoolError(f"element {i} has stack shape {e.shape[:-2]}, expected {shape[:-2]}")
         linalg.check_positive(e, linalg.DEFAULT_TOL, f"element {i}")
-    total = sum(arrs)
-    defect = np.abs(total - np.eye(dim)).max(axis=(-2, -1))
+    dim = arrs[0].shape[-1]
+    defect = np.abs(sum(arrs) - np.eye(dim)).max(axis=(-2, -1))
     linalg.require(
-        defect <= tol, f"effects sum to I only within {{:.3e}}, tol {tol:.0e}", defect
+        defect <= COMPLETENESS_TOL,
+        f"effects sum to I only within {{:.3e}}, tol {COMPLETENESS_TOL:.0e}",
+        defect,
     )
     return Povm(dim=dim, elements=tuple(arrs))
 
 
 def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
-    """Outcome distribution p_k = Re Tr[E_k rho], along the last axis."""
+    """Outcome distribution p_k = Re Tr[E_k rho], along the last axis.
+
+    rho has the shape of the POVM's elements: one state per lane.
+    """
     r = linalg.as_complex_matrix(rho)
-    if r.shape[-1] != povm.dim:
-        raise QpoolError(f"state dim {r.shape[-1]} vs POVM dim {povm.dim}")
+    linalg.same_shape((povm.elements[0], r), ("POVM", "state"))
     p = np.stack([np.einsum("...ij,...ji->...", e, r).real for e in povm.elements], axis=-1)
     low = p.min(axis=-1)
     linalg.require(low >= -linalg.ZERO_TOL, "probability {:.3e} < 0", low)
@@ -87,10 +73,7 @@ def bare_update(effect, rho) -> np.ndarray:
     """
     e = linalg.as_complex_matrix(effect)
     r = linalg.as_complex_matrix(rho)
-    if e.shape[-1] != r.shape[-1]:
-        raise QpoolError(f"effect dim {e.shape[-1]} vs state dim {r.shape[-1]}")
-    if e.shape != r.shape:
-        raise QpoolError(f"effect stack {e.shape[:-2]} vs state stack {r.shape[:-2]}")
+    linalg.same_shape((e, r), ("effect", "state"))
     p = np.einsum("...ij,...ji->...", e, r).real
     linalg.require(
         p > linalg.ZERO_TOL,
@@ -100,24 +83,6 @@ def bare_update(effect, rho) -> np.ndarray:
     )
     s = linalg.hermitian_sqrt(e)
     return linalg.hermitianize(s @ r @ s) / linalg.per_matrix(p)
-
-
-def efficient_update(kraus: EfficientKraus, rho) -> np.ndarray:
-    """State update for measurement operator U sqrt(E).
-
-    Returns U sqrt(E) rho sqrt(E) U^dag / Tr[E rho].  With unitary None this
-    is exactly the bare_update code path.
-    """
-    if kraus.unitary is None:
-        return bare_update(kraus.effect, rho)
-    u = linalg.as_complex_matrix(kraus.unitary)
-    defect = float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    if defect > UNITARY_TOL:
-        raise QpoolError(f"U^dag U differs from I by {defect:.3e}")
-    r = linalg.as_complex_matrix(rho)
-    if u.shape != r.shape:
-        raise QpoolError("effect, unitary, and state dims must all agree")
-    return linalg.hermitianize(u @ bare_update(kraus.effect, r) @ u.conj().T)
 
 
 def posterior_from_outcome(effect) -> np.ndarray:

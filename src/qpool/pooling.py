@@ -54,17 +54,6 @@ class PoolReport:
     paper_norm_imag: float = 0.0
 
 
-def _check_same_dims(states) -> list[np.ndarray]:
-    arrs = [linalg.as_complex_matrix(s) for s in states]
-    shape = arrs[0].shape
-    for i, a in enumerate(arrs):
-        if a.shape[-1] != shape[-1]:
-            raise QpoolError(f"state {i} has dim {a.shape[-1]}, expected {shape[-1]}")
-        if a.shape != shape:
-            raise QpoolError(f"state {i} has stack shape {a.shape[:-2]}, expected {shape[:-2]}")
-    return arrs
-
-
 def classical_pool(pa, pb) -> np.ndarray:
     """Pool two independent classical distributions: renormalized product.
 
@@ -74,10 +63,7 @@ def classical_pool(pa, pb) -> np.ndarray:
     b = np.asarray(pb, dtype=float)
     if a.ndim < 1 or b.ndim < 1 or a.shape[-1] == 0:
         raise QpoolError("probability vectors must be non-empty along their last axis")
-    if a.shape[-1] != b.shape[-1]:
-        raise QpoolError(f"lengths differ: {a.shape[-1]} vs {b.shape[-1]}")
-    if a.shape != b.shape:
-        raise QpoolError(f"stack shapes differ: {a.shape[:-1]} vs {b.shape[:-1]}")
+    linalg.same_shape((a, b), ("pa", "pb"))
     ok = np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
     ok &= (a.min(axis=-1) >= -linalg.ZERO_TOL) & (b.min(axis=-1) >= -linalg.ZERO_TOL)
     linalg.require(ok, "probability vectors must be finite and nonnegative")
@@ -129,7 +115,8 @@ def pool_ordered_multi(states) -> PoolReport:
     """
     if len(states) < 2:
         raise QpoolError(f"need at least two states, got {len(states)}")
-    arrs = _check_same_dims(states)
+    arrs = [linalg.as_complex_matrix(s) for s in states]
+    linalg.same_shape(arrs, "state")
     # The innermost state is the only one hermitian_sqrt does not gate.
     linalg.check_finite(arrs[0], "state 0")
     num = arrs[0]
@@ -176,7 +163,8 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
         raise QpoolError(f"symmetric pooling is capped at {MAX_SYMMETRIC_STATES} states, got {n}")
     if norm_mode not in NORM_MODES:
         raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-    arrs = _check_same_dims(states)
+    arrs = [linalg.as_complex_matrix(s) for s in states]
+    linalg.same_shape(arrs, "state")
     sqrts = [linalg.hermitian_sqrt(a) for a in arrs]
     # sums[mask] is S of the observers whose bits are set in mask.  Ascending
     # masks build every subset before its supersets, and ascending bits fix

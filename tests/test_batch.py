@@ -1,6 +1,8 @@
 """Stacked calls agree lane by lane with single calls, and a sweep that runs
 its trials as a stack reports what running every trial alone reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,97 @@ def test_stacked_call_flags_the_lanes_single_calls_reject(name, call, error):
             assert single.value.lanes == ()
         else:
             call(i)
+
+
+# (lanes of the first input, lanes of the second); None is an unstacked input.
+MISMATCHED_LANES = [(5, 3), (5, None), (None, 5)]
+
+
+def _mismatch_cases(first, second):
+    """(name, call) pairs; each call pairs inputs of `first` lanes with inputs of `second` lanes."""
+    rng = np.random.default_rng(17)
+
+    def states(lanes):
+        return harness.random_density(3, 3, rng) if lanes is None else _states(rng, 3, lanes)
+
+    def povm(lanes, seed):
+        if lanes is None:
+            return harness.random_povm(3, 3, np.random.default_rng(seed))
+        return _povms(3, seed, lanes)
+
+    def rngs(lanes):
+        if lanes is None:
+            return np.random.default_rng(0)
+        return [np.random.default_rng(i) for i in range(lanes)]
+
+    def outcome(lanes):
+        return 0 if lanes is None else np.zeros(lanes, dtype=int)
+
+    def distribution(lanes):
+        return rng.random(3 if lanes is None else (lanes, 3)) + 0.1
+
+    a, b = states(first), states(second)
+    pa, pb = povm(first, 1), povm(second, 2)
+    scenario = harness.Scenario(dim=3, povms=(pa, pb), seed=0)
+    counts = 2 if first is None else [2] * first
+    return [
+        ("trace_product", lambda: linalg.trace_product(a, b)),
+        ("frobenius_distance", lambda: linalg.frobenius_distance(a, b)),
+        ("compatibility", lambda: pooling.compatibility(a, b)),
+        ("validate_povm", lambda: measurement.validate_povm([pa.elements[0], pb.elements[1]])),
+        ("outcome_probabilities", lambda: measurement.outcome_probabilities(pa, b)),
+        ("sample_outcome", lambda: measurement.sample_outcome(pa, b, rngs(first))),
+        ("bare_update", lambda: measurement.bare_update(pa.elements[0], b)),
+        ("pool_ordered", lambda: pooling.pool_ordered(a, b)),
+        ("pool_symmetric", lambda: pooling.pool_symmetric(a, b)),
+        ("pool_ordered_multi", lambda: pooling.pool_ordered_multi([a, a, b])),
+        ("pool_symmetric_multi", lambda: pooling.pool_symmetric_multi([a, b, b])),
+        (
+            "classical_pool",
+            lambda: pooling.classical_pool(distribution(first), distribution(second)),
+        ),
+        ("random_povm", lambda: harness.random_povm(3, counts, rngs(second))),
+        ("run_scenario", lambda: harness.run_scenario(scenario, rng=rngs(first))),
+        (
+            "oracle_pool",
+            lambda: harness.oracle_pool(
+                replace(scenario, sampled_outcomes=(outcome(first), outcome(second)))
+            ),
+        ),
+        (
+            "oracle_pool record",
+            lambda: harness.oracle_pool(
+                harness.Scenario(dim=3, povms=(pa,), seed=0, sampled_outcomes=(outcome(second),))
+            ),
+        ),
+    ]
+
+
+MISMATCH_CASES = [
+    (f"{name} {first} vs {second}", call)
+    for first, second in MISMATCHED_LANES
+    for name, call in _mismatch_cases(first, second)
+]
+
+
+@pytest.mark.parametrize("name,call", MISMATCH_CASES, ids=[c[0] for c in MISMATCH_CASES])
+def test_mismatched_stacks_raise_a_typed_error(name, call):
+    # QpoolError is a ValueError, so a bare numpy ValueError would not pass here.
+    with pytest.raises(QpoolError):
+        call()
+
+
+def test_oracle_pool_replays_a_stacked_record():
+    povms = tuple(_povms(3, seed) for seed in (23, 24))
+    ran = harness.run_scenario(
+        harness.Scenario(dim=3, povms=povms, seed=0),
+        rng=[np.random.default_rng(i) for i in range(LANES)],
+    )
+    np.testing.assert_array_equal(harness.oracle_pool(ran), ran.final_state)
+    unsigned = tuple(k.astype(np.uint8) for k in ran.sampled_outcomes)
+    np.testing.assert_array_equal(
+        harness.oracle_pool(replace(ran, sampled_outcomes=unsigned)), ran.final_state
+    )
 
 
 def test_random_povm_lanes_draw_what_single_calls_draw():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,31 @@ class TestScenario:
             )
             expected = measurement.posterior_from_outcome(povm.elements[k])
             assert np.abs(harness.oracle_pool(scen) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("outcome", [1, np.int64(1), np.uint8(1), np.array(1)])
+    def test_oracle_accepts_integer_outcomes(self, outcome):
+        scen = harness.Scenario(
+            dim=2, povms=(_projective_z(),), seed=0, sampled_outcomes=(outcome,)
+        )
+        assert np.array_equal(harness.oracle_pool(scen), Z1)
+
+    @pytest.mark.parametrize(
+        "outcome", [-1, 2, 5, True, np.bool_(False), 1.0, "0", None, np.array([0, 1])]
+    )
+    def test_oracle_rejects_a_bad_record(self, outcome):
+        # -1 would index the last effect and True would read as outcome 1.
+        scen = harness.Scenario(
+            dim=2, povms=(_projective_z(),), seed=0, sampled_outcomes=(outcome,)
+        )
+        with pytest.raises(QpoolError):
+            harness.oracle_pool(scen)
+
+    def test_scenario_dim_must_match_its_povms(self):
+        scen = harness.Scenario(dim=3, povms=(_projective_z(),), seed=0)
+        with pytest.raises(QpoolError, match=r"dimension mismatch: I/dim has dim 3, expected 2"):
+            harness.run_scenario(scen)
+        with pytest.raises(QpoolError, match=r"dimension mismatch: I/dim has dim 3, expected 2"):
+            harness.oracle_pool(replace(scen, sampled_outcomes=(0,)))
 
 
 def test_chain_probabilities_factorize():

@@ -7,7 +7,6 @@ from qpool.harness import random_density, random_povm
 
 Z0 = np.diag([1.0, 0.0]).astype(complex)
 Z1 = np.diag([0.0, 1.0]).astype(complex)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 MIXED2 = np.eye(2, dtype=complex) / 2
 
 PROJECTIVE_Z = [Z0, Z1]
@@ -74,7 +73,7 @@ class TestOutcomeProbabilities:
 
     def test_dim_mismatch(self):
         povm = measurement.validate_povm(PROJECTIVE_Z)
-        with pytest.raises(QpoolError, match=r"state dim 3 vs POVM dim 2"):
+        with pytest.raises(QpoolError, match=r"dimension mismatch: state has dim 3, expected 2"):
             measurement.outcome_probabilities(povm, np.eye(3) / 3)
 
     @pytest.mark.parametrize(
@@ -128,7 +127,7 @@ class TestBareUpdate:
             measurement.bare_update(Z1, Z0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(QpoolError, match=r"effect dim 3 vs state dim 2"):
+        with pytest.raises(QpoolError, match=r"dimension mismatch: state has dim 2, expected 3"):
             measurement.bare_update(np.eye(3), np.eye(2) / 2)
 
 
@@ -144,51 +143,6 @@ def test_non_disturbance_of_total_ignorance():
             s = linalg.hermitian_sqrt(e)
             total += s @ mixed @ s
         assert np.abs(total - mixed).max() < 1e-12
-
-
-class TestEfficientUpdate:
-    def test_no_unitary_is_bare_update(self):
-        rng = np.random.default_rng(5)
-        rho = random_density(2, 2, rng)
-        kraus = measurement.EfficientKraus(effect=0.5 * np.eye(2) + 0.2 * SX)
-        out = measurement.efficient_update(kraus, rho)
-        assert np.array_equal(out, measurement.bare_update(kraus.effect, rho))
-
-    def test_identity_unitary_matches_bare_update(self):
-        rng = np.random.default_rng(6)
-        rho = random_density(2, 2, rng)
-        effect = 0.5 * np.eye(2) + 0.2 * SX
-        kraus = measurement.EfficientKraus(effect=effect, unitary=np.eye(2, dtype=complex))
-        out = measurement.efficient_update(kraus, rho)
-        assert np.array_equal(out, measurement.bare_update(effect, rho))
-
-    def test_feedback_flip(self):
-        # Projective readout followed by a corrective bit flip.
-        kraus = measurement.EfficientKraus(effect=np.diag([1.0, 0.0]), unitary=SX)
-        out = measurement.efficient_update(kraus, MIXED2)
-        assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-14)
-
-    def test_feedback_flip_moves_pure_state(self):
-        kraus = measurement.EfficientKraus(effect=0.5 * np.eye(2), unitary=SX)
-        out = measurement.efficient_update(kraus, Z0)
-        assert np.allclose(out, Z1, atol=1e-14)
-
-    def test_matches_two_step_composition(self):
-        rng = np.random.default_rng(7)
-        rho = random_density(3, 3, rng)
-        povm = random_povm(3, 2, rng)
-        q, _ = np.linalg.qr(
-            rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        )
-        kraus = measurement.EfficientKraus(effect=povm.elements[0], unitary=q)
-        direct = measurement.efficient_update(kraus, rho)
-        composed = q @ measurement.bare_update(povm.elements[0], rho) @ q.conj().T
-        assert np.abs(direct - composed).max() < 1e-12
-
-    def test_non_unitary_rejected(self):
-        kraus = measurement.EfficientKraus(effect=np.eye(2) / 2, unitary=np.diag([1.0, 2.0]))
-        with pytest.raises(QpoolError, match=r"U\^dag U differs from I"):
-            measurement.efficient_update(kraus, np.eye(2) / 2)
 
 
 class TestPosteriorFromOutcome:

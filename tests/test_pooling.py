@@ -33,7 +33,7 @@ class TestClassicalPool:
             pooling.classical_pool([1.0, 0.0], [0.0, 1.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(QpoolError, match=r"lengths differ"):
+        with pytest.raises(QpoolError, match=r"dimension mismatch: pb has dim 3, expected 2"):
             pooling.classical_pool([0.5, 0.5], [0.3, 0.3, 0.4])
 
     def test_negative_entries_rejected(self):
