@@ -56,7 +56,10 @@ def _rows_to_matrix(rows, dim: int, what: str) -> np.ndarray:
                 raise QpoolError(
                     f"{what} entry ({i},{j}) must be a [re, im] number pair"
                 )
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:
+                raise QpoolError(f"{what} entry ({i},{j}) is too large for a float") from exc
     return out
 
 
@@ -89,8 +92,12 @@ def parse_density_payload(obj) -> np.ndarray:
 
 
 def load_density(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # Not UTF-8, or nested deeper than the decoder's recursion limit.
+        raise QpoolError(f"{path}: {exc}") from exc
     return parse_density_payload(obj)
 
 
@@ -206,7 +213,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(linalg.check_int(args.seed, "seed", 0))
     if args.kind == "state":
         rank = args.rank if args.rank is not None else args.dim
         m = harness.random_density(args.dim, rank, rng)

@@ -112,10 +112,10 @@ def run_scenario(scenario: Scenario, rng=None) -> Scenario:
     None a fresh stream is seeded from scenario.seed; the sweeps pass their
     own stream instead so outcome draws stay independent of the POVM entries
     drawn earlier from the same stream.  For stacked POVMs, rng is a
-    sequence with one generator per lane.
+    list or tuple with one generator per lane.
     """
     if rng is None:
-        rng = np.random.default_rng(scenario.seed)
+        rng = np.random.default_rng(linalg.check_int(scenario.seed, "seed", 0))
     rho = _ignorance(scenario)
     outcomes = []
     for povm in scenario.povms:
@@ -144,7 +144,8 @@ def oracle_pool(scenario: Scenario) -> np.ndarray:
 
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Random density matrix of the given rank: G G^dag / Tr, G complex Gaussian."""
-    if not 1 <= rank <= dim:
+    dim = linalg.check_int(dim, "dim", 1)
+    if not 1 <= linalg.check_int(rank, "rank") <= dim:
         raise QpoolError(f"rank {rank} outside [1, {dim}]")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
@@ -153,8 +154,8 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 
 def _lane_args(rng, n_outcomes) -> tuple[list, list[int], bool]:
     """Generators and outcome counts per lane, and whether the call is for one POVM."""
-    single = isinstance(rng, np.random.Generator)
-    rngs, counts = [rng] if single else list(rng), [int(m) for m in np.ravel(n_outcomes)]
+    rngs, single = linalg.generators(rng)
+    counts = [linalg.check_int(m, "outcome count", 2) for m in np.ravel(n_outcomes)]
     if len(rngs) != len(counts) or not rngs or single != (np.ndim(n_outcomes) == 0):
         raise QpoolError(
             "rng and n_outcomes must be one generator and one count, or equal-length sequences"
@@ -170,16 +171,15 @@ def _stacked_povm(elements: np.ndarray, single: bool) -> measurement.Povm:
 def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     """Random POVM: Wishart draws whitened by their sum, S^-1/2 G_k S^-1/2.
 
-    With a sequence of generators for rng and one outcome count per
+    With a list or tuple of generators for rng and one outcome count per
     generator for n_outcomes, draws one POVM per lane from that lane's
     generator, in the order a single call draws, and returns them stacked:
     elements of shape (lanes, dim, dim), padded with zero effects up to the
     largest count.  A lane whose normalizer is near-singular redraws from
     its own generator.
     """
+    dim = linalg.check_int(dim, "dim", 1)
     rngs, counts, single = _lane_args(rng, n_outcomes)
-    if min(counts) < 2:
-        raise QpoolError(f"POVM needs at least two outcomes, got {min(counts)}")
     g = np.zeros((len(rngs), max(counts), dim, dim), dtype=complex)
     elements = np.zeros_like(g)
     pending = np.arange(len(rngs))
@@ -262,8 +262,11 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     """
     if not (math.isfinite(tol) and tol > 0):
         raise QpoolError(f"tol must be finite and positive, got {tol!r}")
-    if trials < 1 or not dims or min(dims) < 2:
-        raise QpoolError(f"bad sweep parameters: trials={trials}, dims={list(dims)}")
+    trials = linalg.check_int(trials, "trials", 1)
+    seed = linalg.check_int(seed, "seed")
+    dims = [linalg.check_int(d, "dim", 2) for d in dims]
+    if not dims:
+        raise QpoolError("a sweep needs at least one dim")
     total = trials * len(dims)
     dist = np.full(total, math.inf)
     disc = np.zeros(total)
@@ -334,7 +337,7 @@ def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> Verifi
     pools the observers' posteriors with the ordered rule, and records the
     Frobenius distance to the oracle.
     """
-    lo, hi = int(dim_range[0]), int(dim_range[1])
+    lo, hi = linalg.check_int(dim_range[0], "dim"), linalg.check_int(dim_range[1], "dim")
 
     def trial(dim, rngs):
         scen, (rho_a, rho_b) = _random_chain(random_povm, dim, 2, rngs)

@@ -56,6 +56,40 @@ def require(ok, message: str, value=None, error: type[QpoolError] = QpoolError) 
     raise error(text, lanes=lanes)
 
 
+def normalizer(t, what: str, error: type[QpoolError] = QpoolError):
+    """Return t, a trace, probability or overlap about to be divided by.
+
+    Every lane must hold t > ZERO_TOL, so a NaN fails; otherwise `error` is
+    raised naming the failing lanes.  The caller divides by the returned t.
+    """
+    require(t > ZERO_TOL, f"{what} {{:.3e}} is numerically zero or negative", t, error)
+    return t
+
+
+def check_int(n, what: str, low: int | None = None) -> int:
+    """Return n as an int: a Python or numpy integer (not a bool), at least low if given."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise QpoolError(f"{what} must be an integer, got {n!r}")
+    if low is not None and n < low:
+        raise QpoolError(f"{what} must be >= {low}, got {n}")
+    return int(n)
+
+
+def generators(rng) -> tuple[list, bool]:
+    """The random streams of a call and whether it is for a single input.
+
+    rng is one numpy Generator, or a list or tuple with one entry per lane
+    (entries are used as they are).  Anything else raises QpoolError.
+    """
+    if isinstance(rng, np.random.Generator):
+        return [rng], True
+    if isinstance(rng, (list, tuple)):
+        return list(rng), False
+    raise QpoolError(
+        f"rng must be a numpy Generator or a list or tuple of them, got {type(rng).__name__}"
+    )
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a complex128 matrix or stack of matrices, square in the last two axes."""
     a = np.asarray(m, dtype=complex)
@@ -103,8 +137,7 @@ def lowest(w: np.ndarray):
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state of complete ignorance, I / dim."""
-    if dim < 1:
-        raise QpoolError(f"dim must be >= 1, got {dim}")
+    dim = check_int(dim, "dim", 1)
     return np.eye(dim, dtype=complex) / dim
 
 

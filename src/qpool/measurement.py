@@ -74,12 +74,8 @@ def bare_update(effect, rho) -> np.ndarray:
     e = linalg.as_complex_matrix(effect)
     r = linalg.as_complex_matrix(rho)
     linalg.same_shape((e, r), ("effect", "state"))
-    p = np.einsum("...ij,...ji->...", e, r).real
-    linalg.require(
-        p > linalg.ZERO_TOL,
-        "outcome probability {:.3e} is numerically zero",
-        p,
-        ZeroProbabilityError,
+    p = linalg.normalizer(
+        np.einsum("...ij,...ji->...", e, r).real, "outcome probability", ZeroProbabilityError
     )
     s = linalg.hermitian_sqrt(e)
     return linalg.hermitianize(s @ r @ s) / linalg.per_matrix(p)
@@ -92,8 +88,7 @@ def posterior_from_outcome(effect) -> np.ndarray:
     """
     e = linalg.as_complex_matrix(effect)
     linalg.check_finite(e, "effect")
-    t = linalg.trace(e)
-    linalg.require(t > linalg.ZERO_TOL, "effect trace {:.3e} is numerically zero", t)
+    t = linalg.normalizer(linalg.trace(e), "effect trace")
     return linalg.hermitianize(e) / linalg.per_matrix(t)
 
 
@@ -101,12 +96,12 @@ def sample_outcome(povm: Povm, rho, rng):
     """Draw one outcome index by inverse-CDF sampling on one uniform variate.
 
     Ties at the cumulative boundaries break toward the lower index.  For a
-    stack of POVMs and states with one leading axis, rng is a sequence of
-    generators, one per lane; each lane draws its variate from its own
+    stack of POVMs and states with one leading axis, rng is a list or tuple
+    of generators, one per lane; each lane draws its variate from its own
     generator and the result is an array of indices.
     """
     p = outcome_probabilities(povm, rho)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    rngs, _ = linalg.generators(rng)
     if len(rngs) != p[..., 0].size:
         raise QpoolError(f"{len(rngs)} generators for {p[..., 0].size} lanes")
     u = np.array([g.random() for g in rngs]).reshape(p.shape[:-1])

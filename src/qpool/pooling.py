@@ -68,13 +68,7 @@ def classical_pool(pa, pb) -> np.ndarray:
     ok &= (a.min(axis=-1) >= -linalg.ZERO_TOL) & (b.min(axis=-1) >= -linalg.ZERO_TOL)
     linalg.require(ok, "probability vectors must be finite and nonnegative")
     prod = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
-    overlap = prod.sum(axis=-1)
-    linalg.require(
-        overlap > linalg.ZERO_TOL,
-        "distributions share no support: sum of products {:.3e}",
-        overlap,
-        IncompatibleStatesError,
-    )
+    overlap = linalg.normalizer(prod.sum(axis=-1), "sum of products", IncompatibleStatesError)
     return prod / overlap[..., None]
 
 
@@ -84,6 +78,40 @@ def _trace_of_product(arrs):
     for a in arrs[1:-1]:
         prod = prod @ a
     return (prod * arrs[-1].swapaxes(-1, -2)).sum(axis=(-2, -1))
+
+
+def _matrices(states) -> list[np.ndarray]:
+    """The n >= 2 states of a pooling rule as complex matrices of one shape."""
+    if len(states) < 2:
+        raise QpoolError(f"need at least two states, got {len(states)}")
+    arrs = [linalg.as_complex_matrix(s) for s in states]
+    linalg.same_shape(arrs, "state")
+    return arrs
+
+
+def _report(num, arrs, orderings: int, what: str, norm_mode: str = "trace") -> PoolReport:
+    """The PoolReport of a numerator summed over `orderings` nestings of arrs.
+
+    The numerator's trace must pass the normalizer gate; in "paper" mode the
+    closed form orderings * Re Tr[rho_1 ... rho_n] must too, and divides.
+    """
+    num = linalg.hermitianize(num)
+    t = linalg.normalizer(linalg.trace(num), what, IncompatibleStatesError)
+    ptr = _trace_of_product(arrs) * orderings
+    paper = ptr.real
+    if norm_mode == "paper":
+        norm = linalg.normalizer(paper, "closed-form denominator", IncompatibleStatesError)
+    else:
+        norm = t
+    return PoolReport(
+        pooled=num / linalg.per_matrix(norm),
+        # t > 0 past the gate above, so only the upper clamp can bite.
+        compatibility=np.minimum(t / orderings, 1.0),
+        paper_norm=paper,
+        trace_norm=t,
+        norm_discrepancy=abs(t - paper),
+        paper_norm_imag=abs(ptr.imag),
+    )
 
 
 def pool_ordered(first, second) -> PoolReport:
@@ -113,31 +141,14 @@ def pool_ordered_multi(states) -> PoolReport:
     sqrt(rho_n), normalized by its own trace.  Equals repeated two-observer
     ordered pooling.
     """
-    if len(states) < 2:
-        raise QpoolError(f"need at least two states, got {len(states)}")
-    arrs = [linalg.as_complex_matrix(s) for s in states]
-    linalg.same_shape(arrs, "state")
+    arrs = _matrices(states)
     # The innermost state is the only one hermitian_sqrt does not gate.
     linalg.check_finite(arrs[0], "state 0")
     num = arrs[0]
     for s in arrs[1:]:
         r = linalg.hermitian_sqrt(s)
         num = r @ num @ r
-    num = linalg.hermitianize(num)
-    t = linalg.trace(num)
-    linalg.require(
-        t > linalg.ZERO_TOL, "nested trace {:.3e} is numerically zero", t, IncompatibleStatesError
-    )
-    ptr = _trace_of_product(arrs)
-    return PoolReport(
-        pooled=num / linalg.per_matrix(t),
-        # t > 0 past the gate above, so only the upper clamp can bite.
-        compatibility=np.minimum(t, 1.0),
-        paper_norm=ptr.real,
-        trace_norm=t,
-        norm_discrepancy=abs(t - ptr.real),
-        paper_norm_imag=abs(ptr.imag),
-    )
+    return _report(num, arrs, 1, "nested trace")
 
 
 def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
@@ -153,18 +164,16 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     states : sequence of density matrices, equal dims, 2 <= n <= 6.
     norm_mode : "trace" normalizes the permutation sum by its own trace;
         "paper" divides by the closed form n! Re Tr[rho_1 ... rho_n]
-        instead.  The two denominators agree for n = 2 and for commuting
-        states but differ in general, so the report always carries both.
+        instead, which must pass the same gate as the trace.  The two
+        denominators agree for n = 2 and for commuting states but differ
+        in general, so the report always carries both.
     """
-    n = len(states)
-    if n < 2:
-        raise QpoolError(f"need at least two states, got {n}")
+    arrs = _matrices(states)
+    n = len(arrs)
     if n > MAX_SYMMETRIC_STATES:
         raise QpoolError(f"symmetric pooling is capped at {MAX_SYMMETRIC_STATES} states, got {n}")
     if norm_mode not in NORM_MODES:
         raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-    arrs = [linalg.as_complex_matrix(s) for s in states]
-    linalg.same_shape(arrs, "state")
     sqrts = [linalg.hermitian_sqrt(a) for a in arrs]
     # sums[mask] is S of the observers whose bits are set in mask.  Ascending
     # masks build every subset before its supersets, and ascending bits fix
@@ -177,34 +186,7 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
             sums[mask] = sum(
                 sqrts[j] @ sums[mask ^ (1 << j)] @ sqrts[j] for j in range(n) if mask >> j & 1
             )
-    num = linalg.hermitianize(sums[-1])
-    t = linalg.trace(num)
-    linalg.require(
-        t > linalg.ZERO_TOL,
-        "permutation-sum trace {:.3e} is numerically zero",
-        t,
-        IncompatibleStatesError,
-    )
-    ptr = _trace_of_product(arrs) * factorial(n)
-    paper = ptr.real
-    if norm_mode == "paper":
-        linalg.require(
-            paper > linalg.ZERO_TOL,
-            "closed-form denominator {:.3e} is numerically zero",
-            paper,
-            IncompatibleStatesError,
-        )
-        pooled = num / linalg.per_matrix(paper)
-    else:
-        pooled = num / linalg.per_matrix(t)
-    return PoolReport(
-        pooled=pooled,
-        compatibility=np.minimum(t / factorial(n), 1.0),
-        paper_norm=paper,
-        trace_norm=t,
-        norm_discrepancy=abs(t - paper),
-        paper_norm_imag=abs(ptr.imag),
-    )
+    return _report(sums[-1], arrs, factorial(n), "permutation-sum trace", norm_mode)
 
 
 def compatibility(a, b) -> float:

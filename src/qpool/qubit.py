@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompatibleStatesError, QpoolError
-from .linalg import BLOCH_SLACK, EIGENVALUE_FLOOR, ZERO_TOL, as_bloch_vector
+from .linalg import BLOCH_SLACK, EIGENVALUE_FLOOR, as_bloch_vector, normalizer
 
 # A qubit of Bloch length n has smallest eigenvalue (1 - n) / 2.  Lengths at
 # or above this are treated as exactly pure so the closed form and the
@@ -88,11 +88,7 @@ def _pool(a, b) -> tuple[np.ndarray, BlochWeights, float]:
     vb, nb = as_bloch_vector(b)
     ab = float(np.dot(va, vb))
     w = _weights(ab, na, nb)
-    compat = 0.5 * (1.0 + ab)
-    if not compat > ZERO_TOL:
-        raise IncompatibleStatesError(
-            f"overlap {compat:.3e} is numerically zero (antipodal pure states)"
-        )
+    compat = normalizer(np.float64(0.5 * (1.0 + ab)), "overlap", IncompatibleStatesError)
     pooled = (w.alpha * va + w.beta * vb) / compat
     n = float(np.linalg.norm(pooled))
     if not n <= 1.0 + 1e-9:

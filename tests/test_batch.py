@@ -129,6 +129,18 @@ def _bad_lane_cases():
     disjoint[bad] = [1.0, 0.0, 0.0]
     q[bad] = [0.0, 1.0, 1.0]
     negative_p[bad, 0] = -0.5
+    zero = a.copy()
+    zero[bad] = 0.0
+    # Three qubits 120 degrees apart in the x-y plane, of Bloch length r per
+    # lane: the closed-form denominator 3! Re Tr[rho_1 rho_2 rho_3] is
+    # 1.5 (1 - 1.5 r^2), so 0.9375 at r = 0.5 and -0.75 for the pure bad lanes.
+    lengths = [1.0 if i in BAD_LANES else 0.5 for i in range(LANES)]
+    trine = np.array(
+        [
+            [linalg.bloch_to_density([r * np.cos(angle), r * np.sin(angle), 0.0]) for r in lengths]
+            for angle in 2 * np.pi * np.arange(3) / 3
+        ]
+    )
     return [
         ("hermitian_sqrt nan", lambda s: linalg.hermitian_sqrt(nan[s]), QpoolError),
         ("hermitian_sqrt negative", lambda s: linalg.hermitian_sqrt(negative[s]), QpoolError),
@@ -171,6 +183,16 @@ def _bad_lane_cases():
         ),
         ("classical negative", lambda s: pooling.classical_pool(negative_p[s], p[s]), QpoolError),
         ("frobenius_distance nan", lambda s: linalg.frobenius_distance(nan[s], b[s]), QpoolError),
+        (
+            "posterior zero trace",
+            lambda s: measurement.posterior_from_outcome(zero[s]),
+            QpoolError,
+        ),
+        (
+            "pool_symmetric_multi paper denominator",
+            lambda s: pooling.pool_symmetric_multi(list(trine[:, s]), norm_mode="paper"),
+            IncompatibleStatesError,
+        ),
     ]
 
 

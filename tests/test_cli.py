@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qpool import cli, harness, linalg, measurement, pooling
+from qpool.errors import QpoolError
 from qpool.harness import random_density, random_povm
 
 Z0_TEXT = '{"dim": 2, "matrix": [[[1,0],[0,0]],[[0,0],[0,0]]]}'
@@ -389,3 +390,56 @@ def test_verify_stdout_is_strict_json_when_trials_fail_with_nan(monkeypatch, cap
     assert payload["two"]["max_oracle_distance"] is None
     assert [d for _, d in payload["two"]["failures"]] == [None] * 4
     assert payload["three"]["failures"] == []
+
+
+# Inputs that once escaped main as a traceback; each must end in exit 2 with one error line.
+BAD_FILE_BYTES = {
+    "not utf-8": b"\xff\xfe",
+    "integer too large for a float": b'{"dim": 1, "matrix": [[[1' + b"0" * 400 + b', 0]]]}',
+    "nested past the decoder's recursion limit": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FILE_BYTES))
+def test_unreadable_file_exits_2(name, state_files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(BAD_FILE_BYTES[name])
+    out = tmp_path / "x.json"
+    for argv in (
+        ["pool", "--mode", "ordered", "--in", str(bad), state_files["z0"], "--out", str(out)],
+        ["compat", state_files["z0"], str(bad)],
+    ):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_parser_rejects_an_integer_too_large_for_a_float():
+    with pytest.raises(QpoolError, match=r"too large for a float"):
+        cli.parse_matrix_payload({"dim": 1, "matrix": [[[10**400, 0]]]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random", "state", "--dim", "2", "--seed", "-1"],
+        ["random", "povm", "--dim", "0", "--outcomes", "2"],
+    ],
+    ids=["negative seed", "zero dim povm"],
+)
+def test_bad_random_arguments_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_verify_accepts_a_negative_seed(capsys):
+    argv = ["verify", "--suite", "all", "--trials", "2", "--dims", "2..2", "--seed", "-1"]
+    assert cli.main(argv) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"two", "commuting", "three"}

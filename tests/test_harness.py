@@ -252,3 +252,39 @@ class TestMergeReports:
 def test_trial_seeds_distinct():
     seeds = {harness.trial_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
+
+
+def _povm_rng():
+    return np.random.default_rng(0)
+
+
+# Each call breaks the integer rule (a Python or numpy integer, not a bool,
+# at least its minimum) or the generator rule (one Generator, or a list or
+# tuple with one entry per lane).
+TYPED_REJECTIONS = {
+    "fractional outcome count": lambda: harness.random_povm(2, 2.7, _povm_rng()),
+    "fractional dim range": lambda: harness.verify_two_observer(1, (2.7, 3.9), 1e-10, 0),
+    "bool trials": lambda: harness.verify_two_observer(True, (2, 2), 1e-10, 0),
+    "fractional povm dim": lambda: harness.random_povm(2.5, 2, _povm_rng()),
+    "zero povm dim": lambda: harness.random_povm(0, 2, _povm_rng()),
+    "fractional rank": lambda: harness.random_density(3, 2.5, _povm_rng()),
+    "fractional scenario dim": lambda: harness.oracle_pool(
+        harness.Scenario(dim=2.5, povms=(_projective_z(),), seed=0, sampled_outcomes=(0,))
+    ),
+    "fractional commuting dim": lambda: harness.verify_commuting_reduction(2, 2.5, 1e-10, 0),
+    "fractional sweep seed": lambda: harness.verify_two_observer(1, (2, 2), 1e-10, 1.5),
+    "fractional scenario seed": lambda: harness.run_scenario(
+        harness.Scenario(dim=2, povms=(_projective_z(),), seed=1.5)
+    ),
+    "povm rng None": lambda: harness.random_povm(2, 3, None),
+    "povm rng int": lambda: harness.random_povm(2, 3, 5),
+    "scenario rng int": lambda: harness.run_scenario(
+        harness.Scenario(dim=2, povms=(_projective_z(),), seed=0), rng=5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_REJECTIONS))
+def test_integer_and_generator_rules_raise_qpool_error(name):
+    with pytest.raises(QpoolError, match=r"must be an integer|must be >=|rng must be"):
+        TYPED_REJECTIONS[name]()

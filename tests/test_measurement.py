@@ -185,6 +185,12 @@ class TestSampleOutcome:
         )
         assert abs(hits / n - 0.3) < 0.01
 
+    @pytest.mark.parametrize("rng", [None, 5, "seed"])
+    def test_rng_must_be_a_generator_or_a_list_of_them(self, rng):
+        povm = measurement.validate_povm(PROJECTIVE_Z)
+        with pytest.raises(QpoolError, match=r"rng must be a numpy Generator"):
+            measurement.sample_outcome(povm, Z0, rng)
+
     def test_deterministic_given_seed(self):
         povm = measurement.validate_povm([0.5 * np.eye(2), 0.5 * np.eye(2)])
         draws_a = [

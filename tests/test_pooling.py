@@ -318,6 +318,27 @@ class TestPoolSymmetricMulti:
             pooling.pool_symmetric_multi([Z0, Z0], norm_mode="both")
 
 
+def _trine():
+    """Three pure qubits with Bloch vectors 120 degrees apart in the x-y plane."""
+    angles = 2 * np.pi * np.arange(3) / 3
+    return [linalg.bloch_to_density([np.cos(a), np.sin(a), 0.0]) for a in angles]
+
+
+def test_paper_denominator_gate():
+    # The permutation sum has trace 0.375, but the closed form
+    # 3! Re Tr[rho_1 rho_2 rho_3] is -0.75: trace mode pools, paper mode
+    # must not divide by a negative denominator.
+    report = pooling.pool_symmetric_multi(_trine(), norm_mode="trace")
+    assert report.trace_norm == pytest.approx(0.375, abs=1e-14)
+    assert report.paper_norm == pytest.approx(-0.75, abs=1e-14)
+    linalg.validate_density(report.pooled)
+    with pytest.raises(
+        IncompatibleStatesError,
+        match=r"closed-form denominator -7\.500e-01 is numerically zero or negative",
+    ):
+        pooling.pool_symmetric_multi(_trine(), norm_mode="paper")
+
+
 class TestCompatibility:
     def test_identical_pure(self):
         assert pooling.compatibility(Z0, Z0) == pytest.approx(1.0, abs=1e-15)
