@@ -4,14 +4,9 @@
 class QpoolError(ValueError):
     """Rejected input; the message names the rule it broke.  Base of the other two.
 
-    For a stack of inputs (leading batch axes), ``lanes`` holds the flat
-    index of every input that broke the rule; it is empty when the input is
-    a single matrix or vector, or when the rule is not one input's.
+    For a stack of inputs (leading batch axes), the message also says how
+    many lanes broke the rule and which one came first.
     """
-
-    def __init__(self, *args, lanes=()):
-        super().__init__(*args)
-        self.lanes = tuple(lanes)
 
 
 class ZeroProbabilityError(QpoolError):

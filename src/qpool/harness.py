@@ -7,9 +7,9 @@ generate random scenarios, pool the observers' individual posteriors, and
 compare against the oracle.
 
 A sweep runs all its trials at one dim as one stack, each lane drawing
-from its own trial stream in the order a lone trial would.  A lane that
-trips a gate is rerun alone from a fresh stream, so the report is the one
-that running every trial alone gives.
+from its own trial stream in the order a lone trial would.  A stack in
+which any lane trips a gate reruns each of its trials alone from a fresh
+stream, so the report is the one that running every trial alone gives.
 """
 
 from __future__ import annotations
@@ -147,6 +147,8 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     dim = linalg.check_int(dim, "dim", 1)
     if not 1 <= linalg.check_int(rank, "rank") <= dim:
         raise QpoolError(f"rank {rank} outside [1, {dim}]")
+    if not isinstance(rng, np.random.Generator):
+        raise QpoolError(f"rng must be one numpy Generator, got {type(rng).__name__}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     return linalg.hermitianize(m) / float(np.trace(m).real)
@@ -155,8 +157,10 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
 def _lane_args(rng, n_outcomes) -> tuple[list, list[int], bool]:
     """Generators and outcome counts per lane, and whether the call is for one POVM."""
     rngs, single = linalg.generators(rng)
-    counts = [linalg.check_int(m, "outcome count", 2) for m in np.ravel(n_outcomes)]
-    if len(rngs) != len(counts) or not rngs or single != (np.ndim(n_outcomes) == 0):
+    one_count = not isinstance(n_outcomes, (list, tuple))
+    counts = [n_outcomes] if one_count else list(n_outcomes)
+    counts = [linalg.check_int(m, "outcome count", 2) for m in counts]
+    if len(rngs) != len(counts) or not rngs or single != one_count:
         raise QpoolError(
             "rng and n_outcomes must be one generator and one count, or equal-length sequences"
         )
@@ -196,11 +200,14 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
         elements[pending[ok]] = linalg.hermitianize(inv_sqrt @ wishart[ok] @ inv_sqrt)
         pending = pending[~ok]
         if not len(pending):
-            return _stacked_povm(elements, single)
-    raise QpoolError(
+            break
+    drawn = np.ones(len(rngs), dtype=bool)
+    drawn[pending] = False
+    linalg.require(
+        drawn[0] if single else drawn,
         f"POVM normalizer stayed near-singular after {MAX_POVM_ATTEMPTS} attempts",
-        lanes=() if single else pending.tolist(),
     )
+    return _stacked_povm(elements, single)
 
 
 def _random_diagonal_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
@@ -212,27 +219,6 @@ def _random_diagonal_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
         w[i, :m] = r.random((m, dim))
     w = w / w.sum(axis=1, keepdims=True)
     return _stacked_povm((w[..., None] * np.eye(dim)).astype(complex), single)
-
-
-def _passing(run, lanes: np.ndarray):
-    """Split lanes into those run accepts and those it rejects.
-
-    run(lanes) either returns, or raises QpoolError naming the lanes it
-    rejects by position in the array it was given (all of them when it
-    names none); the rest are then run again.  Returns run's result on the
-    accepted lanes (None when there are none), the accepted lanes and the
-    rejected ones.
-    """
-    rejected = []
-    while len(lanes):
-        try:
-            return run(lanes), lanes, rejected
-        except QpoolError as exc:
-            bad = np.zeros(len(lanes), dtype=bool)
-            bad[list(exc.lanes) or slice(None)] = True
-            rejected += lanes[bad].tolist()
-            lanes = lanes[~bad]
-    return None, lanes, rejected
 
 
 def _trial_alone(trial, dim: int, tseed: int) -> tuple[float, float, int]:
@@ -258,8 +244,10 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     Trial i draws from default_rng(trial_seed(seed, i)).  trial(dim, rngs)
     runs one trial per generator as a stack and returns per-lane
     (oracle_distance, norm_discrepancy).  The trials at one dim run as one
-    stack; a lane that raises QpoolError there runs alone (_trial_alone).
+    stack; if it raises QpoolError, each of its trials runs alone
+    (_trial_alone).
     """
+    tol = linalg.check_real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0):
         raise QpoolError(f"tol must be finite and positive, got {tol!r}")
     trials = linalg.check_int(trials, "trials", 1)
@@ -272,16 +260,15 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     disc = np.zeros(total)
     resamples = 0
     for j, dim in enumerate(dims):
-
-        def stacked(lanes, dim=dim):
-            return trial(dim, [np.random.default_rng(trial_seed(seed, int(i))) for i in lanes])
-
-        got, kept, tripped = _passing(stacked, np.arange(j, total, len(dims)))
-        if len(kept):
-            dist[kept], disc[kept] = got
-        for i in tripped:
-            dist[i], disc[i], redraws = _trial_alone(trial, dim, trial_seed(seed, i))
-            resamples += redraws
+        lanes = range(j, total, len(dims))
+        try:
+            dist[lanes], disc[lanes] = trial(
+                dim, [np.random.default_rng(trial_seed(seed, i)) for i in lanes]
+            )
+        except QpoolError:
+            for i in lanes:
+                dist[i], disc[i], redraws = _trial_alone(trial, dim, trial_seed(seed, i))
+                resamples += redraws
     report = VerificationReport(
         trials=total, max_oracle_distance=0.0, max_norm_discrepancy=0.0, resamples=resamples
     )
@@ -297,19 +284,25 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
 
 
 def _distance(pooled: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Per-lane Frobenius distance, or inf where it is not finite (a NaN or inf entry).
+    """Per-lane Frobenius distance, or inf where the pooled state has a NaN or inf entry.
 
     A pooled result of the wrong shape is inf in every lane.  A rule that
     returns such a state fails its trial instead of ending the sweep.
     """
     d = np.full(reference.shape[:-2], math.inf)
     if np.shape(pooled) == reference.shape:
-        got, kept, _ = _passing(
-            lambda ls: linalg.frobenius_distance(pooled[ls], reference[ls]), np.arange(len(d))
-        )
-        if len(kept):
-            d[kept] = got
+        finite = np.isfinite(pooled).all(axis=(-2, -1))
+        d[finite] = linalg.frobenius_distance(pooled[finite], reference[finite])
     return d
+
+
+def _is_density(rho) -> bool:
+    """Whether rho passes validate_density at the sweeps' 1e-9 tolerance."""
+    try:
+        linalg.validate_density(rho, tol=1e-9)
+    except QpoolError:
+        return False
+    return True
 
 
 def _random_chain(make_povm, dim: int, n: int, rngs) -> tuple[Scenario, list[np.ndarray]]:
@@ -337,6 +330,8 @@ def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> Verifi
     pools the observers' posteriors with the ordered rule, and records the
     Frobenius distance to the oracle.
     """
+    if not isinstance(dim_range, (list, tuple)) or len(dim_range) != 2:
+        raise QpoolError(f"dim_range must be a (low, high) pair, got {dim_range!r}")
     lo, hi = linalg.check_int(dim_range[0], "dim"), linalg.check_int(dim_range[1], "dim")
 
     def trial(dim, rngs):
@@ -391,10 +386,8 @@ def verify_three_observer(
         symmetric = pooling.pool_symmetric_multi(posteriors, norm_mode="trace")
         # Invalid pooled output counts as an infinite-distance failure so
         # the report invariant still holds.
-        _, _, invalid = _passing(
-            lambda ls: linalg.validate_density(symmetric.pooled[ls], tol=1e-9), np.arange(len(d))
-        )
-        d[invalid] = math.inf
+        if not _is_density(symmetric.pooled):
+            d[[not _is_density(rho) for rho in symmetric.pooled]] = math.inf
         return d, symmetric.norm_discrepancy
 
     return _sweep([dim], trials, tol, seed, trial)

@@ -4,8 +4,8 @@ The matrix functions other than the Bloch maps take one matrix or a stack
 of them: an array whose leading axes index the matrices ("lanes") and whose
 last two axes are square.  A single matrix is the stack with no leading axes, so both run the
 same code.  Inputs that pair lane by lane must have the same shape
-(same_shape).  A gate that some lanes of a stack fail raises once, with the
-failing lanes in the error's ``lanes``.
+(same_shape).  A gate that some lanes of a stack fail raises once; its
+message says how many lanes failed and which came first.
 """
 
 from __future__ import annotations
@@ -36,31 +36,28 @@ def require(ok, message: str, value=None, error: type[QpoolError] = QpoolError) 
 
     `ok` is a numpy bool (or 0-d array) for a single input, or a bool array
     with one entry per lane of a stack.  `message` is formatted with the
-    float `value` of the first failing lane (when given); for a stack the
-    error's ``lanes`` lists the flat index of every failing lane.  A NaN
-    comparison is false, so a NaN value fails its gate.
+    float `value` of the first failing lane (when given); for a stack it
+    ends with the count of failing lanes and the flat index of the first.
+    A NaN comparison is false, so a NaN value fails its gate.
     """
     if not ok.shape:
         if ok:
             return
-        lanes, first = (), value
+        first, suffix = value, ""
     else:
         if ok.all():
             return
         bad = np.flatnonzero(~ok)
-        lanes = tuple(bad.tolist())
         first = None if value is None else np.ravel(value)[bad[0]]
-    text = message if value is None else message.format(float(first))
-    if lanes:
-        text += f" ({len(lanes)} of {ok.size} lanes, first {lanes[0]})"
-    raise error(text, lanes=lanes)
+        suffix = f" ({len(bad)} of {ok.size} lanes, first {bad[0]})"
+    raise error((message if value is None else message.format(float(first))) + suffix)
 
 
 def normalizer(t, what: str, error: type[QpoolError] = QpoolError):
     """Return t, a trace, probability or overlap about to be divided by.
 
     Every lane must hold t > ZERO_TOL, so a NaN fails; otherwise `error` is
-    raised naming the failing lanes.  The caller divides by the returned t.
+    raised.  The caller divides by the returned t.
     """
     require(t > ZERO_TOL, f"{what} {{:.3e}} is numerically zero or negative", t, error)
     return t
@@ -73,6 +70,13 @@ def check_int(n, what: str, low: int | None = None) -> int:
     if low is not None and n < low:
         raise QpoolError(f"{what} must be >= {low}, got {n}")
     return int(n)
+
+
+def check_real(x, what: str) -> float:
+    """Return x as a float: a Python or numpy real number (not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise QpoolError(f"{what} must be a real number, got {x!r}")
+    return float(x)
 
 
 def generators(rng) -> tuple[list, bool]:
@@ -92,7 +96,11 @@ def generators(rng) -> tuple[list, bool]:
 
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a complex128 matrix or stack of matrices, square in the last two axes."""
-    a = np.asarray(m, dtype=complex)
+    try:
+        # A same-kind cast refuses strings and objects (None, ints too large for a float).
+        a = np.asarray(m).astype(complex, copy=False, casting="same_kind")
+    except (TypeError, ValueError) as exc:
+        raise QpoolError(f"expected a numeric matrix: {exc}") from None
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise QpoolError(f"expected a square matrix, got shape {a.shape}")
     return a

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IncompatibleStatesError, QpoolError
-from .linalg import BLOCH_SLACK, EIGENVALUE_FLOOR, as_bloch_vector, normalizer
+from .linalg import BLOCH_SLACK, EIGENVALUE_FLOOR, as_bloch_vector, check_real, normalizer
 
 # A qubit of Bloch length n has smallest eigenvalue (1 - n) / 2.  Lengths at
 # or above this are treated as exactly pure so the closed form and the
@@ -30,7 +30,7 @@ def weight_factor(x: float) -> float:
     Decreases from 2 (total ignorance) to 1 (pure state); it is the
     denominator that sets how strongly a state's direction is weighted.
     """
-    if not -BLOCH_SLACK <= x <= 1.0 + BLOCH_SLACK:
+    if not -BLOCH_SLACK <= check_real(x, "Bloch length") <= 1.0 + BLOCH_SLACK:
         raise QpoolError(f"Bloch length {x!r} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     return 1.0 + math.sqrt(1.0 - x * x)

@@ -204,13 +204,13 @@ def test_stacked_call_flags_the_lanes_single_calls_reject(name, call, error):
     with pytest.raises(error) as stacked:
         call(slice(None))
     assert stacked.type is error
-    assert stacked.value.lanes == BAD_LANES
+    assert str(stacked.value).endswith("(2 of 5 lanes, first 1)")
     for i in range(LANES):
         if i in BAD_LANES:
             with pytest.raises(error) as single:
                 call(i)
             assert single.type is error
-            assert single.value.lanes == ()
+            assert "lanes, first" not in str(single.value)
         else:
             call(i)
 
@@ -341,7 +341,7 @@ def test_a_singular_normalizer_redraws_from_its_own_lane():
     never = _SingularBlocks(7, zeros=harness.MAX_POVM_ATTEMPTS)
     with pytest.raises(QpoolError, match="near-singular") as exc:
         harness.random_povm(2, [2, 2], [np.random.default_rng(6), never])
-    assert exc.value.lanes == (1,)
+    assert str(exc.value).endswith("(1 of 2 lanes, first 1)")
 
 
 def test_run_scenario_lanes_sample_what_single_runs_sample():
@@ -387,11 +387,8 @@ def _assert_same_report(got, want):
         assert getattr(got, name) == pytest.approx(getattr(want, name), abs=REPORT_TOL), name
 
 
-def _tripping(monkeypatch, attr, lanes, once):
-    """Make pooling.<attr> raise on stacks of more than one lane.
-
-    It names `lanes` (none: every lane), the first time only when `once`.
-    """
+def _tripping(monkeypatch, attr, once):
+    """Make pooling.<attr> raise on stacks of more than one lane (the first time only when `once`)."""
     original = getattr(pooling, attr)
     calls = []
 
@@ -399,7 +396,7 @@ def _tripping(monkeypatch, attr, lanes, once):
         states = args[0] if attr.endswith("_multi") else args
         if np.shape(states[0])[0] > 1 and not (once and calls):
             calls.append(1)
-            raise ZeroProbabilityError("forced to the fallback", lanes=lanes)
+            raise ZeroProbabilityError("forced to the fallback")
         return original(*args, **kwargs)
 
     monkeypatch.setattr(pooling, attr, tripping)
@@ -417,16 +414,44 @@ SWEEPS = [
 def test_a_lane_forced_to_the_fallback_gives_the_all_serial_report(monkeypatch, attr, sweep):
     batched = sweep()
     with monkeypatch.context() as m:
-        calls = _tripping(m, attr, lanes=(), once=False)
+        calls = _tripping(m, attr, once=False)
         serial = sweep()
         assert calls
     with monkeypatch.context() as m:
-        calls = _tripping(m, attr, lanes=(2,), once=True)
+        calls = _tripping(m, attr, once=True)
         one_lane = sweep()
         assert calls == [1]
     assert serial.failures
     _assert_same_report(one_lane, serial)
     _assert_same_report(batched, serial)
+
+
+def _spoiling(monkeypatch, attr, lane, spoil):
+    """Make pooling.<attr> return its result with spoil applied to one lane's pooled state."""
+    original = getattr(pooling, attr)
+
+    def spoiled(*args, **kwargs):
+        report = original(*args, **kwargs)
+        pooled = report.pooled.copy()
+        pooled[lane] = spoil(pooled[lane])
+        return replace(report, pooled=pooled)
+
+    monkeypatch.setattr(pooling, attr, spoiled)
+
+
+def test_a_non_finite_lane_fails_only_its_own_trial(monkeypatch):
+    _spoiling(monkeypatch, "pool_ordered", 2, lambda rho: np.full_like(rho, np.nan))
+    report = harness.verify_two_observer(5, (3, 3), 1e-10, 21)
+    assert report.failures == [(harness.trial_seed(21, 2), np.inf)]
+    assert report.resamples == 0
+
+
+def test_an_invalid_symmetric_lane_fails_only_its_own_trial(monkeypatch):
+    # Twice a state has trace 2, so it is not a density matrix.
+    _spoiling(monkeypatch, "pool_symmetric_multi", 1, lambda rho: 2.0 * rho)
+    report = harness.verify_three_observer(6, 3, 13)
+    assert report.failures == [(harness.trial_seed(13, 1), np.inf)]
+    assert report.resamples == 0
 
 
 def test_a_trial_that_never_completes_redraws_then_fails(monkeypatch):

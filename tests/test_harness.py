@@ -259,8 +259,10 @@ def _povm_rng():
 
 
 # Each call breaks the integer rule (a Python or numpy integer, not a bool,
-# at least its minimum) or the generator rule (one Generator, or a list or
-# tuple with one entry per lane).
+# at least its minimum), the real-number rule for tol (a Python or numpy
+# real, not a bool), the generator rule (one Generator, or a list or tuple
+# with one entry per lane), or passes a dim range that is not a pair or
+# outcome counts that are not one integer or a flat list of them.
 TYPED_REJECTIONS = {
     "fractional outcome count": lambda: harness.random_povm(2, 2.7, _povm_rng()),
     "fractional dim range": lambda: harness.verify_two_observer(1, (2.7, 3.9), 1e-10, 0),
@@ -268,6 +270,8 @@ TYPED_REJECTIONS = {
     "fractional povm dim": lambda: harness.random_povm(2.5, 2, _povm_rng()),
     "zero povm dim": lambda: harness.random_povm(0, 2, _povm_rng()),
     "fractional rank": lambda: harness.random_density(3, 2.5, _povm_rng()),
+    "density rng None": lambda: harness.random_density(2, 2, None),
+    "density rng list": lambda: harness.random_density(2, 2, [_povm_rng()]),
     "fractional scenario dim": lambda: harness.oracle_pool(
         harness.Scenario(dim=2.5, povms=(_projective_z(),), seed=0, sampled_outcomes=(0,))
     ),
@@ -281,10 +285,26 @@ TYPED_REJECTIONS = {
     "scenario rng int": lambda: harness.run_scenario(
         harness.Scenario(dim=2, povms=(_projective_z(),), seed=0), rng=5
     ),
+    "one-element dim range": lambda: harness.verify_two_observer(1, (2,), 1e-10, 0),
+    "integer dim range": lambda: harness.verify_two_observer(1, 5, 1e-10, 0),
+    "nested outcome counts": lambda: harness.random_povm(
+        2, [2, [3, 4]], [_povm_rng(), _povm_rng()]
+    ),
+    "string tol": lambda: harness.verify_two_observer(1, (2, 3), "x", 0),
+    "None tol": lambda: harness.verify_commuting_reduction(1, 2, None, 0),
+    "bool tol": lambda: harness.verify_two_observer(1, (2, 3), True, 0),
+    "bool three-observer tol": lambda: harness.verify_three_observer(1, 2, 0, tol=True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TYPED_REJECTIONS))
 def test_integer_and_generator_rules_raise_qpool_error(name):
-    with pytest.raises(QpoolError, match=r"must be an integer|must be >=|rng must be"):
+    with pytest.raises(
+        QpoolError, match=r"must be an integer|must be >=|must be a real|rng must be|pair"
+    ):
         TYPED_REJECTIONS[name]()
+
+
+def test_a_numpy_float_tol_is_a_real_number():
+    report = harness.verify_two_observer(2, (2, 2), np.float64(1e-10), 0)
+    assert report == harness.verify_two_observer(2, (2, 2), 1e-10, 0)

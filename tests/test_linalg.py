@@ -191,3 +191,21 @@ def test_maximally_mixed():
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(QpoolError):
         linalg.maximally_mixed(0)
+
+
+# Entries numpy cannot hold as complex numbers, or rows of unequal length.
+NON_NUMERIC_MATRICES = {
+    "string entry": [[1, "a"], [0, 1]],
+    "None entry": [[1, None], [0, 1]],
+    "string": "a",
+    "ragged rows": [[1, 0], [0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_NUMERIC_MATRICES))
+def test_the_matrix_gate_rejects_non_numeric_input(name):
+    m = NON_NUMERIC_MATRICES[name]
+    with pytest.raises(QpoolError, match="expected a numeric matrix"):
+        linalg.as_complex_matrix(m)
+    with pytest.raises(QpoolError, match="expected a numeric matrix"):
+        linalg.hermitian_sqrt(m)

@@ -346,6 +346,10 @@ class TestCompatibility:
     def test_orthogonal(self):
         assert pooling.compatibility(Z0, Z1) == 0.0
 
+    def test_rejects_non_numeric_input(self):
+        with pytest.raises(QpoolError, match="expected a numeric matrix"):
+            pooling.compatibility("a", "b")
+
     def test_mixed_with_anything(self):
         assert pooling.compatibility(MIXED2, PLUS) == pytest.approx(0.5, abs=1e-15)
 

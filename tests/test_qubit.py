@@ -35,6 +35,11 @@ class TestWeightFactor:
         # Rounding-level overshoot is clipped, not rejected.
         assert qubit.weight_factor(1.0 + 5e-13) == 1.0
 
+    @pytest.mark.parametrize("x", ["a", None, True])
+    def test_rejects_a_non_number(self, x):
+        with pytest.raises(QpoolError, match="must be a real number"):
+            qubit.weight_factor(x)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_range(self, x):
         assert 1.0 <= qubit.weight_factor(x) <= 2.0
