@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -151,13 +152,38 @@ def pool_ordered_multi(states) -> PoolReport:
     return _report(num, arrs, 1, "nested trace")
 
 
+@cache
+def _subset_levels(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Index tables of the subset recurrence over n observers, levels 2 to n.
+
+    Level k lists the subsets of size k by ascending bit mask.  Its tables
+    have shape (C(n, k), k), one row per subset T and one column per
+    observer j in T by ascending bit: js holds j and rows holds the position
+    of T - {j} in level k - 1.  Summing each row in that order gives every
+    float sum the order of a mask-by-mask loop, so results are deterministic.
+    Built once per n (MAX_SYMMETRIC_STATES bounds the cache) and read-only,
+    since every call for that n shares them.
+    """
+    masks = [[m for m in range(1 << n) if m.bit_count() == k] for k in range(n + 1)]
+    levels = []
+    for k in range(2, n + 1):
+        position = {m: i for i, m in enumerate(masks[k - 1])}
+        bits = [[j for j in range(n) if m >> j & 1] for m in masks[k]]
+        js = np.array(bits)
+        rows = np.array([[position[m ^ (1 << j)] for j in b] for m, b in zip(masks[k], bits)])
+        js.flags.writeable = rows.flags.writeable = False
+        levels.append((js, rows))
+    return tuple(levels)
+
+
 def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     """Pool n >= 2 unordered states: sum of nestings over all n! orderings.
 
     The sum is grouped by the outermost observer j,
     S(T) = sum_{j in T} sqrt(rho_j) S(T - {j}) sqrt(rho_j) with
     S({i}) = rho_i, so it costs n * (2^(n-1) - 1) conjugations where the
-    literal sum costs n! * (n - 1).
+    literal sum costs n! * (n - 1).  It runs one subset size at a time: one
+    stacked square root of all n states, then one stacked product per size.
 
     Parameters
     ----------
@@ -174,19 +200,14 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
         raise QpoolError(f"symmetric pooling is capped at {MAX_SYMMETRIC_STATES} states, got {n}")
     if norm_mode not in NORM_MODES:
         raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-    sqrts = [linalg.hermitian_sqrt(a) for a in arrs]
-    # sums[mask] is S of the observers whose bits are set in mask.  Ascending
-    # masks build every subset before its supersets, and ascending bits fix
-    # the order of each float sum, so results are deterministic.
-    sums = [None] * (1 << n)
-    for mask in range(1, 1 << n):
-        if mask & (mask - 1) == 0:
-            sums[mask] = arrs[mask.bit_length() - 1]
-        else:
-            sums[mask] = sum(
-                sqrts[j] @ sums[mask ^ (1 << j)] @ sqrts[j] for j in range(n) if mask >> j & 1
-            )
-    return _report(sums[-1], arrs, factorial(n), "permutation-sum trace", norm_mode)
+    # Level k holds S(T) for every subset T of size k, one entry per T, so
+    # level 1 is the states themselves and level n is S of all of them.
+    level = np.stack(arrs)
+    roots = linalg.hermitian_sqrt(level)
+    for js, rows in _subset_levels(n):
+        r = roots[js]
+        level = (r @ level[rows] @ r).sum(axis=1)
+    return _report(level[0], arrs, factorial(n), "permutation-sum trace", norm_mode)
 
 
 def compatibility(a, b) -> float:

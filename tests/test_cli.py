@@ -285,13 +285,13 @@ class TestRandomCommand:
         assert len(povm) == 4
 
     def test_same_seed_same_bytes(self, tmp_path):
-        a = str(tmp_path / "a.json")
-        b = str(tmp_path / "b.json")
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
         for out in (a, b):
             assert cli.main(
-                ["random", "state", "--dim", "4", "--seed", "17", "--out", out]
+                ["random", "state", "--dim", "4", "--seed", "17", "--out", str(out)]
             ) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_bad_rank_exits_2(self, tmp_path, capsys):
         code = cli.main(

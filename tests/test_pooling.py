@@ -229,6 +229,34 @@ def _permutation_sum(states) -> np.ndarray:
     return linalg.hermitianize(num)
 
 
+def _subset_loop(states, norm_mode="trace") -> pooling.PoolReport:
+    """The subset recurrence one subset at a time, as pool_symmetric_multi once ran it.
+
+    Masks ascending, bits ascending within a mask: the summation order the
+    level-by-level evaluation must keep.
+    """
+    arrs = pooling._matrices(states)
+    n = len(arrs)
+    sqrts = [linalg.hermitian_sqrt(a) for a in arrs]
+    sums = [None] * (1 << n)
+    for mask in range(1, 1 << n):
+        if mask & (mask - 1) == 0:
+            sums[mask] = arrs[mask.bit_length() - 1]
+        else:
+            sums[mask] = sum(
+                sqrts[j] @ sums[mask ^ (1 << j)] @ sqrts[j] for j in range(n) if mask >> j & 1
+            )
+    return pooling._report(sums[-1], arrs, factorial(n), "permutation-sum trace", norm_mode)
+
+
+def _pooled_or_message(pool, states, mode):
+    """The pooled state of a rule, or the message it rejects the states with."""
+    try:
+        return pool(states, norm_mode=mode).pooled
+    except IncompatibleStatesError as exc:
+        return str(exc)
+
+
 class TestPoolSymmetricMulti:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -251,6 +279,52 @@ class TestPoolSymmetricMulti:
                 # A paper denominator far below the trace scales the pooled
                 # entries, and their rounding, up by the same factor.
                 assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("lanes", [None, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_subset_loop(self, n, dim, lanes):
+        rng = np.random.default_rng(2000 + 100 * n + 10 * dim + (lanes or 0))
+
+        def draw(rank):
+            if lanes is None:
+                return random_density(dim, rank, rng)
+            return np.array([random_density(dim, rank, rng) for _ in range(lanes)])
+
+        for rank in range(1, dim + 1):
+            states = [draw(rank) for _ in range(n)]
+            for mode in pooling.NORM_MODES:
+                want = _pooled_or_message(_subset_loop, states, mode)
+                got = _pooled_or_message(pooling.pool_symmetric_multi, states, mode)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lanes", [None, 5])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.diag([1.2, -0.2]), r"negative eigenvalue -2\.000e-01 below -1e-10"),
+            (np.diag([np.nan, 1.0]), r"matrix has a non-finite entry"),
+        ],
+        ids=["negative eigenvalue", "nan"],
+    )
+    def test_bad_state_named_by_its_lane(self, bad, message, lanes):
+        # All n square roots are one stacked call, so a bad state is flagged
+        # as a lane of that stack: state i of lane l is lane i * lanes + l.
+        rng = np.random.default_rng(37)
+        if lanes is None:
+            states = [random_density(2, 2, rng), random_density(2, 2, rng), bad]
+            suffix = "(1 of 3 lanes, first 2)"
+        else:
+            states = [np.array([random_density(2, 2, rng) for _ in range(lanes)]) for _ in range(3)]
+            states[2][3] = bad
+            suffix = f"(1 of {3 * lanes} lanes, first {2 * lanes + 3})"
+        with pytest.raises(QpoolError, match=message) as exc:
+            pooling.pool_symmetric_multi(states)
+        assert exc.type is QpoolError
+        assert str(exc.value).endswith(suffix)
 
     def test_two_states_bitwise_closed_form(self):
         rng = np.random.default_rng(34)
