@@ -184,14 +184,15 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     """
     dim = linalg.check_int(dim, "dim", 1)
     rngs, counts, single = _lane_args(rng, n_outcomes)
-    g = np.zeros((len(rngs), max(counts), dim, dim), dtype=complex)
-    elements = np.zeros_like(g)
+    # Real and imaginary Gaussian parts per lane and outcome; padding stays zero.
+    x = np.zeros((len(rngs), max(counts), 2, dim, dim))
+    elements = np.zeros((len(rngs), max(counts), dim, dim), dtype=complex)
     pending = np.arange(len(rngs))
     for _ in range(MAX_POVM_ATTEMPTS):
         for i in pending:
-            x = rngs[i].standard_normal((counts[i], 2, dim, dim))
-            g[i, : counts[i]] = x[:, 0] + 1j * x[:, 1]
-        wishart = g[pending] @ linalg.dagger(g[pending])
+            x[i, : counts[i]] = rngs[i].standard_normal((counts[i], 2, dim, dim))
+        g = x[pending, :, 0] + 1j * x[pending, :, 1]
+        wishart = g @ linalg.dagger(g)
         s = linalg.hermitianize(wishart.sum(axis=1))
         w, v = np.linalg.eigh(s)
         ok = w[:, 0] >= SINGULAR_SUM_TOL

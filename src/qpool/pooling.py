@@ -81,13 +81,14 @@ def _trace_of_product(arrs):
     return (prod * arrs[-1].swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
-def _matrices(states) -> list[np.ndarray]:
-    """The n >= 2 states of a pooling rule as complex matrices of one shape."""
+def _matrices(states) -> np.ndarray:
+    """The n >= 2 states of a pooling rule as one complex stack (n, *lanes, d, d)."""
     if len(states) < 2:
         raise QpoolError(f"need at least two states, got {len(states)}")
     arrs = [linalg.as_complex_matrix(s) for s in states]
     linalg.same_shape(arrs, "state")
-    return arrs
+    # np.array copies equal-shape arrays into one stack faster than np.stack.
+    return np.array(arrs)
 
 
 def _report(num, arrs, orderings: int, what: str, norm_mode: str = "trace") -> PoolReport:
@@ -140,14 +141,14 @@ def pool_ordered_multi(states) -> PoolReport:
 
     Nests conjugations: sqrt(rho_n) ... sqrt(rho_2) rho_1 sqrt(rho_2) ...
     sqrt(rho_n), normalized by its own trace.  Equals repeated two-observer
-    ordered pooling.
+    ordered pooling.  All n roots are one stacked hermitian_sqrt call, whose
+    gates every state passes, the innermost included.
     """
     arrs = _matrices(states)
-    # The innermost state is the only one hermitian_sqrt does not gate.
-    linalg.check_finite(arrs[0], "state 0")
+    # The root of state 0 is not in the product: taking it gates state 0.
+    roots = linalg.hermitian_sqrt(arrs)
     num = arrs[0]
-    for s in arrs[1:]:
-        r = linalg.hermitian_sqrt(s)
+    for r in roots[1:]:
         num = r @ num @ r
     return _report(num, arrs, 1, "nested trace")
 
@@ -202,7 +203,7 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
         raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
     # Level k holds S(T) for every subset T of size k, one entry per T, so
     # level 1 is the states themselves and level n is S of all of them.
-    level = np.stack(arrs)
+    level = arrs
     roots = linalg.hermitian_sqrt(level)
     for js, rows in _subset_levels(n):
         r = roots[js]

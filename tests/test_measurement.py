@@ -177,12 +177,18 @@ class TestSampleOutcome:
             assert measurement.sample_outcome(povm, Z0, rng) == 0
 
     def test_frequencies_match_probabilities(self):
-        povm = measurement.validate_povm([0.3 * np.eye(2), 0.7 * np.eye(2)])
-        rng = np.random.default_rng(10)
+        effects = [0.3 * np.eye(2), 0.7 * np.eye(2)]
         n = 100_000
-        hits = sum(
-            measurement.sample_outcome(povm, Z0, rng) == 0 for _ in range(n)
-        )
+        # One stacked call whose lanes all share one generator draws the n
+        # variates in the order n single calls on that generator draw them.
+        stacked = measurement.validate_povm([np.broadcast_to(e, (n, 2, 2)) for e in effects])
+        rng = np.random.default_rng(10)
+        outcomes = measurement.sample_outcome(stacked, np.broadcast_to(Z0, (n, 2, 2)), [rng] * n)
+        povm = measurement.validate_povm(effects)
+        rng = np.random.default_rng(10)
+        singles = [measurement.sample_outcome(povm, Z0, rng) for _ in range(1000)]
+        assert outcomes[:1000].tolist() == singles
+        hits = np.count_nonzero(outcomes == 0)
         assert abs(hits / n - 0.3) < 0.01
 
     @pytest.mark.parametrize("rng", [None, 5, "seed"])

@@ -177,7 +177,40 @@ def test_ordered_asymmetry_witness():
     assert d == pytest.approx(1.0, abs=1e-10)
 
 
-class TestPoolOrderedMulti:
+class _StatesGatedAsOneStack:
+    """Gate tests both multi-observer rules share; `pool` is the rule under test."""
+
+    pool = None
+
+    @pytest.mark.parametrize("lanes", [None, 5])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.diag([1.2, -0.2]), r"negative eigenvalue -2\.000e-01 below -1e-10"),
+            (np.diag([np.nan, 1.0]), r"matrix has a non-finite entry"),
+        ],
+        ids=["negative eigenvalue", "nan"],
+    )
+    def test_bad_state_named_by_its_lane(self, bad, message, lanes):
+        # All n square roots are one stacked call, so a bad state is flagged
+        # as a lane of that stack: state i of lane l is lane i * lanes + l.
+        rng = np.random.default_rng(37)
+        if lanes is None:
+            states = [random_density(2, 2, rng), random_density(2, 2, rng), bad]
+            suffix = "(1 of 3 lanes, first 2)"
+        else:
+            states = [np.array([random_density(2, 2, rng) for _ in range(lanes)]) for _ in range(3)]
+            states[2][3] = bad
+            suffix = f"(1 of {3 * lanes} lanes, first {2 * lanes + 3})"
+        with pytest.raises(QpoolError, match=message) as exc:
+            self.pool(states)
+        assert exc.type is QpoolError
+        assert str(exc.value).endswith(suffix)
+
+
+class TestPoolOrderedMulti(_StatesGatedAsOneStack):
+    pool = staticmethod(pooling.pool_ordered_multi)
+
     def test_two_states_matches_pairwise(self):
         rng = np.random.default_rng(27)
         a = random_density(3, 3, rng)
@@ -215,6 +248,54 @@ class TestPoolOrderedMulti:
         linalg.validate_density(out.pooled, tol=1e-9)
         assert 0.0 <= out.compatibility <= 1.0
 
+    @pytest.mark.parametrize("lanes", [None, 5])
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(np.diag([1.5, -0.5]), r"negative eigenvalue"), (np.diag([np.nan, 1.0]), r"non-finite entry")],
+        ids=["negative eigenvalue", "nan"],
+    )
+    @pytest.mark.parametrize("rule", ["pool_ordered", "pool_ordered_multi"])
+    def test_innermost_state_gated(self, rule, bad, message, lanes):
+        # The innermost state's root is not in the product, yet it passes the
+        # same gates: pool_ordered(diag(1.5, -0.5), diag(0.7, 0.3)) once
+        # returned a state with eigenvalue -0.167.
+        n = 2 if rule == "pool_ordered" else 3
+        other = np.diag([0.7, 0.3])
+        if lanes is None:
+            states = [bad] + [other] * (n - 1)
+            suffix = f"(1 of {n} lanes, first 0)"
+        else:
+            states = [np.array([MIXED2] * lanes)] + [np.array([other] * lanes)] * (n - 1)
+            states[0][3] = bad
+            suffix = f"(1 of {n * lanes} lanes, first 3)"
+        with pytest.raises(QpoolError, match=message) as exc:
+            if rule == "pool_ordered":
+                pooling.pool_ordered(*states)
+            else:
+                pooling.pool_ordered_multi(states)
+        assert exc.type is QpoolError
+        assert str(exc.value).endswith(suffix)
+
+    @pytest.mark.parametrize("lanes", [None, 5])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_nested_loop(self, n, dim, lanes):
+        rng = np.random.default_rng(3000 + 100 * n + 10 * dim + (lanes or 0))
+
+        def draw(rank):
+            if lanes is None:
+                return random_density(dim, rank, rng)
+            return np.array([random_density(dim, rank, rng) for _ in range(lanes)])
+
+        for rank in range(1, dim + 1):
+            states = [draw(rank) for _ in range(n)]
+            want = _pooled_or_message(_nested_loop, states)
+            got = _pooled_or_message(pooling.pool_ordered_multi, states)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+
 
 def _permutation_sum(states) -> np.ndarray:
     """The symmetric numerator as the paper writes it: one nested term per ordering."""
@@ -249,15 +330,32 @@ def _subset_loop(states, norm_mode="trace") -> pooling.PoolReport:
     return pooling._report(sums[-1], arrs, factorial(n), "permutation-sum trace", norm_mode)
 
 
-def _pooled_or_message(pool, states, mode):
+def _nested_loop(states) -> pooling.PoolReport:
+    """The ordered rule one square root per outer state, as pool_ordered_multi once ran it.
+
+    The same nesting order and products as the stacked evaluation, which
+    must match it bitwise.
+    """
+    arrs = pooling._matrices(states)
+    linalg.check_finite(arrs[0], "state 0")
+    num = arrs[0]
+    for s in arrs[1:]:
+        r = linalg.hermitian_sqrt(s)
+        num = r @ num @ r
+    return pooling._report(num, arrs, 1, "nested trace")
+
+
+def _pooled_or_message(pool, states, *mode):
     """The pooled state of a rule, or the message it rejects the states with."""
     try:
-        return pool(states, norm_mode=mode).pooled
+        return pool(states, *mode).pooled
     except IncompatibleStatesError as exc:
         return str(exc)
 
 
-class TestPoolSymmetricMulti:
+class TestPoolSymmetricMulti(_StatesGatedAsOneStack):
+    pool = staticmethod(pooling.pool_symmetric_multi)
+
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_permutation_sum(self, n, dim):
@@ -300,31 +398,6 @@ class TestPoolSymmetricMulti:
                     assert got == want
                 else:
                     assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("lanes", [None, 5])
-    @pytest.mark.parametrize(
-        "bad,message",
-        [
-            (np.diag([1.2, -0.2]), r"negative eigenvalue -2\.000e-01 below -1e-10"),
-            (np.diag([np.nan, 1.0]), r"matrix has a non-finite entry"),
-        ],
-        ids=["negative eigenvalue", "nan"],
-    )
-    def test_bad_state_named_by_its_lane(self, bad, message, lanes):
-        # All n square roots are one stacked call, so a bad state is flagged
-        # as a lane of that stack: state i of lane l is lane i * lanes + l.
-        rng = np.random.default_rng(37)
-        if lanes is None:
-            states = [random_density(2, 2, rng), random_density(2, 2, rng), bad]
-            suffix = "(1 of 3 lanes, first 2)"
-        else:
-            states = [np.array([random_density(2, 2, rng) for _ in range(lanes)]) for _ in range(3)]
-            states[2][3] = bad
-            suffix = f"(1 of {3 * lanes} lanes, first {2 * lanes + 3})"
-        with pytest.raises(QpoolError, match=message) as exc:
-            pooling.pool_symmetric_multi(states)
-        assert exc.type is QpoolError
-        assert str(exc.value).endswith(suffix)
 
     def test_two_states_bitwise_closed_form(self):
         rng = np.random.default_rng(34)
