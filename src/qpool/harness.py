@@ -173,7 +173,10 @@ def _stacked_povm(elements: np.ndarray, single: bool) -> measurement.Povm:
 
 
 def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
-    """Random POVM: Wishart draws whitened by their sum, S^-1/2 G_k S^-1/2.
+    """Random POVM: Wishart draws whitened by their sum, E_k = S^-1/2 W_k S^-1/2.
+
+    W_k = G_k G_k^dag with G_k a dim x dim complex Gaussian block, and
+    S = sum_k W_k, so the E_k sum to I.
 
     With a list or tuple of generators for rng and one outcome count per
     generator for n_outcomes, draws one POVM per lane from that lane's
@@ -196,9 +199,16 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
         s = linalg.hermitianize(wishart.sum(axis=1))
         w, v = np.linalg.eigh(s)
         ok = w[:, 0] >= SINGULAR_SUM_TOL
-        inv_sqrt = (v[ok] * (1.0 / np.sqrt(w[ok]))[:, None, :]) @ linalg.dagger(v[ok])
+        every = np.count_nonzero(ok) == ok.size
+        if not every:
+            w, v, wishart = w[ok], v[ok], wishart[ok]
+        inv_sqrt = (v * (1.0 / np.sqrt(w))[:, None, :]) @ linalg.dagger(v)
         inv_sqrt = inv_sqrt[:, None]
-        elements[pending[ok]] = linalg.hermitianize(inv_sqrt @ wishart[ok] @ inv_sqrt)
+        whitened = linalg.hermitianize(inv_sqrt @ wishart @ inv_sqrt)
+        if every and len(pending) == len(rngs):
+            # The usual case: every lane's first normalizer is regular.
+            return _stacked_povm(whitened, single)
+        elements[pending[ok]] = whitened
         pending = pending[~ok]
         if not len(pending):
             break

@@ -57,9 +57,12 @@ def require(ok, message: str, value=None, error: type[QpoolError] = QpoolError) 
 def normalizer(t, what: str, error: type[QpoolError] = QpoolError):
     """Return t, a trace, probability or overlap about to be divided by.
 
-    Every lane must hold t > ZERO_TOL, so a NaN fails; otherwise `error` is
-    raised.  The caller divides by the returned t.
+    Every lane must hold a finite t, else QpoolError (a bad input, not an
+    impossible outcome), and t > ZERO_TOL, else `error`.  The caller
+    divides by the returned t.
     """
+    # abs(t) < inf is false for NaN and both infinities, and quick on a scalar.
+    require(abs(t) < np.inf, f"{what} {{!r}} is not finite", t)
     require(t > ZERO_TOL, f"{what} {{:.3e}} is numerically zero or negative", t, error)
     return t
 
@@ -172,6 +175,27 @@ def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np
     return w, h
 
 
+def cholesky_accepts(m: np.ndarray, tol: float) -> bool:
+    """Whether every matrix of the stack surely passes check_positive(m, tol).
+
+    True when every Hermiticity defect is <= tol and one Cholesky
+    factorization of hermitianize(m) + (tol / 2) I succeeds.  A factor
+    exists only if every eigenvalue is above -tol / 2 minus rounding, so a
+    matrix this accepts is one the eigenvalue gate passes.  False decides
+    nothing: a NaN or inf entry, a defect over tol, or an eigenvalue below
+    -tol / 2 (the gate still passes those in [-tol, -tol / 2)).
+    """
+    # cholesky only sees finite matrices Hermitian within tol; the finite
+    # test comes first, so an inf entry raises no warning here.
+    if not (cmath.isfinite(m.sum()) and (np.abs(m - dagger(m)) <= tol).all()):
+        return False
+    try:
+        np.linalg.cholesky(hermitianize(m) + (tol / 2) * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check that M is a density matrix and return a cleaned copy.
 
@@ -237,6 +261,7 @@ def trace_product(a, b):
     same_shape((ma, mb), ("a", "b"))
     t = np.einsum("...ij,...ji->...", ma, mb)
     require(abs(t.imag) <= ZERO_TOL, "Tr[AB] has imaginary part {:.3e}", t.imag)
+    require(np.isfinite(t.real), "Tr[AB] {!r} is not finite", t.real)
     return t.real
 
 

@@ -35,8 +35,12 @@ def validate_povm(elements) -> Povm:
         raise QpoolError("POVM has no elements")
     arrs = [linalg.as_complex_matrix(e) for e in elements]
     linalg.same_shape(arrs, "element")
-    for i, e in enumerate(arrs):
-        linalg.check_positive(e, linalg.DEFAULT_TOL, f"element {i}")
+    # One Cholesky factorization of the whole (k, *lanes, d, d) stack accepts
+    # the usual POVM; anything else gets the per-element eigenvalue gate,
+    # which decides the verdict and words every rejection.
+    if not linalg.cholesky_accepts(np.array(arrs), linalg.DEFAULT_TOL):
+        for i, e in enumerate(arrs):
+            linalg.check_positive(e, linalg.DEFAULT_TOL, f"element {i}")
     dim = arrs[0].shape[-1]
     defect = np.abs(sum(arrs) - np.eye(dim)).max(axis=(-2, -1))
     linalg.require(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpool import linalg
+from qpool import linalg, measurement
 from qpool.errors import QpoolError
 
 Z0 = np.diag([1.0, 0.0]).astype(complex)
@@ -91,6 +91,82 @@ class TestHermitianSqrt:
         assert s[1, 1] == 0.0
 
 
+TOL = linalg.DEFAULT_TOL
+
+# Smallest eigenvalues -tol (1 + delta) around the gate, and an exact zero.
+LOWEST = [-TOL * (1.0 + delta) for delta in (1e-6, -1e-6, 1e-3, -1e-3, -0.5, -0.9)] + [0.0]
+
+
+def _with_lowest(dim, low, rng):
+    """Hermitian matrix with smallest eigenvalue low, the rest in [0.1, 0.9], in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    w = np.concatenate([[low], rng.uniform(0.1, 0.9, dim - 1)])
+    return linalg.hermitianize((q * w) @ q.conj().T)
+
+
+def _lanes(m, rng):
+    """A 5-lane stack holding m in lane 2, zero padding in lanes 0 and 3, valid elements elsewhere."""
+    dim = m.shape[-1]
+    zero = np.zeros((dim, dim), dtype=complex)
+    return np.array([zero, _with_lowest(dim, 0.2, rng), m, zero, _with_lowest(dim, 0.1, rng)])
+
+
+def _spoiled(m, kind):
+    m = m.copy()
+    if kind == "nan":
+        m[-1, 0] = np.nan
+    else:
+        # An imaginary part 3 tol off: the diagonal at dim 1, a corner above.
+        m[0, -1] += 3j * TOL
+    return m
+
+
+def _message(check, *args):
+    """None if check(*args) passes, else the message of the QpoolError it raises."""
+    try:
+        check(*args)
+    except QpoolError as exc:
+        return str(exc)
+    return None
+
+
+def _per_element(elements):
+    for i, e in enumerate(elements):
+        linalg.check_positive(e, TOL, f"element {i}")
+
+
+class TestCholeskyAccept:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("low", LOWEST)
+    def test_accepts_only_what_the_eigenvalue_gate_passes(self, dim, low):
+        rng = np.random.default_rng(dim * 1000 + LOWEST.index(low))
+        m = _with_lowest(dim, low, rng)
+        for x in (m, _lanes(m, rng)):
+            if linalg.cholesky_accepts(x, TOL):
+                linalg.check_positive(x, TOL, "m")
+            # The POVM {E, I - E} gets the verdict and the message of the
+            # per-element eigenvalue gate, whichever path decides.
+            povm = [x, np.eye(dim) - x]
+            assert _message(measurement.validate_povm, povm) == _message(_per_element, povm)
+        if -TOL <= low < -TOL / 2:
+            # Below -tol / 2 no factor exists, so these pass through the fallback.
+            assert not linalg.cholesky_accepts(m, TOL)
+        if -TOL * (1.0 - 1e-3) <= low:
+            # 1e-13 or more above -tol, far beyond rounding: the gate passes it.
+            for x in (m, _lanes(m, rng)):
+                measurement.validate_povm([x, np.eye(dim) - x])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("kind", ["nan", "non-Hermitian"])
+    def test_bad_entries_decided_by_the_gate(self, dim, kind):
+        rng = np.random.default_rng(dim)
+        m = _spoiled(_with_lowest(dim, 0.3, rng), kind)
+        for x in (m, _lanes(m, rng)):
+            assert not linalg.cholesky_accepts(x, TOL)
+            with pytest.raises(QpoolError, match="not Hermitian"):
+                linalg.check_positive(x, TOL, "m")
+
+
 class TestTraceProduct:
     def test_orthogonal_pure(self):
         assert linalg.trace_product(Z0, Z1) == 0.0
@@ -119,6 +195,12 @@ class TestTraceProduct:
     def test_dim_mismatch(self):
         with pytest.raises(QpoolError, match=r"dimension mismatch"):
             linalg.trace_product(np.eye(2) / 2, np.eye(3) / 3)
+
+    def test_overflow_rejected(self):
+        # Finite entries whose product overflows: Tr[AB] would be inf.
+        big = np.diag([1e200, 1.0])
+        with pytest.raises(QpoolError, match=r"Tr\[AB\] inf is not finite"):
+            linalg.trace_product(big, big)
 
     def test_complex_trace_raises_under_optimize(self):
         # python -O strips asserts; the imaginary-part check must survive it.

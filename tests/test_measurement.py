@@ -126,6 +126,15 @@ class TestBareUpdate:
         with pytest.raises(ZeroProbabilityError):
             measurement.bare_update(Z1, Z0)
 
+    def test_infinite_entry_is_a_bad_input(self):
+        # The outcome probability is inf: a bad state, not an impossible
+        # outcome, so the error is no ZeroProbabilityError for a sweep to redraw on.
+        rho = MIXED2.copy()
+        rho[0, 0] = np.inf
+        with pytest.raises(QpoolError, match="outcome probability inf is not finite") as exc:
+            measurement.bare_update(Z0, rho)
+        assert type(exc.value) is QpoolError
+
     def test_dim_mismatch(self):
         with pytest.raises(QpoolError, match=r"dimension mismatch: state has dim 2, expected 3"):
             measurement.bare_update(np.eye(3), np.eye(2) / 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpool
-from qpool import errors, linalg, measurement, pooling
+from qpool import errors, linalg, measurement, pooling, qubit
 from qpool.errors import QpoolError
 from qpool.harness import random_density, random_povm
 
@@ -62,6 +62,22 @@ BOUNDARIES = {
         lambda rng, d: [linalg.bloch_to_density(_bloch(rng))],
         linalg.density_to_bloch,
     ),
+    "bare_update": (
+        lambda rng, d: [random_povm(d, 2, rng).elements[0], random_density(d, d, rng)],
+        measurement.bare_update,
+    ),
+    # The elements, then the state; the POVM is built without validate_povm,
+    # so a spoiled element reaches outcome_probabilities itself.
+    "outcome_probabilities": (
+        lambda rng, d: [*random_povm(d, 3, rng).elements, random_density(d, d, rng)],
+        lambda *a: measurement.outcome_probabilities(
+            measurement.Povm(a[0].shape[-1], a[:-1]), a[-1]
+        ),
+    ),
+    "trace_product": (_densities(2), linalg.trace_product),
+    "pool_ordered_multi": (_densities(3), lambda *s: pooling.pool_ordered_multi(s)),
+    "pool_symmetric_multi": (_densities(3), lambda *s: pooling.pool_symmetric_multi(s)),
+    "pool_bloch": (lambda rng, d: [_bloch(rng), _bloch(rng)], qubit.pool_bloch),
 }
 
 

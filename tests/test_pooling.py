@@ -40,6 +40,16 @@ class TestClassicalPool:
         with pytest.raises(QpoolError):
             pooling.classical_pool([1.2, -0.2], [0.5, 0.5])
 
+    @pytest.mark.parametrize(
+        "pa, pb", [([1e200, 1.0], [1e200, 1.0]), ([1e308, 1e308], [1.0, 1.0])]
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sum_of_products_rejected(self, pa, pb):
+        # The sum overflows to inf; dividing by it gave [nan, 0] and [0, 0].
+        with pytest.raises(QpoolError, match="sum of products inf is not finite") as exc:
+            pooling.classical_pool(pa, pb)
+        assert type(exc.value) is QpoolError
+
     def test_empty_vectors_rejected(self):
         with pytest.raises(QpoolError, match=r"non-empty"):
             pooling.classical_pool([], [])
@@ -496,6 +506,11 @@ class TestCompatibility:
     def test_rejects_non_numeric_input(self):
         with pytest.raises(QpoolError, match="expected a numeric matrix"):
             pooling.compatibility("a", "b")
+
+    def test_rejects_overflow(self):
+        big = np.diag([1e200, 1.0])
+        with pytest.raises(QpoolError, match="not finite"):
+            pooling.compatibility(big, big)
 
     def test_mixed_with_anything(self):
         assert pooling.compatibility(MIXED2, PLUS) == pytest.approx(0.5, abs=1e-15)
