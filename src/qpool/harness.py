@@ -167,16 +167,14 @@ def _lane_args(rng, n_outcomes) -> tuple[list, list[int], bool]:
     return rngs, counts, single
 
 
-def _stacked_povm(elements: np.ndarray, single: bool) -> measurement.Povm:
-    """Validate (lanes, outcomes, dim, dim) effects as one POVM per lane."""
-    return measurement.validate_povm(list(elements[0] if single else elements.swapaxes(0, 1)))
-
-
 def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
-    """Random POVM: Wishart draws whitened by their sum, E_k = S^-1/2 W_k S^-1/2.
+    """Random POVM: Wishart draws whitened by their sum, E_k = H_k H_k^dag.
 
-    W_k = G_k G_k^dag with G_k a dim x dim complex Gaussian block, and
-    S = sum_k W_k, so the E_k sum to I.
+    G_k is a dim x dim complex Gaussian block, S = sum_k G_k G_k^dag, and
+    H = S^-1/2 [G_1|...|G_k] holds the whitened blocks side by side, so
+    E_k = S^-1/2 G_k G_k^dag S^-1/2 and the E_k sum to I.  An attempt takes
+    four stacked products: S = G G^dag, S^-1/2 from the eigenbasis of S,
+    H = S^-1/2 G, and H_k H_k^dag for every block k of every lane at once.
 
     With a list or tuple of generators for rng and one outcome count per
     generator for n_outcomes, draws one POVM per lane from that lane's
@@ -187,49 +185,54 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     """
     dim = linalg.check_int(dim, "dim", 1)
     rngs, counts, single = _lane_args(rng, n_outcomes)
-    # Real and imaginary Gaussian parts per lane and outcome; padding stays zero.
-    x = np.zeros((len(rngs), max(counts), 2, dim, dim))
-    elements = np.zeros((len(rngs), max(counts), dim, dim), dtype=complex)
+    k = max(counts)
+    # Each lane's G = [G_1|...|G_k] as (dim, k, dim) complex numbers, stored
+    # as real and imaginary parts side by side; padding blocks stay zero.
+    x = np.zeros((len(rngs), dim, k, dim, 2))
+    elements = np.zeros((k, len(rngs), dim, dim), dtype=complex)
     pending = np.arange(len(rngs))
     for _ in range(MAX_POVM_ATTEMPTS):
         for i in pending:
-            x[i, : counts[i]] = rngs[i].standard_normal((counts[i], 2, dim, dim))
-        g = x[pending, :, 0] + 1j * x[pending, :, 1]
-        wishart = g @ linalg.dagger(g)
-        s = linalg.hermitianize(wishart.sum(axis=1))
-        w, v = np.linalg.eigh(s)
+            block = rngs[i].standard_normal((counts[i], 2, dim, dim))
+            x[i, :, : counts[i]] = block.transpose(2, 0, 3, 1)
+        g = x[pending].view(complex).reshape(len(pending), dim, k * dim)
+        w, v = np.linalg.eigh(g @ linalg.dagger(g))
         ok = w[:, 0] >= SINGULAR_SUM_TOL
-        every = np.count_nonzero(ok) == ok.size
+        every = np.count_nonzero(ok) == len(rngs)
         if not every:
-            w, v, wishart = w[ok], v[ok], wishart[ok]
-        inv_sqrt = (v * (1.0 / np.sqrt(w))[:, None, :]) @ linalg.dagger(v)
-        inv_sqrt = inv_sqrt[:, None]
-        whitened = linalg.hermitianize(inv_sqrt @ wishart @ inv_sqrt)
-        if every and len(pending) == len(rngs):
+            w, v, g = w[ok], v[ok], g[ok]
+        h = (v * (1.0 / np.sqrt(w))[:, None, :]) @ linalg.dagger(v) @ g
+        # H's blocks as a (k, lanes, dim, dim) stack, so H_k H_k^dag is E_k.
+        hk = h.reshape(-1, dim, k, dim).transpose(2, 0, 1, 3)
+        whitened = linalg.hermitianize(hk @ linalg.dagger(hk))
+        if every:
             # The usual case: every lane's first normalizer is regular.
-            return _stacked_povm(whitened, single)
-        elements[pending[ok]] = whitened
+            elements = whitened
+            break
+        elements[:, pending[ok]] = whitened
         pending = pending[~ok]
         if not len(pending):
             break
-    drawn = np.ones(len(rngs), dtype=bool)
-    drawn[pending] = False
-    linalg.require(
-        drawn[0] if single else drawn,
-        f"POVM normalizer stayed near-singular after {MAX_POVM_ATTEMPTS} attempts",
-    )
-    return _stacked_povm(elements, single)
+    else:
+        drawn = np.ones(len(rngs), dtype=bool)
+        drawn[pending] = False
+        linalg.require(
+            drawn[0] if single else drawn,
+            f"POVM normalizer stayed near-singular after {MAX_POVM_ATTEMPTS} attempts",
+        )
+    return measurement.validate_povm(elements[:, 0] if single else elements)
 
 
 def _random_diagonal_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     # Columns normalized to 1, so completeness holds to rounding; padding
     # rows are zero, so they change no column sum.
     rngs, counts, single = _lane_args(rng, n_outcomes)
-    w = np.zeros((len(rngs), max(counts), dim))
+    w = np.zeros((max(counts), len(rngs), dim))
     for i, (r, m) in enumerate(zip(rngs, counts)):
-        w[i, :m] = r.random((m, dim))
-    w = w / w.sum(axis=1, keepdims=True)
-    return _stacked_povm((w[..., None] * np.eye(dim)).astype(complex), single)
+        w[:m, i] = r.random((m, dim))
+    w = w / w.sum(axis=0)
+    elements = (w[..., None] * np.eye(dim)).astype(complex)
+    return measurement.validate_povm(elements[:, 0] if single else elements)
 
 
 def _trial_alone(trial, dim: int, tseed: int) -> tuple[float, float, int]:

@@ -153,19 +153,29 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
+def _norm_finite(m: np.ndarray) -> bool:
+    """Whether sum |m_ij|^2 over the whole stack is finite.
+
+    True only if every entry is finite; False also when the sum of huge
+    finite entries overflows.  np.vdot runs in BLAS, so a NaN or inf entry
+    raises no floating-point warning, and one call is quicker than a sum.
+    """
+    return cmath.isfinite(np.vdot(m, m))
+
+
 def check_finite(m: np.ndarray, what: str) -> None:
-    """Raise QpoolError if M has a NaN or inf entry (which makes its sum non-finite)."""
-    # One sum over the whole stack clears the usual case at the cost of a single check.
-    if not cmath.isfinite(m.sum()):
-        require(np.isfinite(m.sum(axis=(-2, -1))), f"{what} has a non-finite entry")
+    """Raise QpoolError if M has a NaN or inf entry; numpy warns about none."""
+    # One dot product over the whole stack clears the usual case.
+    if not _norm_finite(m):
+        require(np.isfinite(m).all(axis=(-2, -1)), f"{what} has a non-finite entry")
 
 
 def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check M is Hermitian with eigenvalues >= -tol.
+    """Check M has finite entries and is Hermitian with eigenvalues >= -tol.
 
     Returns the eigenvalues in ascending order and the Hermitian part of M.
-    A NaN or inf entry makes the Hermiticity defect non-finite, so it fails.
     """
+    check_finite(m, what)
     defect = hermiticity_defect(m)
     require(defect <= tol, f"{what} is not Hermitian: max |M - M^dag| = {{:.3e}}", defect)
     h = hermitianize(m)
@@ -182,12 +192,13 @@ def cholesky_accepts(m: np.ndarray, tol: float) -> bool:
     factorization of hermitianize(m) + (tol / 2) I succeeds.  A factor
     exists only if every eigenvalue is above -tol / 2 minus rounding, so a
     matrix this accepts is one the eigenvalue gate passes.  False decides
-    nothing: a NaN or inf entry, a defect over tol, or an eigenvalue below
-    -tol / 2 (the gate still passes those in [-tol, -tol / 2)).
+    nothing: a NaN or inf entry (or entries so large that their squares
+    overflow), a defect over tol, or an eigenvalue below -tol / 2 (the gate
+    still passes those in [-tol, -tol / 2)).
     """
     # cholesky only sees finite matrices Hermitian within tol; the finite
     # test comes first, so an inf entry raises no warning here.
-    if not (cmath.isfinite(m.sum()) and (np.abs(m - dagger(m)) <= tol).all()):
+    if not (_norm_finite(m) and (np.abs(m - dagger(m)) <= tol).all()):
         return False
     try:
         np.linalg.cholesky(hermitianize(m) + (tol / 2) * np.eye(m.shape[-1]))
@@ -308,11 +319,13 @@ def density_to_bloch(rho) -> np.ndarray:
 def frobenius_distance(a, b):
     """Frobenius norm of A - B per matrix pair.
 
-    QpoolError if it is not finite (a NaN or inf entry).
+    QpoolError if an entry is NaN or inf, or if the norm overflows.
     """
     ma = as_complex_matrix(a)
     mb = as_complex_matrix(b)
     same_shape((ma, mb), ("a", "b"))
+    check_finite(ma, "a")
+    check_finite(mb, "b")
     d = np.linalg.norm(ma - mb, axis=(-2, -1))
     require(np.isfinite(d), "distance {!r} is not finite", d)
     return d

@@ -68,8 +68,11 @@ def classical_pool(pa, pb) -> np.ndarray:
     ok = np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
     ok &= (a.min(axis=-1) >= -linalg.ZERO_TOL) & (b.min(axis=-1) >= -linalg.ZERO_TOL)
     linalg.require(ok, "probability vectors must be finite and nonnegative")
-    prod = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
-    overlap = linalg.normalizer(prod.sum(axis=-1), "sum of products", IncompatibleStatesError)
+    # Finite products can overflow; the normalizer gate then raises on the inf sum.
+    with np.errstate(over="ignore"):
+        prod = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
+        total = prod.sum(axis=-1)
+    overlap = linalg.normalizer(total, "sum of products", IncompatibleStatesError)
     return prod / overlap[..., None]
 
 

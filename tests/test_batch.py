@@ -1,6 +1,7 @@
 """Stacked calls agree lane by lane with single calls, and a sweep that runs
 its trials as a stack reports what running every trial alone reports."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -342,6 +343,47 @@ def test_a_singular_normalizer_redraws_from_its_own_lane():
     with pytest.raises(QpoolError, match="near-singular") as exc:
         harness.random_povm(2, [2, 2], [np.random.default_rng(6), never])
     assert str(exc.value).endswith("(1 of 2 lanes, first 1)")
+
+
+def _advanced(seed, counts, dim):
+    """The state of default_rng(seed) after one standard_normal((m, 2, dim, dim)) per count m."""
+    rng = np.random.default_rng(seed)
+    for m in counts:
+        rng.standard_normal((m, 2, dim, dim))
+    return rng.bit_generator.state
+
+
+def test_random_povm_draws_only_its_gaussian_blocks():
+    # Each lane's stream moves by its lone draw's Gaussian blocks, one call
+    # per attempt, and by nothing else.
+    lone = np.random.default_rng(11)
+    harness.random_povm(3, 4, lone)
+    assert lone.bit_generator.state == _advanced(11, [4], 3)
+    singular = _SingularBlocks(12)
+    rngs = [np.random.default_rng(13), singular, np.random.default_rng(14)]
+    harness.random_povm(3, [2, 3, 4], rngs)
+    assert rngs[0].bit_generator.state == _advanced(13, [2], 3)
+    assert singular.rng.bit_generator.state == _advanced(12, [3, 3], 3)
+    assert rngs[2].bit_generator.state == _advanced(14, [4], 3)
+
+
+def test_random_povm_with_many_outcomes_grows_linearly():
+    # 200 outcomes at d = 4: the effects take 51 kB per lane, while one
+    # kd x kd Gram matrix of a lane's blocks would take 10 MB.
+    counts = [200, 150]
+    tracemalloc.start()
+    try:
+        stacked = harness.random_povm(4, counts, [np.random.default_rng(s) for s in (15, 16)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    for i, (m, s) in enumerate(zip(counts, (15, 16))):
+        single = harness.random_povm(4, m, np.random.default_rng(s))
+        np.testing.assert_allclose(sum(single.elements), np.eye(4), rtol=0, atol=1e-12)
+        for k in range(max(counts)):
+            want = single.elements[k] if k < m else np.zeros((4, 4))
+            np.testing.assert_allclose(stacked.elements[k][i], want, rtol=0, atol=LANE_TOL)
 
 
 def test_run_scenario_lanes_sample_what_single_runs_sample():

@@ -90,7 +90,6 @@ BOUNDARIES = {
     imag=st.booleans(),
 )
 @settings(max_examples=400, deadline=None)
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_entry_raises_typed_error(name, dim, seed, bad, where, imag):
     make, call = BOUNDARIES[name]
     args = [np.array(a) for a in make(np.random.default_rng(seed), dim)]
@@ -104,6 +103,27 @@ def test_non_finite_entry_raises_typed_error(name, dim, seed, bad, where, imag):
         flat[k] = bad
     with pytest.raises(QpoolError):
         call(*args)
+
+
+def _inf_split_povm():
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 0] = math.inf
+    return [m, np.eye(2) - m]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: linalg.validate_density(np.diag([math.inf, 0.5])),
+        lambda: measurement.validate_povm(_inf_split_povm()),
+    ],
+    ids=["validate_density", "validate_povm"],
+)
+def test_gate_raises_without_a_warning(call):
+    # pytest makes a RuntimeWarning an error, so a warning fails this test
+    # (test_overflowing_sum_of_products_rejected covers classical_pool).
+    with pytest.raises(QpoolError):
+        call()
 
 
 def test_no_assert_statements():

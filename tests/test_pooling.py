@@ -43,7 +43,6 @@ class TestClassicalPool:
     @pytest.mark.parametrize(
         "pa, pb", [([1e200, 1.0], [1e200, 1.0]), ([1e308, 1e308], [1.0, 1.0])]
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sum_of_products_rejected(self, pa, pb):
         # The sum overflows to inf; dividing by it gave [nan, 0] and [0, 0].
         with pytest.raises(QpoolError, match="sum of products inf is not finite") as exc:
