@@ -280,9 +280,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Non-finite input ends in a typed error; numpy's warnings would only repeat it.
-        with np.errstate(invalid="ignore", over="ignore"):
-            return args.func(args)
+        return args.func(args)
     except IncompatibleStatesError:
         print(INCOMPATIBLE_MESSAGE, file=sys.stderr)
         return EXIT_INCOMPATIBLE

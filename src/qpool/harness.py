@@ -283,18 +283,16 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
             for i in lanes:
                 dist[i], disc[i], redraws = _trial_alone(trial, dim, trial_seed(seed, i))
                 resamples += redraws
-    report = VerificationReport(
-        trials=total, max_oracle_distance=0.0, max_norm_discrepancy=0.0, resamples=resamples
+    dist, disc = dist.tolist(), disc.tolist()
+    return VerificationReport(
+        trials=total,
+        max_oracle_distance=max(dist),
+        max_norm_discrepancy=max(disc),
+        failures=[(trial_seed(seed, i), d) for i, d in enumerate(dist) if not d <= tol],
+        # Python's sum adds in order; np.sum adds pairwise and changes the bytes.
+        mean_norm_discrepancy=sum(disc) / total,
+        resamples=resamples,
     )
-    disc_sum = 0.0
-    for i, (d, c) in enumerate(zip(dist.tolist(), disc.tolist())):
-        report.max_oracle_distance = max(report.max_oracle_distance, d)
-        report.max_norm_discrepancy = max(report.max_norm_discrepancy, c)
-        disc_sum += c
-        if not d <= tol:
-            report.failures.append((trial_seed(seed, i), d))
-    report.mean_norm_discrepancy = disc_sum / total
-    return report
 
 
 def _distance(pooled: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -397,7 +395,7 @@ def verify_three_observer(
         scen, posteriors = _random_chain(make_povm, dim, 3, rngs)
         ordered = pooling.pool_ordered_multi(posteriors)
         d = _distance(ordered.pooled, scen.final_state)
-        symmetric = pooling.pool_symmetric_multi(posteriors, norm_mode="trace")
+        symmetric = pooling.pool_symmetric_multi(posteriors)
         # Invalid pooled output counts as an infinite-distance failure so
         # the report invariant still holds.
         if not _is_density(symmetric.pooled):

@@ -174,8 +174,14 @@ def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np
     """Check M has finite entries and is Hermitian with eigenvalues >= -tol.
 
     Returns the eigenvalues in ascending order and the Hermitian part of M.
+    Entries so large that sum |M_ij|^2 overflows fail before any arithmetic
+    that could overflow on them; no state or effect has an entry above 1.
     """
-    check_finite(m, what)
+    if not _norm_finite(m):
+        require(np.isfinite(m).all(axis=(-2, -1)), f"{what} has a non-finite entry")
+        with np.errstate(over="ignore"):
+            squares = (m.real**2 + m.imag**2).sum(axis=(-2, -1))
+        require(squares < np.inf, f"{what} has entries so large that sum |M_ij|^2 overflows")
     defect = hermiticity_defect(m)
     require(defect <= tol, f"{what} is not Hermitian: max |M - M^dag| = {{:.3e}}", defect)
     h = hermitianize(m)
@@ -279,11 +285,17 @@ def trace_product(a, b):
 def as_bloch_vector(v) -> tuple[np.ndarray, float]:
     """Return v as a float vector of shape (3,) with its norm.
 
-    Another shape, or a norm that is not at most 1 + BLOCH_SLACK, raises QpoolError.
+    Another shape, or a component or norm that is not at most 1 + BLOCH_SLACK
+    in magnitude, raises QpoolError.
     """
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise QpoolError(f"Bloch vector must have shape (3,), got {a.shape}")
+    # No component at or below 1 + BLOCH_SLACK can overflow the norm, and
+    # one above it fails the norm gate anyway.
+    for c in a.tolist():
+        if not abs(c) <= 1.0 + BLOCH_SLACK:
+            raise QpoolError(f"Bloch vector component {c!r} exceeds 1 in magnitude")
     n = float(np.linalg.norm(a))
     if not n <= 1.0 + BLOCH_SLACK:
         raise QpoolError(f"Bloch vector norm {n!r} exceeds 1")
@@ -326,6 +338,8 @@ def frobenius_distance(a, b):
     same_shape((ma, mb), ("a", "b"))
     check_finite(ma, "a")
     check_finite(mb, "b")
-    d = np.linalg.norm(ma - mb, axis=(-2, -1))
+    # Huge finite entries overflow the norm to inf or NaN, which the gate rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(ma - mb, axis=(-2, -1))
     require(np.isfinite(d), "distance {!r} is not finite", d)
     return d

@@ -15,8 +15,6 @@ from .errors import IncompatibleStatesError, QpoolError
 # at n = 6); the cap on n is a fixed count, not yet derived from that cost.
 MAX_SYMMETRIC_STATES = 6
 
-NORM_MODES = ("trace", "paper")
-
 
 @dataclass(frozen=True)
 class PoolReport:
@@ -28,8 +26,7 @@ class PoolReport:
     Attributes
     ----------
     pooled : np.ndarray
-        The pooled density matrix, normalized to unit trace unless the
-        caller chose the closed-form normalizer.
+        The pooled density matrix, normalized by the numerator's own trace.
     compatibility : float
         Probability in [0, 1] that the observers' findings coexist: the
         trace of the nested numerator (averaged over orderings where the
@@ -94,22 +91,18 @@ def _matrices(states) -> np.ndarray:
     return np.array(arrs)
 
 
-def _report(num, arrs, orderings: int, what: str, norm_mode: str = "trace") -> PoolReport:
+def _report(num, arrs, orderings: int, what: str) -> PoolReport:
     """The PoolReport of a numerator summed over `orderings` nestings of arrs.
 
-    The numerator's trace must pass the normalizer gate; in "paper" mode the
-    closed form orderings * Re Tr[rho_1 ... rho_n] must too, and divides.
+    The numerator's trace must pass the normalizer gate and divides it; the
+    closed form orderings * Re Tr[rho_1 ... rho_n] is only reported.
     """
     num = linalg.hermitianize(num)
     t = linalg.normalizer(linalg.trace(num), what, IncompatibleStatesError)
     ptr = _trace_of_product(arrs) * orderings
     paper = ptr.real
-    if norm_mode == "paper":
-        norm = linalg.normalizer(paper, "closed-form denominator", IncompatibleStatesError)
-    else:
-        norm = t
     return PoolReport(
-        pooled=num / linalg.per_matrix(norm),
+        pooled=num / linalg.per_matrix(t),
         # t > 0 past the gate above, so only the upper clamp can bite.
         compatibility=np.minimum(t / orderings, 1.0),
         paper_norm=paper,
@@ -188,22 +181,21 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     S({i}) = rho_i, so it costs n * (2^(n-1) - 1) conjugations where the
     literal sum costs n! * (n - 1).  It runs one subset size at a time: one
     stacked square root of all n states, then one stacked product per size.
+    The sum is normalized by its own trace.
 
     Parameters
     ----------
     states : sequence of density matrices, equal dims, 2 <= n <= 6.
-    norm_mode : "trace" normalizes the permutation sum by its own trace;
-        "paper" divides by the closed form n! Re Tr[rho_1 ... rho_n]
-        instead, which must pass the same gate as the trace.  The two
-        denominators agree for n = 2 and for commuting states but differ
-        in general, so the report always carries both.
+    norm_mode : must be "trace".
     """
     arrs = _matrices(states)
     n = len(arrs)
     if n > MAX_SYMMETRIC_STATES:
         raise QpoolError(f"symmetric pooling is capped at {MAX_SYMMETRIC_STATES} states, got {n}")
-    if norm_mode not in NORM_MODES:
-        raise QpoolError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
+    # Kept only because perfbench's pool_multi passes it; the benchmark PR
+    # (ROADMAP item 2) stops that, and the keyword goes with it.
+    if norm_mode != "trace":
+        raise QpoolError(f"norm_mode must be 'trace', got {norm_mode!r}")
     # Level k holds S(T) for every subset T of size k, one entry per T, so
     # level 1 is the states themselves and level n is S of all of them.
     level = arrs
@@ -211,7 +203,7 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     for js, rows in _subset_levels(n):
         r = roots[js]
         level = (r @ level[rows] @ r).sum(axis=1)
-    return _report(level[0], arrs, factorial(n), "permutation-sum trace", norm_mode)
+    return _report(level[0], arrs, factorial(n), "permutation-sum trace")
 
 
 def compatibility(a, b) -> float:

@@ -81,10 +81,6 @@ def _cases(dim):
         ("posterior_from_outcome", lambda s: measurement.posterior_from_outcome(e[s])),
         ("pool_ordered_multi", lambda s: pooling.pool_ordered_multi([a[s], b[s], c[s]])),
         ("pool_symmetric_multi", lambda s: pooling.pool_symmetric_multi([a[s], b[s], c[s]])),
-        (
-            "pool_symmetric_multi paper",
-            lambda s: pooling.pool_symmetric_multi([a[s], b[s], c[s]], norm_mode="paper"),
-        ),
         ("classical_pool", lambda s: pooling.classical_pool(p[s], q[s])),
         ("frobenius_distance", lambda s: linalg.frobenius_distance(a[s], b[s])),
         ("trace_product", lambda s: linalg.trace_product(a[s], b[s])),
@@ -132,16 +128,6 @@ def _bad_lane_cases():
     negative_p[bad, 0] = -0.5
     zero = a.copy()
     zero[bad] = 0.0
-    # Three qubits 120 degrees apart in the x-y plane, of Bloch length r per
-    # lane: the closed-form denominator 3! Re Tr[rho_1 rho_2 rho_3] is
-    # 1.5 (1 - 1.5 r^2), so 0.9375 at r = 0.5 and -0.75 for the pure bad lanes.
-    lengths = [1.0 if i in BAD_LANES else 0.5 for i in range(LANES)]
-    trine = np.array(
-        [
-            [linalg.bloch_to_density([r * np.cos(angle), r * np.sin(angle), 0.0]) for r in lengths]
-            for angle in 2 * np.pi * np.arange(3) / 3
-        ]
-    )
     return [
         ("hermitian_sqrt nan", lambda s: linalg.hermitian_sqrt(nan[s]), QpoolError),
         ("hermitian_sqrt negative", lambda s: linalg.hermitian_sqrt(negative[s]), QpoolError),
@@ -188,11 +174,6 @@ def _bad_lane_cases():
             "posterior zero trace",
             lambda s: measurement.posterior_from_outcome(zero[s]),
             QpoolError,
-        ),
-        (
-            "pool_symmetric_multi paper denominator",
-            lambda s: pooling.pool_symmetric_multi(list(trine[:, s]), norm_mode="paper"),
-            IncompatibleStatesError,
         ),
     ]
 

@@ -111,13 +111,30 @@ def _inf_split_povm():
     return [m, np.eye(2) - m]
 
 
+# Finite, but the gates' arithmetic on it overflows.
+HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: linalg.validate_density(np.diag([math.inf, 0.5])),
         lambda: measurement.validate_povm(_inf_split_povm()),
+        lambda: linalg.validate_density(HUGE_SKEW),
+        lambda: linalg.validate_density(np.full((3, 3), 1e308)),
+        lambda: measurement.validate_povm([HUGE_SKEW, np.eye(2) - HUGE_SKEW]),
+        lambda: linalg.frobenius_distance(np.diag([1e200, 1.0]), np.eye(2)),
+        lambda: qubit.pool_bloch([1e308, 1e308, 0.0], [0.0, 0.0, 1.0]),
     ],
-    ids=["validate_density", "validate_povm"],
+    ids=[
+        "validate_density",
+        "validate_povm",
+        "validate_density huge",
+        "validate_density huge hermitian",
+        "validate_povm huge",
+        "frobenius_distance huge",
+        "pool_bloch huge",
+    ],
 )
 def test_gate_raises_without_a_warning(call):
     # pytest makes a RuntimeWarning an error, so a warning fails this test

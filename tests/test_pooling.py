@@ -319,7 +319,7 @@ def _permutation_sum(states) -> np.ndarray:
     return linalg.hermitianize(num)
 
 
-def _subset_loop(states, norm_mode="trace") -> pooling.PoolReport:
+def _subset_loop(states) -> pooling.PoolReport:
     """The subset recurrence one subset at a time, as pool_symmetric_multi once ran it.
 
     Masks ascending, bits ascending within a mask: the summation order the
@@ -336,7 +336,7 @@ def _subset_loop(states, norm_mode="trace") -> pooling.PoolReport:
             sums[mask] = sum(
                 sqrts[j] @ sums[mask ^ (1 << j)] @ sqrts[j] for j in range(n) if mask >> j & 1
             )
-    return pooling._report(sums[-1], arrs, factorial(n), "permutation-sum trace", norm_mode)
+    return pooling._report(sums[-1], arrs, factorial(n), "permutation-sum trace")
 
 
 def _nested_loop(states) -> pooling.PoolReport:
@@ -354,10 +354,10 @@ def _nested_loop(states) -> pooling.PoolReport:
     return pooling._report(num, arrs, 1, "nested trace")
 
 
-def _pooled_or_message(pool, states, *mode):
+def _pooled_or_message(pool, states):
     """The pooled state of a rule, or the message it rejects the states with."""
     try:
-        return pool(states, *mode).pooled
+        return pool(states).pooled
     except IncompatibleStatesError as exc:
         return str(exc)
 
@@ -372,20 +372,16 @@ class TestPoolSymmetricMulti(_StatesGatedAsOneStack):
         for rank in range(1, dim + 1):
             states = [random_density(dim, rank, rng) for _ in range(n)]
             num = _permutation_sum(states)
-            denoms = {
-                "trace": np.trace(num).real,
-                "paper": factorial(n) * np.trace(np.linalg.multi_dot(states)).real,
-            }
-            for mode, denom in denoms.items():
-                if not denom > linalg.ZERO_TOL:
-                    with pytest.raises(IncompatibleStatesError):
-                        pooling.pool_symmetric_multi(states, norm_mode=mode)
-                    continue
-                want = num / denom
-                got = pooling.pool_symmetric_multi(states, norm_mode=mode).pooled
-                # A paper denominator far below the trace scales the pooled
-                # entries, and their rounding, up by the same factor.
-                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+            denom = np.trace(num).real
+            if not denom > linalg.ZERO_TOL:
+                with pytest.raises(IncompatibleStatesError):
+                    pooling.pool_symmetric_multi(states)
+                continue
+            report = pooling.pool_symmetric_multi(states)
+            assert np.abs(report.pooled - num / denom).max() <= 1e-13
+            # The closed form is reported, never divided by.
+            paper = factorial(n) * np.trace(np.linalg.multi_dot(states)).real
+            assert report.paper_norm == pytest.approx(paper, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("lanes", [None, 5])
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
@@ -400,13 +396,12 @@ class TestPoolSymmetricMulti(_StatesGatedAsOneStack):
 
         for rank in range(1, dim + 1):
             states = [draw(rank) for _ in range(n)]
-            for mode in pooling.NORM_MODES:
-                want = _pooled_or_message(_subset_loop, states, mode)
-                got = _pooled_or_message(pooling.pool_symmetric_multi, states, mode)
-                if isinstance(want, str):
-                    assert got == want
-                else:
-                    assert np.array_equal(got, want)
+            want = _pooled_or_message(_subset_loop, states)
+            got = _pooled_or_message(pooling.pool_symmetric_multi, states)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
 
     def test_two_states_bitwise_closed_form(self):
         rng = np.random.default_rng(34)
@@ -420,15 +415,14 @@ class TestPoolSymmetricMulti(_StatesGatedAsOneStack):
                 got = pooling.pool_symmetric_multi(pair).pooled
                 assert got.tobytes() == want.tobytes()
 
-    def test_two_states_matches_pairwise_both_modes(self):
+    def test_two_states_matches_pairwise(self):
         rng = np.random.default_rng(30)
         a = random_density(3, 3, rng)
         b = random_density(3, 3, rng)
         pair = pooling.pool_symmetric(a, b)
-        for mode in pooling.NORM_MODES:
-            multi = pooling.pool_symmetric_multi([a, b], norm_mode=mode)
-            assert np.abs(multi.pooled - pair.pooled).max() < 1e-12
-            assert multi.norm_discrepancy < 1e-12
+        multi = pooling.pool_symmetric_multi([a, b])
+        assert np.abs(multi.pooled - pair.pooled).max() < 1e-12
+        assert multi.norm_discrepancy < 1e-12
 
     def test_all_ignorance(self):
         out = pooling.pool_symmetric_multi([MIXED2, MIXED2, MIXED2])
@@ -452,26 +446,18 @@ class TestPoolSymmetricMulti(_StatesGatedAsOneStack):
         assert np.abs(out.pooled - np.diag(prod / prod.sum())).max() < 1e-12
         assert out.norm_discrepancy < 1e-12
 
-    def test_paper_mode_close_to_trace_mode_generically(self):
-        rng = np.random.default_rng(33)
-        states = [random_density(2, 2, rng) for _ in range(3)]
-        t = pooling.pool_symmetric_multi(states, norm_mode="trace")
-        p = pooling.pool_symmetric_multi(states, norm_mode="paper")
-        # Same numerator, different denominators: the ratio of the two
-        # pooled matrices is trace_norm / paper_norm everywhere.
-        ratio = t.paper_norm / t.trace_norm
-        assert np.abs(p.pooled * ratio - t.pooled).max() < 1e-12
-        assert abs(np.trace(t.pooled).real - 1.0) < 1e-13
-
     def test_state_count_limits(self):
         with pytest.raises(QpoolError, match=r"at least two states"):
             pooling.pool_symmetric_multi([Z0])
         with pytest.raises(QpoolError, match=r"capped at"):
             pooling.pool_symmetric_multi([MIXED2] * 7)
 
-    def test_bad_norm_mode(self):
-        with pytest.raises(QpoolError):
-            pooling.pool_symmetric_multi([Z0, Z0], norm_mode="both")
+    @pytest.mark.parametrize("mode", ["both", "paper"])
+    def test_bad_norm_mode(self, mode):
+        # The numerator's trace is the only normalizer; the closed form
+        # n! Re Tr[rho_1 ... rho_n] is not a unit-trace divisor for n >= 3.
+        with pytest.raises(QpoolError, match=r"norm_mode must be 'trace'"):
+            pooling.pool_symmetric_multi([Z0, Z0], norm_mode=mode)
 
 
 def _trine():
@@ -480,19 +466,40 @@ def _trine():
     return [linalg.bloch_to_density([np.cos(a), np.sin(a), 0.0]) for a in angles]
 
 
-def test_paper_denominator_gate():
+def test_negative_closed_form_still_pools():
     # The permutation sum has trace 0.375, but the closed form
-    # 3! Re Tr[rho_1 rho_2 rho_3] is -0.75: trace mode pools, paper mode
-    # must not divide by a negative denominator.
-    report = pooling.pool_symmetric_multi(_trine(), norm_mode="trace")
+    # 3! Re Tr[rho_1 rho_2 rho_3] is -0.75: only the trace divides.
+    report = pooling.pool_symmetric_multi(_trine())
     assert report.trace_norm == pytest.approx(0.375, abs=1e-14)
     assert report.paper_norm == pytest.approx(-0.75, abs=1e-14)
     linalg.validate_density(report.pooled)
-    with pytest.raises(
-        IncompatibleStatesError,
-        match=r"closed-form denominator -7\.500e-01 is numerically zero or negative",
-    ):
-        pooling.pool_symmetric_multi(_trine(), norm_mode="paper")
+
+
+RULES = {
+    "pool_ordered": lambda s: pooling.pool_ordered(*s),
+    "pool_symmetric": lambda s: pooling.pool_symmetric(*s),
+    "pool_ordered_multi": pooling.pool_ordered_multi,
+    "pool_symmetric_multi": pooling.pool_symmetric_multi,
+}
+
+
+@pytest.mark.parametrize("lanes", [None, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_pooled_state_has_unit_trace(n, dim, lanes):
+    rng = np.random.default_rng(3000 + 100 * n + 10 * dim + (lanes or 0))
+
+    def draw():
+        if lanes is None:
+            return random_density(dim, dim, rng)
+        return np.array([random_density(dim, dim, rng) for _ in range(lanes)])
+
+    states = [draw() for _ in range(n)]
+    for name, rule in RULES.items():
+        if n > 2 and name in ("pool_ordered", "pool_symmetric"):
+            continue
+        tr = linalg.trace(rule(states).pooled)
+        assert np.abs(tr - 1.0).max() <= 1e-12, name
 
 
 class TestCompatibility:
