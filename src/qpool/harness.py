@@ -86,12 +86,8 @@ def _outcome_effect(povm: measurement.Povm, k) -> np.ndarray:
     idx = np.asarray(k)
     if idx.dtype.kind not in "iu" or ((idx < 0) | (idx >= len(povm))).any():
         raise QpoolError(f"outcome {k!r} is not an integer in [0, {len(povm)})")
-    effects = np.stack(povm.elements, axis=-3)
-    # One True per lane, at its outcome: the mask has the shape of a lane's
-    # outcome distribution, and picks the effects out in lane order.
-    picked = idx[..., None] == np.arange(len(povm))
-    linalg.same_shape((effects[..., 0, 0], picked), ("POVM", "outcome mask"))
-    return effects[picked].reshape(effects.shape[:-3] + effects.shape[-2:])
+    linalg.same_shape((povm.elements[0, ..., 0, 0], idx), ("POVM lanes", "outcome"))
+    return np.take_along_axis(povm.elements, idx[None, ..., None, None], axis=0)[0]
 
 
 def _ignorance(scenario: Scenario) -> np.ndarray:
@@ -179,9 +175,9 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     With a list or tuple of generators for rng and one outcome count per
     generator for n_outcomes, draws one POVM per lane from that lane's
     generator, in the order a single call draws, and returns them stacked:
-    elements of shape (lanes, dim, dim), padded with zero effects up to the
-    largest count.  A lane whose normalizer is near-singular redraws from
-    its own generator.
+    elements of shape (k, lanes, dim, dim), padded with zero effects up to
+    the largest count k.  A lane whose normalizer is near-singular redraws
+    from its own generator.
     """
     dim = linalg.check_int(dim, "dim", 1)
     rngs, counts, single = _lane_args(rng, n_outcomes)
@@ -198,18 +194,11 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
         g = x[pending].view(complex).reshape(len(pending), dim, k * dim)
         w, v = np.linalg.eigh(g @ linalg.dagger(g))
         ok = w[:, 0] >= SINGULAR_SUM_TOL
-        every = np.count_nonzero(ok) == len(rngs)
-        if not every:
-            w, v, g = w[ok], v[ok], g[ok]
+        w, v, g = w[ok], v[ok], g[ok]
         h = (v * (1.0 / np.sqrt(w))[:, None, :]) @ linalg.dagger(v) @ g
         # H's blocks as a (k, lanes, dim, dim) stack, so H_k H_k^dag is E_k.
         hk = h.reshape(-1, dim, k, dim).transpose(2, 0, 1, 3)
-        whitened = linalg.hermitianize(hk @ linalg.dagger(hk))
-        if every:
-            # The usual case: every lane's first normalizer is regular.
-            elements = whitened
-            break
-        elements[:, pending[ok]] = whitened
+        elements[:, pending[ok]] = linalg.hermitianize(hk @ linalg.dagger(hk))
         pending = pending[~ok]
         if not len(pending):
             break
@@ -317,22 +306,19 @@ def _is_density(rho) -> bool:
     return True
 
 
-def _random_chain(make_povm, dim: int, n: int, rngs) -> tuple[Scenario, list[np.ndarray]]:
+def _random_chain(make_povm, dim: int, n: int, rngs) -> tuple[Scenario, np.ndarray]:
     """Draw n random POVMs with 2 to 4 outcomes per lane and run them in order.
 
-    Returns the run scenario and each observer's posterior, stacked over
-    the lanes.  Outcomes come from each lane's own generator, so the
-    scenario's own seed is never read.
+    Returns the run scenario and the observers' posteriors as one
+    (n, lanes, dim, dim) stack.  Outcomes come from each lane's own
+    generator, so the scenario's own seed is never read.
     """
     povms = tuple(
         make_povm(dim, [int(r.integers(2, 5)) for r in rngs], rngs) for _ in range(n)
     )
     scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rngs)
-    posteriors = [
-        measurement.posterior_from_outcome(_outcome_effect(p, k))
-        for p, k in zip(povms, scen.sampled_outcomes)
-    ]
-    return scen, posteriors
+    effects = np.array([_outcome_effect(p, k) for p, k in zip(povms, scen.sampled_outcomes)])
+    return scen, measurement.posterior_from_outcome(effects)
 
 
 def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> VerificationReport:

@@ -164,24 +164,26 @@ def _norm_finite(m: np.ndarray) -> bool:
 
 
 def check_finite(m: np.ndarray, what: str) -> None:
-    """Raise QpoolError if M has a NaN or inf entry; numpy warns about none."""
-    # One dot product over the whole stack clears the usual case.
-    if not _norm_finite(m):
-        require(np.isfinite(m).all(axis=(-2, -1)), f"{what} has a non-finite entry")
+    """Raise QpoolError if M has a NaN or inf entry; numpy warns about none.
 
-
-def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check M has finite entries and is Hermitian with eigenvalues >= -tol.
-
-    Returns the eigenvalues in ascending order and the Hermitian part of M.
-    Entries so large that sum |M_ij|^2 overflows fail before any arithmetic
-    that could overflow on them; no state or effect has an entry above 1.
+    Entries so large that sum |M_ij|^2 overflows fail too, before any
+    arithmetic that could overflow on them; no state or effect has an
+    entry above 1.
     """
+    # One dot product over the whole stack clears the usual case.
     if not _norm_finite(m):
         require(np.isfinite(m).all(axis=(-2, -1)), f"{what} has a non-finite entry")
         with np.errstate(over="ignore"):
             squares = (m.real**2 + m.imag**2).sum(axis=(-2, -1))
         require(squares < np.inf, f"{what} has entries so large that sum |M_ij|^2 overflows")
+
+
+def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check M passes check_finite and is Hermitian with eigenvalues >= -tol.
+
+    Returns the eigenvalues in ascending order and the Hermitian part of M.
+    """
+    check_finite(m, what)
     defect = hermiticity_defect(m)
     require(defect <= tol, f"{what} is not Hermitian: max |M - M^dag| = {{:.3e}}", defect)
     h = hermitianize(m)
@@ -264,7 +266,8 @@ def same_shape(arrays, names) -> None:
     for i, a in enumerate(arrays):
         if a.shape != shape:
             name = f"{names} {i}" if isinstance(names, str) else names[i]
-            if a.shape[-1] != shape[-1]:
+            # A 0-d array (a single input's lane shape) has no dim to compare.
+            if a.ndim and shape and a.shape[-1] != shape[-1]:
                 raise QpoolError(
                     f"dimension mismatch: {name} has dim {a.shape[-1]}, expected {shape[-1]}"
                 )

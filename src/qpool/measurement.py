@@ -14,10 +14,13 @@ COMPLETENESS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Povm:
-    """A positive operator-valued measure: effects summing to the identity."""
+    """A positive operator-valued measure: elements[k] is effect k, the effects sum to I.
+
+    elements is one complex array of shape (k, *lanes, dim, dim).
+    """
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -29,26 +32,27 @@ def validate_povm(elements) -> Povm:
     Element-level Hermiticity and positivity are held to the standard
     operator tolerance (1e-10), the sum to COMPLETENESS_TOL.  Each element
     may be a stack (the same leading axes for all), which checks one POVM
-    per lane.
+    per lane; so may elements be a (k, *lanes, d, d) array.
     """
     if len(elements) == 0:
         raise QpoolError("POVM has no elements")
     arrs = [linalg.as_complex_matrix(e) for e in elements]
     linalg.same_shape(arrs, "element")
-    # One Cholesky factorization of the whole (k, *lanes, d, d) stack accepts
-    # the usual POVM; anything else gets the per-element eigenvalue gate,
-    # which decides the verdict and words every rejection.
-    if not linalg.cholesky_accepts(np.array(arrs), linalg.DEFAULT_TOL):
-        for i, e in enumerate(arrs):
+    stack = np.array(arrs)
+    # One Cholesky factorization of the whole stack accepts the usual POVM;
+    # anything else gets the per-element eigenvalue gate, which decides the
+    # verdict and words every rejection.
+    if not linalg.cholesky_accepts(stack, linalg.DEFAULT_TOL):
+        for i, e in enumerate(stack):
             linalg.check_positive(e, linalg.DEFAULT_TOL, f"element {i}")
-    dim = arrs[0].shape[-1]
-    defect = np.abs(sum(arrs) - np.eye(dim)).max(axis=(-2, -1))
+    dim = stack.shape[-1]
+    defect = np.abs(stack.sum(axis=0) - np.eye(dim)).max(axis=(-2, -1))
     linalg.require(
         defect <= COMPLETENESS_TOL,
         f"effects sum to I only within {{:.3e}}, tol {COMPLETENESS_TOL:.0e}",
         defect,
     )
-    return Povm(dim=dim, elements=tuple(arrs))
+    return Povm(dim=dim, elements=stack)
 
 
 def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
@@ -58,7 +62,10 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     """
     r = linalg.as_complex_matrix(rho)
     linalg.same_shape((povm.elements[0], r), ("POVM", "state"))
-    p = np.stack([np.einsum("...ij,...ji->...", e, r).real for e in povm.elements], axis=-1)
+    # One einsum per outcome, so a lane's numbers are those of its single call.
+    p = np.empty(r.shape[:-2] + (len(povm),))
+    for k, e in enumerate(povm.elements):
+        p[..., k] = np.einsum("...ij,...ji->...", e, r).real
     low = p.min(axis=-1)
     linalg.require(low >= -linalg.ZERO_TOL, "probability {:.3e} < 0", low)
     p[p < 0.0] = 0.0

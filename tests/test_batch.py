@@ -99,6 +99,22 @@ def test_stacked_call_matches_single_calls(dim):
                 )
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_outcome_probabilities_lanes_equal_single_calls_bitwise(dim):
+    # The sweep's stack reports what its trials report alone only if a
+    # lane's probabilities are bitwise those of its single call.
+    rng = np.random.default_rng(200 + dim)
+    for lanes in (LANES, 40):
+        povm = _povms(dim, dim, lanes)
+        rho = _states(rng, dim, lanes)
+        stacked = measurement.outcome_probabilities(povm, rho)
+        for i in range(lanes):
+            single = measurement.outcome_probabilities(
+                measurement.Povm(dim, povm.elements[:, i]), rho[i]
+            )
+            assert np.array_equal(stacked[i], single), f"lane {i} of {lanes}"
+
+
 BAD_LANES = (1, 3)
 
 
@@ -374,7 +390,7 @@ def test_run_scenario_lanes_sample_what_single_runs_sample():
         rng=[np.random.default_rng(i) for i in range(LANES)],
     )
     for i in range(LANES):
-        lane = tuple(measurement.Povm(3, tuple(e[i] for e in p.elements)) for p in povms)
+        lane = tuple(measurement.Povm(3, p.elements[:, i]) for p in povms)
         single = harness.run_scenario(
             harness.Scenario(dim=3, povms=lane, seed=0), rng=np.random.default_rng(i)
         )

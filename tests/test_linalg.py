@@ -269,6 +269,13 @@ def test_frobenius_distance_dim_mismatch():
         linalg.frobenius_distance(np.eye(2), np.eye(3))
 
 
+@pytest.mark.parametrize("first, second", [((), (5,)), ((5,), ())])
+def test_same_shape_with_a_0d_array_raises_a_typed_error(first, second):
+    # A single POVM's lane shape () against a stacked outcome, and back.
+    with pytest.raises(QpoolError, match="shape mismatch"):
+        linalg.same_shape((np.zeros(first), np.zeros(second)), ("a", "b"))
+
+
 def test_maximally_mixed():
     m = linalg.maximally_mixed(4)
     assert np.trace(m).real == pytest.approx(1.0, abs=1e-15)

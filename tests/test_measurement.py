@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from qpool import linalg, measurement
+from qpool import cli, harness, linalg, measurement
 from qpool.errors import QpoolError, ZeroProbabilityError
 from qpool.harness import random_density, random_povm
 
@@ -45,6 +47,42 @@ class TestValidatePovm:
         skew = np.array([[0.0, 0.1], [-0.1, 0.0]])
         with pytest.raises(QpoolError, match=r"not Hermitian"):
             measurement.validate_povm([0.5 * np.eye(2) + skew, 0.5 * np.eye(2) - skew])
+
+
+def _lane_rngs(lanes):
+    return [np.random.default_rng(i) for i in range(lanes)]
+
+
+# name -> (builder, expected shape of the elements)
+POVM_BUILDERS = {
+    "validate_povm of a list": (lambda: measurement.validate_povm(PROJECTIVE_Z), (2, 2, 2)),
+    "random_povm single": (lambda: random_povm(3, 4, np.random.default_rng(0)), (4, 3, 3)),
+    "random_povm stacked": (lambda: random_povm(3, [2, 4, 3], _lane_rngs(3)), (4, 3, 3, 3)),
+    "diagonal single": (
+        lambda: harness._random_diagonal_povm(2, 3, np.random.default_rng(0)),
+        (3, 2, 2),
+    ),
+    "diagonal stacked": (
+        lambda: harness._random_diagonal_povm(2, [3, 2], _lane_rngs(2)),
+        (3, 2, 2, 2),
+    ),
+    "parse_povm_payload": (
+        lambda: cli.parse_povm_payload(
+            json.loads(cli.povm_file_text(random_povm(2, 3, np.random.default_rng(1))))
+        ),
+        (3, 2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POVM_BUILDERS))
+def test_povm_elements_are_one_stack(name):
+    build, shape = POVM_BUILDERS[name]
+    povm = build()
+    assert type(povm.elements) is np.ndarray
+    assert povm.elements.dtype == complex
+    assert povm.elements.shape == shape
+    assert len(povm) == shape[0]
 
 
 class TestOutcomeProbabilities:

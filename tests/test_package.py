@@ -71,7 +71,7 @@ BOUNDARIES = {
     "outcome_probabilities": (
         lambda rng, d: [*random_povm(d, 3, rng).elements, random_density(d, d, rng)],
         lambda *a: measurement.outcome_probabilities(
-            measurement.Povm(a[0].shape[-1], a[:-1]), a[-1]
+            measurement.Povm(a[0].shape[-1], np.array(a[:-1])), a[-1]
         ),
     ),
     "trace_product": (_densities(2), linalg.trace_product),
@@ -113,6 +113,7 @@ def _inf_split_povm():
 
 # Finite, but the gates' arithmetic on it overflows.
 HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
+HUGE_DIAG = np.diag([1e308, 1e308])
 
 
 @pytest.mark.parametrize(
@@ -125,6 +126,12 @@ HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
         lambda: measurement.validate_povm([HUGE_SKEW, np.eye(2) - HUGE_SKEW]),
         lambda: linalg.frobenius_distance(np.diag([1e200, 1.0]), np.eye(2)),
         lambda: qubit.pool_bloch([1e308, 1e308, 0.0], [0.0, 0.0, 1.0]),
+        lambda: linalg.hermitian_sqrt(HUGE_DIAG),
+        lambda: measurement.bare_update(HUGE_DIAG, np.eye(2) / 2),
+        lambda: measurement.posterior_from_outcome(HUGE_DIAG),
+        lambda: linalg.density_to_bloch([[1e308, 0.0], [0.0, -1e308]]),
+        lambda: pooling.pool_ordered(np.diag([1e200, 1.0]), np.diag([1e200, 1.0])),
+        lambda: pooling.pool_symmetric_multi([np.diag([1e200, 1.0])] * 3),
     ],
     ids=[
         "validate_density",
@@ -134,6 +141,12 @@ HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
         "validate_povm huge",
         "frobenius_distance huge",
         "pool_bloch huge",
+        "hermitian_sqrt huge",
+        "bare_update huge",
+        "posterior_from_outcome huge",
+        "density_to_bloch huge",
+        "pool_ordered huge",
+        "pool_symmetric_multi huge",
     ],
 )
 def test_gate_raises_without_a_warning(call):
