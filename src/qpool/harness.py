@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg, measurement, pooling
 from .errors import IncompatibleStatesError, QpoolError, ZeroProbabilityError
@@ -76,6 +77,76 @@ class VerificationReport:
 
 def trial_seed(seed: int, index: int) -> int:
     return (seed + index * TRIAL_SEED_STRIDE) % 2**64
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, mul) constants of each call of a SeedSequence hash, as uint32 columns.
+
+    The hash constant starts at init and is multiplied by mult in every
+    call; call c xors with its value before that step and multiplies by
+    its value after.
+    """
+    h = np.array([init * pow(mult, c, 2**32) % 2**32 for c in range(calls + 1)], dtype=np.uint32)
+    return h[:-1, None], h[1:, None]
+
+
+# numpy's SeedSequence with its default pool of four uint32 words
+# (numpy/random/bit_generator.pyx): mix_entropy hashes the four entropy
+# words, then each word into each of the other three (16 calls of the pool
+# hash); generate_state(4, uint64) cycles through the pool twice (8 calls).
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.array([[0xCA01F9DD], [0x4973F715]], dtype=np.uint32)
+_OTHER_WORDS = [np.array([j for j in range(4) if j != i]) for i in range(4)]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ v >> 16
+
+
+class _Words(ISeedSequence):
+    """Seed words computed ahead, handed to PCG64 as its seed sequence.
+
+    PCG64 asks for generate_state(4, uint64) once, when it is built.  Not
+    spawnable: Generator.spawn on a generator seeded this way raises, and no
+    sweep spawns.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def trial_generators(seed: int, count: int) -> list[np.random.Generator]:
+    """default_rng(trial_seed(seed, i)) for i < count, seeded in one pass.
+
+    Runs numpy's SeedSequence for all count lanes at once on uint32 arrays,
+    one column per lane: each trial seed is below 2**64, so its entropy is
+    its low word and its high word, padded with zeros to the pool size.
+    Every generator's bit_generator.state equals that of default_rng, and
+    its draws are the same.  (Arrays wrap on overflow silently, where numpy
+    scalars would warn.)
+    """
+    seed, count = linalg.check_int(seed, "seed"), linalg.check_int(count, "count", 0)
+    seeds = np.arange(count, dtype=np.uint64) * np.uint64(TRIAL_SEED_STRIDE)
+    seeds += np.uint64(seed % 2**64)
+    pool = np.zeros((4, count), dtype=np.uint32)
+    pool[:2] = seeds.astype("<u8").view("<u4").reshape(count, 2).T
+    xor, mul = _POOL_HASH
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    # A source word mixes into the other three and stays as it is, so its
+    # three hashes are one call.
+    for src, dst in enumerate(_OTHER_WORDS):
+        c = slice(4 + 3 * src, 7 + 3 * src)
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], xor[c], mul[c])
+        pool[dst] = mixed ^ mixed >> 16
+    state = _hashmix(np.concatenate((pool, pool)), *_STATE_HASH)
+    # Word pairs join little-endian into uint64, as generate_state joins them.
+    words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words]
 
 
 def _outcome_effect(povm: measurement.Povm, k) -> np.ndarray:
@@ -177,21 +248,27 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     generator, in the order a single call draws, and returns them stacked:
     elements of shape (k, lanes, dim, dim), padded with zero effects up to
     the largest count k.  A lane whose normalizer is near-singular redraws
-    from its own generator.
+    from its own generator.  Each attempt draws a lane's blocks with one
+    standard_normal(out=...) call into a (lanes, k, 2, dim, dim) buffer,
+    the draw order of standard_normal((k, 2, dim, dim)).
     """
     dim = linalg.check_int(dim, "dim", 1)
     rngs, counts, single = _lane_args(rng, n_outcomes)
     k = max(counts)
-    # Each lane's G = [G_1|...|G_k] as (dim, k, dim) complex numbers, stored
-    # as real and imaginary parts side by side; padding blocks stay zero.
-    x = np.zeros((len(rngs), dim, k, dim, 2))
+    # Each lane's Gaussian blocks in draw order: block, real or imaginary
+    # part, row, column.  A lane fills its first counts[i] blocks in place;
+    # padding blocks stay zero.
+    x = np.zeros((len(rngs), k, 2, dim, dim))
     elements = np.zeros((k, len(rngs), dim, dim), dtype=complex)
     pending = np.arange(len(rngs))
     for _ in range(MAX_POVM_ATTEMPTS):
-        for i in pending:
-            block = rngs[i].standard_normal((counts[i], 2, dim, dim))
-            x[i, :, : counts[i]] = block.transpose(2, 0, 3, 1)
-        g = x[pending].view(complex).reshape(len(pending), dim, k * dim)
+        for i in pending.tolist():
+            rngs[i].standard_normal(out=x[i, : counts[i]])
+        # G = [G_1|...|G_k] per lane, (dim, k, dim), copied from one view.
+        parts = x[pending].transpose(2, 0, 3, 1, 4)
+        g = np.empty(parts.shape[1:], dtype=complex)
+        g.real, g.imag = parts
+        g = g.reshape(len(pending), dim, k * dim)
         w, v = np.linalg.eigh(g @ linalg.dagger(g))
         ok = w[:, 0] >= SINGULAR_SUM_TOL
         w, v, g = w[ok], v[ok], g[ok]
@@ -244,11 +321,12 @@ def _trial_alone(trial, dim: int, tseed: int) -> tuple[float, float, int]:
 def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationReport:
     """Run `trials` trials per dim, cycling through dims, into one report.
 
-    Trial i draws from default_rng(trial_seed(seed, i)).  trial(dim, rngs)
-    runs one trial per generator as a stack and returns per-lane
-    (oracle_distance, norm_discrepancy).  The trials at one dim run as one
-    stack; if it raises QpoolError, each of its trials runs alone
-    (_trial_alone).
+    Trial i draws from default_rng(trial_seed(seed, i)); trial_generators
+    seeds all of them in one pass.  trial(dim, rngs) runs one trial per
+    generator as a stack and returns per-lane (oracle_distance,
+    norm_discrepancy).  The trials at one dim run as one stack; if it raises
+    QpoolError, each of its trials runs alone (_trial_alone), from a fresh
+    default_rng(trial_seed(seed, i)), as a failing seed is replayed.
     """
     tol = linalg.check_real(tol, "tol")
     if not (math.isfinite(tol) and tol > 0):
@@ -259,15 +337,14 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     if not dims:
         raise QpoolError("a sweep needs at least one dim")
     total = trials * len(dims)
+    rngs = trial_generators(seed, total)
     dist = np.full(total, math.inf)
     disc = np.zeros(total)
     resamples = 0
     for j, dim in enumerate(dims):
         lanes = range(j, total, len(dims))
         try:
-            dist[lanes], disc[lanes] = trial(
-                dim, [np.random.default_rng(trial_seed(seed, i)) for i in lanes]
-            )
+            dist[lanes], disc[lanes] = trial(dim, rngs[j :: len(dims)])
         except QpoolError:
             for i in lanes:
                 dist[i], disc[i], redraws = _trial_alone(trial, dim, trial_seed(seed, i))

@@ -36,9 +36,15 @@ def validate_povm(elements) -> Povm:
     """
     if len(elements) == 0:
         raise QpoolError("POVM has no elements")
-    arrs = [linalg.as_complex_matrix(e) for e in elements]
-    linalg.same_shape(arrs, "element")
-    stack = np.array(arrs)
+    if isinstance(elements, np.ndarray) and elements.ndim >= 3:
+        stack = linalg.as_complex_matrix(elements)
+        # One copy at most: the Povm never shares the caller's array.
+        if np.may_share_memory(stack, elements):
+            stack = stack.copy()
+    else:
+        arrs = [linalg.as_complex_matrix(e) for e in elements]
+        linalg.same_shape(arrs, "element")
+        stack = np.array(arrs)
     # One Cholesky factorization of the whole stack accepts the usual POVM;
     # anything else gets the per-element eigenvalue gate, which decides the
     # verdict and words every rejection.

@@ -30,7 +30,8 @@ class PoolReport:
     compatibility : float
         Probability in [0, 1] that the observers' findings coexist: the
         trace of the nested numerator (averaged over orderings where the
-        rule sums them).
+        rule sums them).  It is at most the product of the states' traces,
+        so it exceeds 1 only by rounding and by their 1e-10 trace slack.
     paper_norm : float
         The closed-form denominator n! Re Tr[rho_1 ... rho_n] (just
         Tr[rho_A rho_B] for the ordered two-observer rule).
@@ -82,13 +83,37 @@ def _trace_of_product(arrs):
 
 
 def _matrices(states) -> np.ndarray:
-    """The n >= 2 states of a pooling rule as one complex stack (n, *lanes, d, d)."""
+    """The n >= 2 states of a pooling rule as one complex stack (n, *lanes, d, d).
+
+    An array of three or more axes is that stack already and is taken as it
+    is; the rules never write to it.
+    """
     if len(states) < 2:
         raise QpoolError(f"need at least two states, got {len(states)}")
+    if isinstance(states, np.ndarray) and states.ndim >= 3:
+        return linalg.as_complex_matrix(states)
     arrs = [linalg.as_complex_matrix(s) for s in states]
     linalg.same_shape(arrs, "state")
     # np.array copies equal-shape arrays into one stack faster than np.stack.
     return np.array(arrs)
+
+
+def _roots(arrs) -> np.ndarray:
+    """Square roots of a stack of states, each of which must have unit trace.
+
+    The stacked hermitian_sqrt gates finiteness and positivity and names the
+    lane that fails; the trace gate follows, before any product of states.
+    A positive semidefinite matrix of unit trace has no entry above 1 in
+    modulus, so no product of such states can overflow.
+    """
+    roots = linalg.hermitian_sqrt(arrs)
+    tr = linalg.trace(arrs)
+    linalg.require(
+        abs(tr - 1.0) <= linalg.DEFAULT_TOL,
+        f"state trace {{!r}} differs from 1 by more than {linalg.DEFAULT_TOL:.0e}",
+        tr,
+    )
+    return roots
 
 
 def _report(num, arrs, orderings: int, what: str) -> PoolReport:
@@ -103,8 +128,7 @@ def _report(num, arrs, orderings: int, what: str) -> PoolReport:
     paper = ptr.real
     return PoolReport(
         pooled=num / linalg.per_matrix(t),
-        # t > 0 past the gate above, so only the upper clamp can bite.
-        compatibility=np.minimum(t / orderings, 1.0),
+        compatibility=t / orderings,
         paper_norm=paper,
         trace_norm=t,
         norm_discrepancy=abs(t - paper),
@@ -138,11 +162,12 @@ def pool_ordered_multi(states) -> PoolReport:
     Nests conjugations: sqrt(rho_n) ... sqrt(rho_2) rho_1 sqrt(rho_2) ...
     sqrt(rho_n), normalized by its own trace.  Equals repeated two-observer
     ordered pooling.  All n roots are one stacked hermitian_sqrt call, whose
-    gates every state passes, the innermost included.
+    gates every state passes, the innermost included, and every state must
+    have unit trace (_roots).
     """
     arrs = _matrices(states)
     # The root of state 0 is not in the product: taking it gates state 0.
-    roots = linalg.hermitian_sqrt(arrs)
+    roots = _roots(arrs)
     num = arrs[0]
     for r in roots[1:]:
         num = r @ num @ r
@@ -199,7 +224,7 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     # Level k holds S(T) for every subset T of size k, one entry per T, so
     # level 1 is the states themselves and level n is S of all of them.
     level = arrs
-    roots = linalg.hermitian_sqrt(level)
+    roots = _roots(level)
     for js, rows in _subset_levels(n):
         r = roots[js]
         level = (r @ level[rows] @ r).sum(axis=1)
@@ -210,6 +235,10 @@ def compatibility(a, b) -> float:
     """Overlap Tr[rho_A rho_B]: the probability the two findings coexist.
 
     Equals (1/2)(1 + a . b) for qubits with Bloch vectors a and b, and
-    reaches 1 only for identical pure states.
+    reaches 1 only for identical pure states.  Both must pass the gates of
+    the pooling rules: finite, positive semidefinite, unit trace.
     """
-    return linalg.trace_product(a, b)
+    arrs = _matrices((a, b))
+    t = linalg.trace_product(arrs[0], arrs[1])
+    _roots(arrs)
+    return t

@@ -322,10 +322,12 @@ class _SingularBlocks:
         self.rng = np.random.default_rng(seed)
         self.zeros = zeros
 
-    def standard_normal(self, shape):
-        block = self.rng.standard_normal(shape)
+    def standard_normal(self, size=None, *, out=None):
+        block = self.rng.standard_normal(size, out=out)
         self.zeros -= 1
-        return block if self.zeros < 0 else np.zeros(shape)
+        if self.zeros >= 0:
+            block[...] = 0.0
+        return block
 
 
 def test_a_singular_normalizer_redraws_from_its_own_lane():

@@ -85,6 +85,25 @@ def test_povm_elements_are_one_stack(name):
     assert len(povm) == shape[0]
 
 
+@pytest.mark.parametrize(
+    "given",
+    [
+        lambda: random_povm(3, [3, 2, 4], _lane_rngs(3)).elements,
+        lambda: harness._random_diagonal_povm(2, [3, 2], _lane_rngs(2)).elements.real,
+    ],
+    ids=["complex", "real"],
+)
+def test_validate_povm_takes_a_stack_and_owns_its_copy(given):
+    # An array stack is taken as it is, with values equal to the element
+    # list's; the Povm never shares memory with the caller's array.
+    given = np.ascontiguousarray(given())
+    povm = measurement.validate_povm(given)
+    assert not np.shares_memory(povm.elements, given)
+    assert povm.elements.tobytes() == measurement.validate_povm(list(given)).elements.tobytes()
+    given[0] = np.nan
+    assert np.isfinite(povm.elements).all()
+
+
 class TestOutcomeProbabilities:
     def test_projective_on_pure(self):
         povm = measurement.validate_povm(PROJECTIVE_Z)

@@ -132,6 +132,11 @@ HUGE_DIAG = np.diag([1e308, 1e308])
         lambda: linalg.density_to_bloch([[1e308, 0.0], [0.0, -1e308]]),
         lambda: pooling.pool_ordered(np.diag([1e200, 1.0]), np.diag([1e200, 1.0])),
         lambda: pooling.pool_symmetric_multi([np.diag([1e200, 1.0])] * 3),
+        lambda: pooling.compatibility(np.diag([2.0, 0.0]), np.diag([1.0, 0.0])),
+        lambda: pooling.compatibility(np.diag([1.5, -0.5]), np.diag([0.0, 1.0])),
+        lambda: pooling.pool_ordered(np.diag([2.0, 0.0]), np.diag([1.0, 0.0])),
+        lambda: pooling.pool_symmetric_multi([np.diag([5.0, 1.0])] * 3),
+        lambda: pooling.pool_ordered_multi([np.diag([1e150, 1.0])] * 3),
     ],
     ids=[
         "validate_density",
@@ -147,6 +152,11 @@ HUGE_DIAG = np.diag([1e308, 1e308])
         "density_to_bloch huge",
         "pool_ordered huge",
         "pool_symmetric_multi huge",
+        "compatibility trace 2",
+        "compatibility negative eigenvalue",
+        "pool_ordered trace 2",
+        "pool_symmetric_multi trace 6",
+        "pool_ordered_multi product overflow",
     ],
 )
 def test_gate_raises_without_a_warning(call):

@@ -502,6 +502,65 @@ def test_every_pooled_state_has_unit_trace(n, dim, lanes):
         assert np.abs(tr - 1.0).max() <= 1e-12, name
 
 
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_stack_array_pools_like_its_list(name):
+    # An (n, lanes, d, d) array is taken as the stack it is, with the
+    # results of the list of its states.
+    rng = np.random.default_rng(3100)
+    stack = np.array([[random_density(3, 3, rng) for _ in range(4)] for _ in range(2)])
+    from_array, from_list = RULES[name](stack), RULES[name](list(stack))
+    assert from_array.pooled.tobytes() == from_list.pooled.tobytes()
+    assert from_array.compatibility.tobytes() == from_list.compatibility.tobytes()
+
+
+OFF_TRACE = {
+    "pool_ordered": lambda: pooling.pool_ordered(np.diag([2.0, 0.0]), np.diag([1.0, 0.0])),
+    "pool_symmetric": lambda: pooling.pool_symmetric(np.diag([1.0, 0.0]), np.diag([0.5, 0.5 + 1e-9])),
+    "pool_ordered_multi": lambda: pooling.pool_ordered_multi([np.diag([1e150, 1.0])] * 3),
+    "pool_symmetric_multi": lambda: pooling.pool_symmetric_multi([np.diag([5.0, 1.0])] * 3),
+    "compatibility": lambda: pooling.compatibility(np.diag([2.0, 0.0]), np.diag([1.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_TRACE))
+def test_state_off_unit_trace_raises(name):
+    # Before the trace gate these returned a compatibility of 1.0 (clamped
+    # from 2 and 126), or warned that matmul overflowed.
+    with pytest.raises(QpoolError, match=r"state trace .* differs from 1 by more than 1e-10") as exc:
+        OFF_TRACE[name]()
+    assert exc.type is QpoolError
+
+
+def test_trace_gate_names_the_lane():
+    rng = np.random.default_rng(3200)
+    states = [np.array([random_density(2, 2, rng) for _ in range(5)]) for _ in range(3)]
+    states[1][2] *= 1.0 + 2e-10
+    for rule in (pooling.pool_ordered_multi, pooling.pool_symmetric_multi):
+        with pytest.raises(QpoolError, match="state trace") as exc:
+            rule(states)
+        assert str(exc.value).endswith("(1 of 15 lanes, first 7)")
+
+
+@pytest.mark.parametrize("slack", [0.0, 0.99e-10])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_compatibility_above_one_only_by_rounding_and_trace_slack(n, slack):
+    # Tr[sqrt(r) X sqrt(r)] = Tr[r X] <= Tr r Tr X for positive r and X,
+    # so compatibility is at most the product of the traces, 1 + slack
+    # each, which the trace gate keeps within (1 + 1e-10)^n.  Identical
+    # pure states reach that product; what is left above it is rounding.
+    rng = np.random.default_rng(3300 + n)
+    worst = -1.0
+    for dim in (2, 3, 4):
+        for _ in range(20):
+            g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi = g / np.linalg.norm(g)
+            rho = np.outer(psi, psi.conj()) * (1.0 + slack)
+            for rule in (pooling.pool_ordered_multi, pooling.pool_symmetric_multi):
+                bound = linalg.trace(rho) ** n
+                worst = max(worst, float(rule([rho] * n).compatibility) - bound)
+    assert worst <= 1e-13
+
+
 class TestCompatibility:
     def test_identical_pure(self):
         assert pooling.compatibility(Z0, Z0) == pytest.approx(1.0, abs=1e-15)
@@ -517,6 +576,11 @@ class TestCompatibility:
         big = np.diag([1e200, 1.0])
         with pytest.raises(QpoolError, match="not finite"):
             pooling.compatibility(big, big)
+
+    def test_rejects_a_non_state(self):
+        # Before the gate this returned -0.5.
+        with pytest.raises(QpoolError, match="negative eigenvalue"):
+            pooling.compatibility(np.diag([1.5, -0.5]), np.diag([0.0, 1.0]))
 
     def test_mixed_with_anything(self):
         assert pooling.compatibility(MIXED2, PLUS) == pytest.approx(0.5, abs=1e-15)
