@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg, measurement, pooling
 from .errors import IncompatibleStatesError, QpoolError, ZeroProbabilityError
@@ -105,19 +105,25 @@ def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return v ^ v >> 16
 
 
-class _Words(ISeedSequence):
-    """Seed words computed ahead, handed to PCG64 as its seed sequence.
+@cache
+def _words_type() -> type:
+    """The seed sequence that hands PCG64 one lane's seed words, computed ahead.
 
     PCG64 asks for generate_state(4, uint64) once, when it is built.  Not
     spawnable: Generator.spawn on a generator seeded this way raises, and no
-    sweep spawns.
+    sweep spawns.  The class is built on first use because numpy loads
+    numpy.random lazily, and importing it with qpool would add about 6 MB
+    to every CLI process.
     """
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _Words
 
 
 def trial_generators(seed: int, count: int) -> list[np.random.Generator]:
@@ -146,7 +152,8 @@ def trial_generators(seed: int, count: int) -> list[np.random.Generator]:
     state = _hashmix(np.concatenate((pool, pool)), *_STATE_HASH)
     # Word pairs join little-endian into uint64, as generate_state joins them.
     words = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words]
+    seq = _words_type()
+    return [np.random.Generator(np.random.PCG64(seq(w))) for w in words]
 
 
 def _outcome_effect(povm: measurement.Povm, k) -> np.ndarray:

@@ -333,6 +333,18 @@ def test_console_script_end_to_end(tmp_path):
     assert float(proc.stdout) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use (from 1.25); loading it when
+    # qpool is imported would add about 6 MB to every CLI process.
+    code = (
+        "import sys, numpy; lazy = 'numpy.random' not in sys.modules; "
+        "import qpool.cli; print(lazy and 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestWriteGate:
     def test_pool_result_the_reader_rejects_exits_2_and_writes_nothing(
         self, state_files, tmp_path, capsys, monkeypatch
