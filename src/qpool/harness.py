@@ -126,19 +126,19 @@ def _words_type() -> type:
     return _Words
 
 
-def trial_generators(seed: int, count: int) -> list[np.random.Generator]:
-    """default_rng(trial_seed(seed, i)) for i < count, seeded in one pass.
+def trial_generators(seed: int, lanes) -> list[np.random.Generator]:
+    """default_rng(trial_seed(seed, i)) for each trial index i in lanes, seeded in one pass.
 
-    Runs numpy's SeedSequence for all count lanes at once on uint32 arrays,
-    one column per lane: each trial seed is below 2**64, so its entropy is
-    its low word and its high word, padded with zeros to the pool size.
-    Every generator's bit_generator.state equals that of default_rng, and
-    its draws are the same.  (Arrays wrap on overflow silently, where numpy
+    Runs numpy's SeedSequence for all lanes at once on uint32 arrays, one
+    column per lane: each trial seed is below 2**64, so its entropy is its
+    low word and its high word, padded with zeros to the pool size.  Every
+    generator's bit_generator.state equals that of default_rng, and its
+    draws are the same.  (Arrays wrap on overflow silently, where numpy
     scalars would warn.)
     """
-    seed, count = linalg.check_int(seed, "seed"), linalg.check_int(count, "count", 0)
-    seeds = np.arange(count, dtype=np.uint64) * np.uint64(TRIAL_SEED_STRIDE)
-    seeds += np.uint64(seed % 2**64)
+    seed = linalg.check_int(seed, "seed")
+    seeds = np.array([trial_seed(seed, linalg.check_int(i, "trial index")) for i in lanes], dtype=np.uint64)
+    count = len(seeds)
     pool = np.zeros((4, count), dtype=np.uint32)
     pool[:2] = seeds.astype("<u8").view("<u4").reshape(count, 2).T
     xor, mul = _POOL_HASH
@@ -329,8 +329,8 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     """Run `trials` trials per dim, cycling through dims, into one report.
 
     Trial i draws from default_rng(trial_seed(seed, i)); trial_generators
-    seeds all of them in one pass.  trial(dim, rngs) runs one trial per
-    generator as a stack and returns per-lane (oracle_distance,
+    seeds the trials at one dim in one pass.  trial(dim, rngs) runs one
+    trial per generator as a stack and returns per-lane (oracle_distance,
     norm_discrepancy).  The trials at one dim run as one stack; if it raises
     QpoolError, each of its trials runs alone (_trial_alone), from a fresh
     default_rng(trial_seed(seed, i)), as a failing seed is replayed.
@@ -344,14 +344,13 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     if not dims:
         raise QpoolError("a sweep needs at least one dim")
     total = trials * len(dims)
-    rngs = trial_generators(seed, total)
     dist = np.full(total, math.inf)
     disc = np.zeros(total)
     resamples = 0
     for j, dim in enumerate(dims):
         lanes = range(j, total, len(dims))
         try:
-            dist[lanes], disc[lanes] = trial(dim, rngs[j :: len(dims)])
+            dist[lanes], disc[lanes] = trial(dim, trial_generators(seed, lanes))
         except QpoolError:
             for i in lanes:
                 dist[i], disc[i], redraws = _trial_alone(trial, dim, trial_seed(seed, i))

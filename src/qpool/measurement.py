@@ -32,19 +32,14 @@ def validate_povm(elements) -> Povm:
     Element-level Hermiticity and positivity are held to the standard
     operator tolerance (1e-10), the sum to COMPLETENESS_TOL.  Each element
     may be a stack (the same leading axes for all), which checks one POVM
-    per lane; so may elements be a (k, *lanes, d, d) array.
+    per lane; so may elements be a (k, *lanes, d, d) array.  The Povm holds
+    its own copy, never the caller's array.
     """
     if len(elements) == 0:
         raise QpoolError("POVM has no elements")
-    if isinstance(elements, np.ndarray) and elements.ndim >= 3:
-        stack = linalg.as_complex_matrix(elements)
-        # One copy at most: the Povm never shares the caller's array.
-        if np.may_share_memory(stack, elements):
-            stack = stack.copy()
-    else:
-        arrs = [linalg.as_complex_matrix(e) for e in elements]
-        linalg.same_shape(arrs, "element")
-        stack = np.array(arrs)
+    arrs = [linalg.as_complex_matrix(e) for e in elements]
+    linalg.same_shape(arrs, "element")
+    stack = np.array(arrs)
     # One Cholesky factorization of the whole stack accepts the usual POVM;
     # anything else gets the per-element eigenvalue gate, which decides the
     # verdict and words every rejection.

@@ -83,15 +83,9 @@ def _trace_of_product(arrs):
 
 
 def _matrices(states) -> np.ndarray:
-    """The n >= 2 states of a pooling rule as one complex stack (n, *lanes, d, d).
-
-    An array of three or more axes is that stack already and is taken as it
-    is; the rules never write to it.
-    """
+    """The n >= 2 states of a pooling rule as one complex stack (n, *lanes, d, d)."""
     if len(states) < 2:
         raise QpoolError(f"need at least two states, got {len(states)}")
-    if isinstance(states, np.ndarray) and states.ndim >= 3:
-        return linalg.as_complex_matrix(states)
     arrs = [linalg.as_complex_matrix(s) for s in states]
     linalg.same_shape(arrs, "state")
     # np.array copies equal-shape arrays into one stack faster than np.stack.
@@ -108,11 +102,16 @@ def _roots(arrs) -> np.ndarray:
     """
     roots = linalg.hermitian_sqrt(arrs)
     tr = linalg.trace(arrs)
-    linalg.require(
-        abs(tr - 1.0) <= linalg.DEFAULT_TOL,
-        f"state trace {{!r}} differs from 1 by more than {linalg.DEFAULT_TOL:.0e}",
-        tr,
-    )
+    dev = tr - 1.0
+    # One dot product clears the usual case: squares summing to at most
+    # tol^2 put every lane within tol.  np.vdot runs in BLAS, so a huge
+    # deviation overflows to inf without a warning and takes the lane gate.
+    if not np.vdot(dev, dev) <= linalg.DEFAULT_TOL**2:
+        linalg.require(
+            abs(dev) <= linalg.DEFAULT_TOL,
+            f"state trace {{!r}} differs from 1 by more than {linalg.DEFAULT_TOL:.0e}",
+            tr,
+        )
     return roots
 
 
@@ -239,6 +238,9 @@ def compatibility(a, b) -> float:
     the pooling rules: finite, positive semidefinite, unit trace.
     """
     arrs = _matrices((a, b))
-    t = linalg.trace_product(arrs[0], arrs[1])
+    # The gates come first; the roots they take are not needed here.
     _roots(arrs)
-    return t
+    t = _trace_of_product(arrs)
+    linalg.require(abs(t.imag) <= linalg.ZERO_TOL, "Tr[AB] has imaginary part {:.3e}", t.imag)
+    linalg.require(np.isfinite(t.real), "Tr[AB] {!r} is not finite", t.real)
+    return t.real

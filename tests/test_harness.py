@@ -259,7 +259,7 @@ def test_trial_seeds_distinct():
 def test_trial_generators_equal_default_rng(seed, count):
     # The one-pass seeding must give every lane the stream a lone trial
     # replays with default_rng, bit for bit.
-    rngs = harness.trial_generators(seed, count)
+    rngs = harness.trial_generators(seed, range(count))
     assert len(rngs) == count
     for i, rng in enumerate(rngs):
         lone = np.random.default_rng(harness.trial_seed(seed, i))

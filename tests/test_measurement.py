@@ -93,9 +93,9 @@ def test_povm_elements_are_one_stack(name):
     ],
     ids=["complex", "real"],
 )
-def test_validate_povm_takes_a_stack_and_owns_its_copy(given):
-    # An array stack is taken as it is, with values equal to the element
-    # list's; the Povm never shares memory with the caller's array.
+def test_validate_povm_of_a_stack_owns_its_copy(given):
+    # An array stack gives the Povm of its element list, and the Povm never
+    # shares memory with the caller's array.
     given = np.ascontiguousarray(given())
     povm = measurement.validate_povm(given)
     assert not np.shares_memory(povm.elements, given)

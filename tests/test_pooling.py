@@ -504,8 +504,7 @@ def test_every_pooled_state_has_unit_trace(n, dim, lanes):
 
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_stack_array_pools_like_its_list(name):
-    # An (n, lanes, d, d) array is taken as the stack it is, with the
-    # results of the list of its states.
+    # An (n, lanes, d, d) array pools like the list of its states.
     rng = np.random.default_rng(3100)
     stack = np.array([[random_density(3, 3, rng) for _ in range(4)] for _ in range(2)])
     from_array, from_list = RULES[name](stack), RULES[name](list(stack))
@@ -573,8 +572,10 @@ class TestCompatibility:
             pooling.compatibility("a", "b")
 
     def test_rejects_overflow(self):
+        # The state gates run before the product, so the finite gate of
+        # hermitian_sqrt rejects the state before Tr[AB] can overflow.
         big = np.diag([1e200, 1.0])
-        with pytest.raises(QpoolError, match="not finite"):
+        with pytest.raises(QpoolError, match="sum .* overflows"):
             pooling.compatibility(big, big)
 
     def test_rejects_a_non_state(self):
