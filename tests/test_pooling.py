@@ -502,16 +502,6 @@ def test_every_pooled_state_has_unit_trace(n, dim, lanes):
         assert np.abs(tr - 1.0).max() <= 1e-12, name
 
 
-@pytest.mark.parametrize("name", sorted(RULES))
-def test_stack_array_pools_like_its_list(name):
-    # An (n, lanes, d, d) array pools like the list of its states.
-    rng = np.random.default_rng(3100)
-    stack = np.array([[random_density(3, 3, rng) for _ in range(4)] for _ in range(2)])
-    from_array, from_list = RULES[name](stack), RULES[name](list(stack))
-    assert from_array.pooled.tobytes() == from_list.pooled.tobytes()
-    assert from_array.compatibility.tobytes() == from_list.compatibility.tobytes()
-
-
 OFF_TRACE = {
     "pool_ordered": lambda: pooling.pool_ordered(np.diag([2.0, 0.0]), np.diag([1.0, 0.0])),
     "pool_symmetric": lambda: pooling.pool_symmetric(np.diag([1.0, 0.0]), np.diag([0.5, 0.5 + 1e-9])),
