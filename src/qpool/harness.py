@@ -127,7 +127,7 @@ def _words_type() -> type:
 
 
 def trial_generators(seed: int, lanes) -> list[np.random.Generator]:
-    """default_rng(trial_seed(seed, i)) for each trial index i in lanes, seeded in one pass.
+    """default_rng(trial_seed(seed, i)) for each trial index i in lanes, in one pass.
 
     Runs numpy's SeedSequence for all lanes at once on uint32 arrays, one
     column per lane: each trial seed is below 2**64, so its entropy is its
@@ -137,7 +137,9 @@ def trial_generators(seed: int, lanes) -> list[np.random.Generator]:
     scalars would warn.)
     """
     seed = linalg.check_int(seed, "seed")
-    seeds = np.array([trial_seed(seed, linalg.check_int(i, "trial index")) for i in lanes], dtype=np.uint64)
+    seeds = np.array(
+        [trial_seed(seed, linalg.check_int(i, "trial index")) for i in lanes], dtype=np.uint64
+    )
     count = len(seeds)
     pool = np.zeros((4, count), dtype=np.uint32)
     pool[:2] = seeds.astype("<u8").view("<u4").reshape(count, 2).T

@@ -254,17 +254,19 @@ def test_trial_seeds_distinct():
     assert len(seeds) == 1000
 
 
-@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("lanes", [range(1), range(300), range(2, 900, 3)], ids=str)
 @pytest.mark.parametrize("seed", [0, 1, 3, 12345, -7, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-def test_trial_generators_equal_default_rng(seed, count):
+def test_trial_generators_equal_default_rng(seed, lanes):
     # The one-pass seeding must give every lane the stream a lone trial
-    # replays with default_rng, bit for bit.
-    rngs = harness.trial_generators(seed, range(count))
-    assert len(rngs) == count
-    for i, rng in enumerate(rngs):
+    # replays with default_rng, bit for bit; a sweep passes one dim's
+    # strided lanes.
+    rngs = harness.trial_generators(seed, lanes)
+    assert len(rngs) == len(lanes)
+    draws = (lambda g: g.random(), lambda g: g.integers(2, 5), lambda g: g.standard_normal())
+    for i, rng in zip(lanes, rngs):
         lone = np.random.default_rng(harness.trial_seed(seed, i))
         assert rng.bit_generator.state == lone.bit_generator.state
-        for draw in (lambda g: g.random(), lambda g: g.integers(2, 5), lambda g: g.standard_normal()):
+        for draw in draws:
             assert draw(rng) == draw(lone)
 
 
