@@ -337,9 +337,7 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     QpoolError, each of its trials runs alone (_trial_alone), from a fresh
     default_rng(trial_seed(seed, i)), as a failing seed is replayed.
     """
-    tol = linalg.check_real(tol, "tol")
-    if not (math.isfinite(tol) and tol > 0):
-        raise QpoolError(f"tol must be finite and positive, got {tol!r}")
+    tol = linalg.check_tol(tol)
     trials = linalg.check_int(trials, "trials", 1)
     seed = linalg.check_int(seed, "seed")
     dims = [linalg.check_int(d, "dim", 2) for d in dims]

@@ -83,6 +83,14 @@ def check_real(x, what: str) -> float:
     return float(x)
 
 
+def check_tol(tol) -> float:
+    """Return a tolerance as a float; it must be a finite positive real."""
+    tol = check_real(tol, "tol")
+    if not 0.0 < tol < np.inf:
+        raise QpoolError(f"tol must be finite and positive, got {tol!r}")
+    return tol
+
+
 def generators(rng) -> tuple[list, bool]:
     """The random streams of a call and whether it is for a single input.
 
@@ -153,16 +161,6 @@ def maximally_mixed(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-def _norm_finite(m: np.ndarray) -> bool:
-    """Whether sum |m_ij|^2 over the whole stack is finite.
-
-    True only if every entry is finite; False also when the sum of huge
-    finite entries overflows.  np.vdot runs in BLAS, so a NaN or inf entry
-    raises no floating-point warning, and one call is quicker than a sum.
-    """
-    return cmath.isfinite(np.vdot(m, m))
-
-
 def check_finite(m: np.ndarray, what: str) -> None:
     """Raise QpoolError if M has a NaN or inf entry; numpy warns about none.
 
@@ -170,23 +168,49 @@ def check_finite(m: np.ndarray, what: str) -> None:
     arithmetic that could overflow on them; no state or effect has an
     entry above 1.
     """
-    # One dot product over the whole stack clears the usual case.
-    if not _norm_finite(m):
+    # One dot product over the whole stack clears the usual case.  np.vdot
+    # runs in BLAS, so a NaN or inf entry raises no floating-point warning,
+    # and one call is quicker than a sum.
+    if not cmath.isfinite(np.vdot(m, m)):
         require(np.isfinite(m).all(axis=(-2, -1)), f"{what} has a non-finite entry")
         with np.errstate(over="ignore"):
             squares = (m.real**2 + m.imag**2).sum(axis=(-2, -1))
         require(squares < np.inf, f"{what} has entries so large that sum |M_ij|^2 overflows")
 
 
+def _within(x: np.ndarray, tol: float) -> bool:
+    """Whether sum |x_i|^2 <= tol^2, which puts every entry within tol (np.vdot: no warning)."""
+    return np.vdot(x, x).real <= tol**2
+
+
+def hermitian_part(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Check M passes check_finite and is Hermitian within tol; return (M + M^dag) / 2.
+
+    The Hermiticity gate of every input state and effect; equals hermitianize(m).
+    """
+    check_finite(m, what)
+    md = dagger(m)
+    if not _within(m - md, tol):
+        defect = hermiticity_defect(m)
+        require(defect <= tol, f"{what} is not Hermitian: max |M - M^dag| = {{:.3e}}", defect)
+    return (m + md) / 2.0
+
+
+def check_unit_trace(m: np.ndarray, tol: float, what: str):
+    """Raise QpoolError ("<what> <trace> differs from 1 ...") unless each trace is 1 within tol."""
+    tr = trace(m)
+    dev = tr - 1.0
+    if not _within(dev, tol):
+        require(abs(dev) <= tol, f"{what} {{!r}} differs from 1 by more than {tol:.0e}", tr)
+    return tr
+
+
 def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check M passes check_finite and is Hermitian with eigenvalues >= -tol.
+    """Check M passes hermitian_part and has eigenvalues >= -tol.
 
     Returns the eigenvalues in ascending order and the Hermitian part of M.
     """
-    check_finite(m, what)
-    defect = hermiticity_defect(m)
-    require(defect <= tol, f"{what} is not Hermitian: max |M - M^dag| = {{:.3e}}", defect)
-    h = hermitianize(m)
+    h = hermitian_part(m, tol, what)
     w = np.linalg.eigvalsh(h)
     low = lowest(w)
     require(low >= -tol, f"{what} has negative eigenvalue {{:.3e}} below -{tol:.0e}", low)
@@ -196,21 +220,16 @@ def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np
 def cholesky_accepts(m: np.ndarray, tol: float) -> bool:
     """Whether every matrix of the stack surely passes check_positive(m, tol).
 
-    True when every Hermiticity defect is <= tol and one Cholesky
-    factorization of hermitianize(m) + (tol / 2) I succeeds.  A factor
-    exists only if every eigenvalue is above -tol / 2 minus rounding, so a
-    matrix this accepts is one the eigenvalue gate passes.  False decides
-    nothing: a NaN or inf entry (or entries so large that their squares
-    overflow), a defect over tol, or an eigenvalue below -tol / 2 (the gate
-    still passes those in [-tol, -tol / 2)).
+    True when m passes hermitian_part (which gates finiteness first) and
+    one Cholesky factorization of its result + (tol / 2) I succeeds.  A
+    factor exists only if every eigenvalue is above -tol / 2 minus rounding,
+    so a matrix this accepts is one the eigenvalue gate passes.  False
+    decides nothing: a bad entry, a defect over tol, or an eigenvalue below
+    -tol / 2 (the gate still passes those in [-tol, -tol / 2)).
     """
-    # cholesky only sees finite matrices Hermitian within tol; the finite
-    # test comes first, so an inf entry raises no warning here.
-    if not (_norm_finite(m) and (np.abs(m - dagger(m)) <= tol).all()):
-        return False
     try:
-        np.linalg.cholesky(hermitianize(m) + (tol / 2) * np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError:
+        np.linalg.cholesky(hermitian_part(m, tol, "matrix") + (tol / 2) * np.eye(m.shape[-1]))
+    except (QpoolError, np.linalg.LinAlgError):
         return False
     return True
 
@@ -223,11 +242,11 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     is renormalized to unit trace.  Inputs that already satisfy the
     invariants exactly come back unchanged.
 
-    Raises QpoolError naming the rule that failed.
+    Raises QpoolError naming the rule that failed (check_tol gates tol).
     """
+    tol = check_tol(tol)
     w, h = check_positive(as_complex_matrix(m), tol, "matrix")
-    tr = trace(h)
-    require(abs(tr - 1.0) <= tol, f"trace {{!r}} differs from 1 by more than {tol:.0e}", tr)
+    tr = check_unit_trace(h, tol, "trace")
     clip = lowest(w) < 0.0
     if clip.any():
         # Clip rounding-level negatives and rebuild those matrices.
@@ -239,15 +258,14 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def hermitian_sqrt(m) -> np.ndarray:
-    """Principal square root of a positive-semidefinite Hermitian matrix.
+    """Principal square root of a PSD matrix, Hermitian within DEFAULT_TOL (hermitian_part).
 
     Eigenvalues below EIGENVALUE_FLOOR are treated as exact zeros: the square
     root is not Lipschitz at 0, so rounding noise in a near-zero eigenvalue
     would otherwise be amplified to ~1e-8 in the result.
     """
-    a = as_complex_matrix(m)
-    check_finite(a, "matrix")
-    w, v = np.linalg.eigh(hermitianize(a))
+    h = hermitian_part(as_complex_matrix(m), DEFAULT_TOL, "matrix")
+    w, v = np.linalg.eigh(h)
     low = lowest(w)
     require(low >= -DEFAULT_TOL, f"negative eigenvalue {{:.3e}} below -{DEFAULT_TOL:.0e}", low)
     w[w < EIGENVALUE_FLOOR] = 0.0

@@ -98,10 +98,9 @@ def posterior_from_outcome(effect) -> np.ndarray:
 
     This is what bare_update yields when applied to the maximally mixed state.
     """
-    e = linalg.as_complex_matrix(effect)
-    linalg.check_finite(e, "effect")
+    e = linalg.hermitian_part(linalg.as_complex_matrix(effect), linalg.DEFAULT_TOL, "effect")
     t = linalg.normalizer(linalg.trace(e), "effect trace")
-    return linalg.hermitianize(e) / linalg.per_matrix(t)
+    return e / linalg.per_matrix(t)
 
 
 def sample_outcome(povm: Povm, rho, rng):

@@ -95,23 +95,12 @@ def _matrices(states) -> np.ndarray:
 def _roots(arrs) -> np.ndarray:
     """Square roots of a stack of states, each of which must have unit trace.
 
-    The stacked hermitian_sqrt gates finiteness and positivity and names the
-    lane that fails; the trace gate follows, before any product of states.
-    A positive semidefinite matrix of unit trace has no entry above 1 in
-    modulus, so no product of such states can overflow.
+    The stacked hermitian_sqrt gates finiteness, Hermiticity and positivity
+    and names the lane that fails; the trace gate follows, before any
+    product of states, so no product of them can overflow.
     """
     roots = linalg.hermitian_sqrt(arrs)
-    tr = linalg.trace(arrs)
-    dev = tr - 1.0
-    # One dot product clears the usual case: squares summing to at most
-    # tol^2 put every lane within tol.  np.vdot runs in BLAS, so a huge
-    # deviation overflows to inf without a warning and takes the lane gate.
-    if not np.vdot(dev, dev) <= linalg.DEFAULT_TOL**2:
-        linalg.require(
-            abs(dev) <= linalg.DEFAULT_TOL,
-            f"state trace {{!r}} differs from 1 by more than {linalg.DEFAULT_TOL:.0e}",
-            tr,
-        )
+    linalg.check_unit_trace(arrs, linalg.DEFAULT_TOL, "state trace")
     return roots
 
 
@@ -235,12 +224,13 @@ def compatibility(a, b) -> float:
 
     Equals (1/2)(1 + a . b) for qubits with Bloch vectors a and b, and
     reaches 1 only for identical pure states.  Both must pass the gates of
-    the pooling rules: finite, positive semidefinite, unit trace.
+    the pooling rules: finite, Hermitian, positive semidefinite, unit trace.
     """
     arrs = _matrices((a, b))
-    # The gates come first; the roots they take are not needed here.
-    _roots(arrs)
+    linalg.check_positive(arrs, linalg.DEFAULT_TOL, "state")
+    linalg.check_unit_trace(arrs, linalg.DEFAULT_TOL, "state trace")
+    # Gated states have no entry above 1 (plus the tolerances), so t is
+    # finite; only the imaginary part left by a Hermiticity defect is gated.
     t = _trace_of_product(arrs)
     linalg.require(abs(t.imag) <= linalg.ZERO_TOL, "Tr[AB] has imaginary part {:.3e}", t.imag)
-    linalg.require(np.isfinite(t.real), "Tr[AB] {!r} is not finite", t.real)
     return t.real

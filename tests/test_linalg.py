@@ -54,6 +54,16 @@ class TestValidateDensity:
         with pytest.raises(QpoolError):
             linalg.validate_density(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize(
+        "tol", ["x", np.nan, -1e-10, np.inf], ids=["str", "nan", "negative", "inf"]
+    )
+    def test_rejects_bad_tol(self, tol):
+        # Before the gate: numpy's UFuncTypeError, a misleading "not
+        # Hermitian: ... = 0.000e+00", or (inf) any finite matrix accepted.
+        with pytest.raises(QpoolError, match=r"tol must be") as exc:
+            linalg.validate_density(np.diag([2.0, 0.0]), tol=tol)
+        assert exc.type is QpoolError
+
     @pytest.mark.parametrize("dim", [2, 3, 5, 8])
     def test_random_densities_pass(self, dim):
         rng = np.random.default_rng(dim)
@@ -166,6 +176,42 @@ class TestCholeskyAccept:
             assert not linalg.cholesky_accepts(x, TOL)
             with pytest.raises(QpoolError, match=message):
                 linalg.check_positive(x, TOL, "m")
+
+
+class TestOneDotProductGates:
+    """hermitian_part and check_unit_trace clear a stack by one sum of squares, lanes on failure."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_hermiticity_at_the_boundary(self, dim):
+        rng = np.random.default_rng(dim)
+        m = _with_lowest(dim, 0.3, rng)
+        # Every defect entry at 0.9 tol; their Frobenius norm, 0.9 tol * dim, is over tol.
+        spread = m + 0.45j * TOL * np.ones((dim, dim))
+        one = m.copy()
+        one[0, -1] += 1.01 * TOL
+        lanes = " (1 of 5 lanes, first 2)"
+        for stack, suffix in ((lambda x: x, ""), (lambda x: _lanes(x, rng), lanes)):
+            x = stack(spread)
+            assert np.array_equal(linalg.hermitian_part(x, TOL, "m"), linalg.hermitianize(x))
+            assert linalg.cholesky_accepts(x, TOL)
+            with pytest.raises(QpoolError) as exc:
+                linalg.hermitian_part(stack(one), TOL, "m")
+            assert str(exc.value) == "m is not Hermitian: max |M - M^dag| = 1.010e-10" + suffix
+
+    def test_unit_trace_at_the_boundary(self):
+        def states(*devs):
+            return np.array([np.diag([0.5, 0.5 + d]) for d in devs]).squeeze()
+
+        # Five lanes 0.9 tol off sum their squares to over tol^2, yet each passes.
+        for x in (states(0.9 * TOL), states(*[0.9 * TOL] * 5)):
+            assert np.array_equal(linalg.check_unit_trace(x, TOL, "trace"), linalg.trace(x))
+        for x, suffix in (
+            (states(1.01 * TOL), ""),
+            (states(0.0, 0.0, 1.01 * TOL, 0.0, 0.0), " (1 of 5 lanes, first 2)"),
+        ):
+            with pytest.raises(QpoolError, match=r"^trace 1\.0000000001\d* differs") as exc:
+                linalg.check_unit_trace(x, TOL, "trace")
+            assert str(exc.value).endswith("differs from 1 by more than 1e-10" + suffix)
 
 
 class TestTraceProduct:

@@ -1,4 +1,5 @@
 import ast
+import cmath
 import inspect
 import math
 from pathlib import Path
@@ -78,6 +79,20 @@ BOUNDARIES = {
     "pool_ordered_multi": (_densities(3), lambda *s: pooling.pool_ordered_multi(s)),
     "pool_symmetric_multi": (_densities(3), lambda *s: pooling.pool_symmetric_multi(s)),
     "pool_bloch": (lambda rng, d: [_bloch(rng), _bloch(rng)], qubit.pool_bloch),
+    "compatibility": (_densities(2), pooling.compatibility),
+}
+
+# The functions that take the Hermitian part of their matrix arguments, by
+# how many leading arguments that gate covers (bare_update's state is not one).
+HERMITIAN_GATED = {
+    "hermitian_sqrt": 1,
+    "posterior_from_outcome": 1,
+    "bare_update": 1,
+    "pool_ordered": 2,
+    "pool_symmetric": 2,
+    "pool_ordered_multi": 3,
+    "pool_symmetric_multi": 3,
+    "compatibility": 2,
 }
 
 
@@ -105,6 +120,31 @@ def test_non_finite_entry_raises_typed_error(name, dim, seed, bad, where, imag):
         call(*args)
 
 
+@given(
+    name=st.sampled_from(sorted(HERMITIAN_GATED)),
+    dim=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.integers(0, 10**6),
+    scale=st.floats(1.01, 1e8),
+    phase=st.floats(0.0, 2 * math.pi),
+)
+@settings(max_examples=200, deadline=None)
+def test_non_hermitian_matrix_raises_typed_error(name, dim, seed, where, scale, phase):
+    make, call = BOUNDARIES[name]
+    args = [np.array(a) for a in make(np.random.default_rng(seed), dim)]
+    call(*args)  # the unspoiled input is valid
+    m = args[where % HERMITIAN_GATED[name]]
+    i, j = divmod((where // HERMITIAN_GATED[name]) % (dim * dim), dim)
+    # An anti-Hermitian perturbation: |M - M^dag| is scale * tol at (i, j),
+    # and the Hermitian part, so every other gate's verdict, is unchanged.
+    x = scale * linalg.DEFAULT_TOL / 2 * (1j if i == j else cmath.exp(1j * phase))
+    m[i, j] += x
+    if i != j:
+        m[j, i] -= x.conjugate()
+    with pytest.raises(QpoolError, match="not Hermitian"):
+        call(*args)
+
+
 def _inf_split_povm():
     m = np.eye(2, dtype=complex) / 2
     m[0, 0] = math.inf
@@ -114,6 +154,9 @@ def _inf_split_povm():
 # Finite, but the gates' arithmetic on it overflows.
 HUGE_SKEW = np.array([[1e308, 1e308], [-1e308, 0.0]])
 HUGE_DIAG = np.diag([1e308, 1e308])
+
+# Hermitian part I/2, Hermiticity defect 0.8.
+SKEW_HALF = np.array([[0.5, 0.4], [-0.4, 0.5]])
 
 
 @pytest.mark.parametrize(
@@ -137,6 +180,9 @@ HUGE_DIAG = np.diag([1e308, 1e308])
         lambda: pooling.pool_ordered(np.diag([2.0, 0.0]), np.diag([1.0, 0.0])),
         lambda: pooling.pool_symmetric_multi([np.diag([5.0, 1.0])] * 3),
         lambda: pooling.pool_ordered_multi([np.diag([1e150, 1.0])] * 3),
+        # Before the Hermiticity gate these returned I/2 and 0.18.
+        lambda: pooling.pool_ordered(SKEW_HALF, np.eye(2) / 2),
+        lambda: pooling.compatibility(SKEW_HALF, SKEW_HALF),
     ],
     ids=[
         "validate_density",
@@ -157,6 +203,8 @@ HUGE_DIAG = np.diag([1e308, 1e308])
         "pool_ordered trace 2",
         "pool_symmetric_multi trace 6",
         "pool_ordered_multi product overflow",
+        "pool_ordered non-Hermitian",
+        "compatibility non-Hermitian",
     ],
 )
 def test_gate_raises_without_a_warning(call):
