@@ -4,7 +4,9 @@ The oracle never calls the pooling rules: it is the state reached by a
 chain of bare updates starting from total ignorance, the chain that
 run_scenario walks while it samples the outcomes.  The verify_* sweeps
 generate random scenarios, pool the observers' individual posteriors, and
-compare against the oracle.
+compare against the oracle.  They share one signature, (trials, dims,
+tol, seed), and one seed scheme: trial i runs at dims[i % len(dims)] from
+default_rng(trial_seed(seed, i)).
 
 A sweep runs all its trials at one dim as one stack, each lane drawing
 from its own trial stream in the order a lone trial would.  A stack in
@@ -327,10 +329,11 @@ def _trial_alone(trial, dim: int, tseed: int) -> tuple[float, float, int]:
     return math.inf, 0.0, MAX_CHAIN_RESAMPLES
 
 
-def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationReport:
+def _sweep(trials: int, dims, tol: float, seed: int, trial) -> VerificationReport:
     """Run `trials` trials per dim, cycling through dims, into one report.
 
-    Trial i draws from default_rng(trial_seed(seed, i)); trial_generators
+    dims is a list, tuple or range.  Trial i runs at dims[i % len(dims)]
+    and draws from default_rng(trial_seed(seed, i)); trial_generators
     seeds the trials at one dim in one pass.  trial(dim, rngs) runs one
     trial per generator as a stack and returns per-lane (oracle_distance,
     norm_discrepancy).  The trials at one dim run as one stack; if it raises
@@ -340,6 +343,8 @@ def _sweep(dims, trials: int, tol: float, seed: int, trial) -> VerificationRepor
     tol = linalg.check_tol(tol)
     trials = linalg.check_int(trials, "trials", 1)
     seed = linalg.check_int(seed, "seed")
+    if not isinstance(dims, (list, tuple, range)):
+        raise QpoolError(f"dims must be a list, tuple or range, got {dims!r}")
     dims = [linalg.check_int(d, "dim", 2) for d in dims]
     if not dims:
         raise QpoolError("a sweep needs at least one dim")
@@ -404,26 +409,23 @@ def _random_chain(make_povm, dim: int, n: int, rngs) -> tuple[Scenario, np.ndarr
     return scen, measurement.posterior_from_outcome(effects)
 
 
-def verify_two_observer(trials: int, dim_range, tol: float, seed: int) -> VerificationReport:
+def verify_two_observer(trials: int, dims, tol: float, seed: int) -> VerificationReport:
     """Pooled two-observer posteriors vs the two-step oracle.
 
-    Runs `trials` random scenarios at every dim in dim_range (inclusive),
-    pools the observers' posteriors with the ordered rule, and records the
-    Frobenius distance to the oracle.
+    Runs `trials` random scenarios at every dim in dims (_sweep), pools the
+    observers' posteriors with the ordered rule, and records the Frobenius
+    distance to the oracle.
     """
-    if not isinstance(dim_range, (list, tuple)) or len(dim_range) != 2:
-        raise QpoolError(f"dim_range must be a (low, high) pair, got {dim_range!r}")
-    lo, hi = linalg.check_int(dim_range[0], "dim"), linalg.check_int(dim_range[1], "dim")
 
     def trial(dim, rngs):
         scen, (rho_a, rho_b) = _random_chain(random_povm, dim, 2, rngs)
         pooled = pooling.pool_ordered(rho_a, rho_b)
         return _distance(pooled.pooled, scen.final_state), pooled.norm_discrepancy
 
-    return _sweep(list(range(lo, hi + 1)), trials, tol, seed, trial)
+    return _sweep(trials, dims, tol, seed, trial)
 
 
-def verify_commuting_reduction(trials: int, dim: int, tol: float, seed: int) -> VerificationReport:
+def verify_commuting_reduction(trials: int, dims, tol: float, seed: int) -> VerificationReport:
     """Diagonal scenarios: symmetric pooling vs the classical product rule.
 
     All operators commute, so the pooled state must be the diagonal matrix
@@ -439,16 +441,11 @@ def verify_commuting_reduction(trials: int, dim: int, tol: float, seed: int) -> 
         d = _distance(pooled.pooled, classical[..., None] * np.eye(dim))
         return d, pooled.norm_discrepancy
 
-    return _sweep([dim], trials, tol, seed, trial)
+    return _sweep(trials, dims, tol, seed, trial)
 
 
 def verify_three_observer(
-    trials: int,
-    dim: int,
-    seed: int,
-    *,
-    tol: float = 1e-10,
-    diagonal: bool = False,
+    trials: int, dims, tol: float, seed: int, *, diagonal: bool = False
 ) -> VerificationReport:
     """Three observers: ordered pooling vs the three-step oracle.
 
@@ -471,23 +468,4 @@ def verify_three_observer(
             d[[not _is_density(rho) for rho in symmetric.pooled]] = math.inf
         return d, symmetric.norm_discrepancy
 
-    return _sweep([dim], trials, tol, seed, trial)
-
-
-def merge_reports(reports) -> VerificationReport:
-    """Combine sweep reports: sums for counts, maxima for distances."""
-    reports = list(reports)
-    if not reports:
-        raise QpoolError("nothing to merge")
-    total = sum(r.trials for r in reports)
-    return VerificationReport(
-        trials=total,
-        max_oracle_distance=max(r.max_oracle_distance for r in reports),
-        max_norm_discrepancy=max(r.max_norm_discrepancy for r in reports),
-        failures=[f for r in reports for f in r.failures],
-        mean_norm_discrepancy=sum(
-            r.mean_norm_discrepancy * r.trials for r in reports
-        )
-        / total,
-        resamples=sum(r.resamples for r in reports),
-    )
+    return _sweep(trials, dims, tol, seed, trial)

@@ -59,10 +59,12 @@ def validate_povm(elements) -> Povm:
 def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     """Outcome distribution p_k = Re Tr[E_k rho], along the last axis.
 
-    rho has the shape of the POVM's elements: one state per lane.
+    rho has the shape of the POVM's elements: one state per lane.  It must
+    be Hermitian within DEFAULT_TOL; the sum-to-1 gate bounds its trace.
     """
     r = linalg.as_complex_matrix(rho)
     linalg.same_shape((povm.elements[0], r), ("POVM", "state"))
+    r = linalg.hermitian_part(r, linalg.DEFAULT_TOL, "state")
     # One einsum per outcome, so a lane's numbers are those of its single call.
     p = np.empty(r.shape[:-2] + (len(povm),))
     for k, e in enumerate(povm.elements):
@@ -81,15 +83,19 @@ def bare_update(effect, rho) -> np.ndarray:
     """State of knowledge after observing the outcome with effect E.
 
     Returns sqrt(E) rho sqrt(E) / Tr[E rho], the update with no disturbance
-    beyond the information gain itself.
+    beyond the information gain itself.  E and rho are gated before the
+    outcome probability is formed: E through hermitian_sqrt, rho Hermitian
+    and of unit trace within DEFAULT_TOL.
     """
     e = linalg.as_complex_matrix(effect)
     r = linalg.as_complex_matrix(rho)
     linalg.same_shape((e, r), ("effect", "state"))
+    s = linalg.hermitian_sqrt(e)
+    r = linalg.hermitian_part(r, linalg.DEFAULT_TOL, "state")
+    linalg.check_unit_trace(r, linalg.DEFAULT_TOL, "state trace")
     p = linalg.normalizer(
         np.einsum("...ij,...ji->...", e, r).real, "outcome probability", ZeroProbabilityError
     )
-    s = linalg.hermitian_sqrt(e)
     return linalg.hermitianize(s @ r @ s) / linalg.per_matrix(p)
 
 

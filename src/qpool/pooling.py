@@ -40,9 +40,6 @@ class PoolReport:
     norm_discrepancy : float
         |trace_norm - paper_norm|.  Zero in exact arithmetic for n = 2 and
         for commuting collections; nonzero in general for n >= 3.
-    paper_norm_imag : float
-        Magnitude of the imaginary part discarded from the closed-form
-        denominator.  Rounding-level for valid inputs.
     """
 
     pooled: np.ndarray
@@ -50,7 +47,6 @@ class PoolReport:
     paper_norm: float
     trace_norm: float
     norm_discrepancy: float
-    paper_norm_imag: float = 0.0
 
 
 def classical_pool(pa, pb) -> np.ndarray:
@@ -112,15 +108,13 @@ def _report(num, arrs, orderings: int, what: str) -> PoolReport:
     """
     num = linalg.hermitianize(num)
     t = linalg.normalizer(linalg.trace(num), what, IncompatibleStatesError)
-    ptr = _trace_of_product(arrs) * orderings
-    paper = ptr.real
+    paper = (_trace_of_product(arrs) * orderings).real
     return PoolReport(
         pooled=num / linalg.per_matrix(t),
         compatibility=t / orderings,
         paper_norm=paper,
         trace_norm=t,
         norm_discrepancy=abs(t - paper),
-        paper_norm_imag=abs(ptr.imag),
     )
 
 

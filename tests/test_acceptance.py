@@ -33,9 +33,22 @@ def _random_bloch_pair(rng, pure_fraction=0.25):
     return out
 
 
+def _combined(reports) -> harness.VerificationReport:
+    """One report of per-dim sweeps: summed trials, joined failures, largest maxima."""
+    trials = sum(r.trials for r in reports)
+    return harness.VerificationReport(
+        trials=trials,
+        max_oracle_distance=max(r.max_oracle_distance for r in reports),
+        max_norm_discrepancy=max(r.max_norm_discrepancy for r in reports),
+        failures=[f for r in reports for f in r.failures],
+        mean_norm_discrepancy=sum(r.mean_norm_discrepancy * r.trials for r in reports) / trials,
+        resamples=sum(r.resamples for r in reports),
+    )
+
+
 def test_01_ordered_rule_matches_sequential_oracle():
     # 1000 scenarios per dimension, dims 2..5, every trial within 1e-10.
-    report = harness.verify_two_observer(1000, (2, 5), 1e-10, seed=101)
+    report = harness.verify_two_observer(1000, range(2, 6), 1e-10, seed=101)
     _report(
         "ordered rule vs two-step oracle, dims 2-5",
         report.trials == 4000 and not report.failures,
@@ -46,9 +59,11 @@ def test_01_ordered_rule_matches_sequential_oracle():
 
 def test_02_commuting_scenarios_reduce_to_classical_rule():
     # 500 diagonal scenarios spread over dims up to 16.
-    report = harness.merge_reports(
-        harness.verify_commuting_reduction(125, dim, 1e-10, seed=102 + dim)
-        for dim in (2, 4, 8, 16)
+    report = _combined(
+        [
+            harness.verify_commuting_reduction(125, [dim], 1e-10, seed=102 + dim)
+            for dim in (2, 4, 8, 16)
+        ]
     )
     _report(
         "diagonal pooling vs classical product rule, dims up to 16",
@@ -178,16 +193,16 @@ def test_06_measurement_does_not_disturb_total_ignorance():
 
 
 def test_07_three_observer_suite():
-    generic = harness.merge_reports(
+    generic = _combined(
         [
-            harness.verify_three_observer(250, 2, seed=107),
-            harness.verify_three_observer(250, 3, seed=1007),
+            harness.verify_three_observer(250, [2], 1e-10, seed=107),
+            harness.verify_three_observer(250, [3], 1e-10, seed=1007),
         ]
     )
-    commuting = harness.merge_reports(
+    commuting = _combined(
         [
-            harness.verify_three_observer(250, 2, seed=207, diagonal=True),
-            harness.verify_three_observer(250, 3, seed=2007, diagonal=True),
+            harness.verify_three_observer(250, [2], 1e-10, seed=207, diagonal=True),
+            harness.verify_three_observer(250, [3], 1e-10, seed=2007, diagonal=True),
         ]
     )
     ok = (

@@ -14,7 +14,7 @@ LANES = 5
 LANE_TOL = 1e-15
 REPORT_TOL = 1e-14
 
-# harness.verify_two_observer(5, (2, 3), 1e-18, 7) fails every trial; these
+# harness.verify_two_observer(5, range(2, 4), 1e-18, 7) fails every trial; these
 # are its failing trial seeds, in report order, as the one-trial-at-a-time
 # sweep produced them.
 PINNED_FAILURE_SEEDS = [
@@ -54,7 +54,6 @@ def _numbers(result):
             result.paper_norm,
             result.trace_norm,
             result.norm_discrepancy,
-            result.paper_norm_imag,
         ]
     if isinstance(result, measurement.Povm):
         return list(result.elements)
@@ -405,7 +404,7 @@ def test_run_scenario_lanes_sample_what_single_runs_sample():
 
 
 def test_two_observer_failure_seeds_are_pinned():
-    report = harness.verify_two_observer(5, (2, 3), 1e-18, 7)
+    report = harness.verify_two_observer(5, range(2, 4), 1e-18, 7)
     assert [s for s, _ in report.failures] == PINNED_FAILURE_SEEDS
     assert report.resamples == 0
 
@@ -413,7 +412,7 @@ def test_two_observer_failure_seeds_are_pinned():
 def test_three_observer_discrepancies_are_pinned():
     # Each trial's discrepancy depends on every draw of its stream, so these
     # values, from the one-trial-at-a-time sweep, pin the draw order.
-    report = harness.verify_three_observer(6, 3, 13)
+    report = harness.verify_three_observer(6, [3], 1e-10, 13)
     assert report.max_norm_discrepancy == pytest.approx(0.049471344419311336, rel=1e-12)
     assert report.mean_norm_discrepancy == pytest.approx(0.01950750609914446, rel=1e-12)
 
@@ -445,9 +444,9 @@ def _tripping(monkeypatch, attr, once):
 
 
 SWEEPS = [
-    ("pool_ordered", lambda: harness.verify_two_observer(6, (2, 3), 1e-18, 11)),
-    ("pool_symmetric", lambda: harness.verify_commuting_reduction(6, 3, 1e-18, 12)),
-    ("pool_ordered_multi", lambda: harness.verify_three_observer(6, 3, 13, tol=1e-18)),
+    ("pool_ordered", lambda: harness.verify_two_observer(6, range(2, 4), 1e-18, 11)),
+    ("pool_symmetric", lambda: harness.verify_commuting_reduction(6, [3], 1e-18, 12)),
+    ("pool_ordered_multi", lambda: harness.verify_three_observer(6, [3], 1e-18, 13)),
 ]
 
 
@@ -482,7 +481,7 @@ def _spoiling(monkeypatch, attr, lane, spoil):
 
 def test_a_non_finite_lane_fails_only_its_own_trial(monkeypatch):
     _spoiling(monkeypatch, "pool_ordered", 2, lambda rho: np.full_like(rho, np.nan))
-    report = harness.verify_two_observer(5, (3, 3), 1e-10, 21)
+    report = harness.verify_two_observer(5, range(3, 4), 1e-10, 21)
     assert report.failures == [(harness.trial_seed(21, 2), np.inf)]
     assert report.resamples == 0
 
@@ -490,7 +489,7 @@ def test_a_non_finite_lane_fails_only_its_own_trial(monkeypatch):
 def test_an_invalid_symmetric_lane_fails_only_its_own_trial(monkeypatch):
     # Twice a state has trace 2, so it is not a density matrix.
     _spoiling(monkeypatch, "pool_symmetric_multi", 1, lambda rho: 2.0 * rho)
-    report = harness.verify_three_observer(6, 3, 13)
+    report = harness.verify_three_observer(6, [3], 1e-10, 13)
     assert report.failures == [(harness.trial_seed(13, 1), np.inf)]
     assert report.resamples == 0
 
@@ -500,7 +499,7 @@ def test_a_trial_that_never_completes_redraws_then_fails(monkeypatch):
         raise IncompatibleStatesError("never compatible")
 
     monkeypatch.setattr(pooling, "pool_ordered", incompatible)
-    report = harness.verify_two_observer(2, (2, 2), 1e-10, 3)
+    report = harness.verify_two_observer(2, range(2, 3), 1e-10, 3)
     assert report.resamples == 2 * harness.MAX_CHAIN_RESAMPLES
     assert [d for _, d in report.failures] == [np.inf, np.inf]
     assert report.mean_norm_discrepancy == 0.0

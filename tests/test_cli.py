@@ -222,6 +222,24 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"two", "commuting", "three"}
 
+    @pytest.mark.parametrize(
+        "suite,sweep",
+        [
+            ("two", harness.verify_two_observer),
+            ("commuting", harness.verify_commuting_reduction),
+            ("three", harness.verify_three_observer),
+        ],
+    )
+    def test_a_suite_prints_its_block_of_all_and_its_library_sweep(self, suite, sweep, capsys):
+        # The CLI holds no seed policy of its own: one suite's stdout is its
+        # block of --suite all and the one library call over the same dims.
+        args = ["--trials", "3", "--dims", "2..3", "--tol", "1e-10", "--seed", "17"]
+        assert cli.main(["verify", "--suite", suite, *args]) == 0
+        alone = capsys.readouterr().out
+        assert cli.main(["verify", "--suite", "all", *args]) == 0
+        assert alone == json.dumps(json.loads(capsys.readouterr().out)[suite]) + "\n"
+        assert alone == json.dumps(sweep(3, range(2, 4), 1e-10, 17).as_dict()) + "\n"
+
     def test_zero_trials_exits_2(self, capsys):
         assert cli.main(["verify", "--trials", "0"]) == 2
 

@@ -158,21 +158,21 @@ def test_chain_probabilities_factorize():
 
 class TestVerifySweeps:
     def test_two_observer_clean(self):
-        report = harness.verify_two_observer(10, (2, 3), 1e-10, 123)
+        report = harness.verify_two_observer(10, range(2, 4), 1e-10, 123)
         assert report.trials == 20
         assert report.failures == []
         assert report.max_oracle_distance < 1e-10
 
     def test_two_observer_deterministic(self):
-        a = harness.verify_two_observer(5, (2, 2), 1e-10, 7)
-        b = harness.verify_two_observer(5, (2, 2), 1e-10, 7)
+        a = harness.verify_two_observer(5, range(2, 3), 1e-10, 7)
+        b = harness.verify_two_observer(5, range(2, 3), 1e-10, 7)
         assert a == b
 
     def test_two_observer_rejects_bad_args(self):
         with pytest.raises(QpoolError):
-            harness.verify_two_observer(0, (2, 3), 1e-10, 1)
+            harness.verify_two_observer(0, range(2, 4), 1e-10, 1)
         with pytest.raises(QpoolError):
-            harness.verify_two_observer(5, (3, 2), 1e-10, 1)
+            harness.verify_two_observer(5, range(3, 2), 1e-10, 1)
 
     def test_nan_distance_is_a_failure(self, monkeypatch):
         def nan_pool(first, second):
@@ -182,71 +182,38 @@ class TestVerifySweeps:
             )
 
         monkeypatch.setattr(pooling, "pool_ordered", nan_pool)
-        report = harness.verify_two_observer(5, (2, 3), 1e-10, 0)
+        report = harness.verify_two_observer(5, range(2, 4), 1e-10, 0)
         assert report.max_oracle_distance == np.inf
         assert len(report.failures) == 10
         assert all(d == np.inf for _, d in report.failures)
 
     def test_impossible_tolerance_reports_failures(self):
-        report = harness.verify_two_observer(5, (2, 2), 1e-18, 7)
+        report = harness.verify_two_observer(5, range(2, 3), 1e-18, 7)
         assert report.failures
         assert all(d > 1e-18 for _, d in report.failures)
 
     def test_commuting_reduction_clean(self):
-        report = harness.verify_commuting_reduction(20, 4, 1e-10, 5)
+        report = harness.verify_commuting_reduction(20, [4], 1e-10, 5)
         assert report.failures == []
         assert report.max_oracle_distance < 1e-10
 
     def test_three_observer_clean(self):
-        report = harness.verify_three_observer(10, 2, 9)
+        report = harness.verify_three_observer(10, [2], 1e-10, 9)
         assert report.failures == []
         assert report.max_oracle_distance < 1e-10
         # Non-commuting triples generically split the two normalizers.
         assert report.max_norm_discrepancy > 1e-6
 
     def test_three_observer_commuting_discrepancy_vanishes(self):
-        report = harness.verify_three_observer(10, 3, 13, diagonal=True)
+        report = harness.verify_three_observer(10, [3], 1e-10, 13, diagonal=True)
         assert report.failures == []
         assert report.max_norm_discrepancy < 1e-10
 
     def test_bad_args(self):
         with pytest.raises(QpoolError):
-            harness.verify_commuting_reduction(0, 4, 1e-10, 1)
+            harness.verify_commuting_reduction(0, [4], 1e-10, 1)
         with pytest.raises(QpoolError):
-            harness.verify_three_observer(5, 1, 1)
-
-
-class TestMergeReports:
-    def test_combines(self):
-        a = harness.VerificationReport(
-            trials=10,
-            max_oracle_distance=1e-12,
-            max_norm_discrepancy=2e-3,
-            failures=[(1, 0.5)],
-            mean_norm_discrepancy=1e-3,
-            resamples=1,
-        )
-        b = harness.VerificationReport(
-            trials=30,
-            max_oracle_distance=5e-12,
-            max_norm_discrepancy=1e-3,
-            failures=[],
-            mean_norm_discrepancy=5e-4,
-            resamples=0,
-        )
-        merged = harness.merge_reports([a, b])
-        assert merged.trials == 40
-        assert merged.max_oracle_distance == 5e-12
-        assert merged.max_norm_discrepancy == 2e-3
-        assert merged.failures == [(1, 0.5)]
-        assert merged.mean_norm_discrepancy == pytest.approx(
-            (1e-3 * 10 + 5e-4 * 30) / 40
-        )
-        assert merged.resamples == 1
-
-    def test_empty(self):
-        with pytest.raises(QpoolError):
-            harness.merge_reports([])
+            harness.verify_three_observer(5, [1], 1e-10, 1)
 
 
 def test_trial_seeds_distinct():
@@ -277,12 +244,13 @@ def _povm_rng():
 # Each call breaks the integer rule (a Python or numpy integer, not a bool,
 # at least its minimum), the real-number rule for tol (a Python or numpy
 # real, not a bool), the generator rule (one Generator, or a list or tuple
-# with one entry per lane), or passes a dim range that is not a pair or
-# outcome counts that are not one integer or a flat list of them.
+# with one entry per lane), or passes dims that are not a non-empty list,
+# tuple or range, or outcome counts that are not one integer or a flat list
+# of them.
 TYPED_REJECTIONS = {
     "fractional outcome count": lambda: harness.random_povm(2, 2.7, _povm_rng()),
     "fractional dim range": lambda: harness.verify_two_observer(1, (2.7, 3.9), 1e-10, 0),
-    "bool trials": lambda: harness.verify_two_observer(True, (2, 2), 1e-10, 0),
+    "bool trials": lambda: harness.verify_two_observer(True, range(2, 3), 1e-10, 0),
     "fractional povm dim": lambda: harness.random_povm(2.5, 2, _povm_rng()),
     "zero povm dim": lambda: harness.random_povm(0, 2, _povm_rng()),
     "fractional rank": lambda: harness.random_density(3, 2.5, _povm_rng()),
@@ -291,8 +259,8 @@ TYPED_REJECTIONS = {
     "fractional scenario dim": lambda: harness.oracle_pool(
         harness.Scenario(dim=2.5, povms=(_projective_z(),), seed=0, sampled_outcomes=(0,))
     ),
-    "fractional commuting dim": lambda: harness.verify_commuting_reduction(2, 2.5, 1e-10, 0),
-    "fractional sweep seed": lambda: harness.verify_two_observer(1, (2, 2), 1e-10, 1.5),
+    "fractional commuting dim": lambda: harness.verify_commuting_reduction(2, [2.5], 1e-10, 0),
+    "fractional sweep seed": lambda: harness.verify_two_observer(1, range(2, 3), 1e-10, 1.5),
     "fractional scenario seed": lambda: harness.run_scenario(
         harness.Scenario(dim=2, povms=(_projective_z(),), seed=1.5)
     ),
@@ -301,26 +269,30 @@ TYPED_REJECTIONS = {
     "scenario rng int": lambda: harness.run_scenario(
         harness.Scenario(dim=2, povms=(_projective_z(),), seed=0), rng=5
     ),
-    "one-element dim range": lambda: harness.verify_two_observer(1, (2,), 1e-10, 0),
+    "empty dims": lambda: harness.verify_two_observer(1, (), 1e-10, 0),
     "integer dim range": lambda: harness.verify_two_observer(1, 5, 1e-10, 0),
+    "integer commuting dims": lambda: harness.verify_commuting_reduction(1, 2, 1e-10, 0),
+    "integer three-observer dims": lambda: harness.verify_three_observer(1, 3, 1e-10, 0),
+    "empty three-observer dims": lambda: harness.verify_three_observer(1, range(2, 2), 1e-10, 0),
     "nested outcome counts": lambda: harness.random_povm(
         2, [2, [3, 4]], [_povm_rng(), _povm_rng()]
     ),
-    "string tol": lambda: harness.verify_two_observer(1, (2, 3), "x", 0),
-    "None tol": lambda: harness.verify_commuting_reduction(1, 2, None, 0),
-    "bool tol": lambda: harness.verify_two_observer(1, (2, 3), True, 0),
-    "bool three-observer tol": lambda: harness.verify_three_observer(1, 2, 0, tol=True),
+    "string tol": lambda: harness.verify_two_observer(1, range(2, 4), "x", 0),
+    "None tol": lambda: harness.verify_commuting_reduction(1, [2], None, 0),
+    "bool tol": lambda: harness.verify_two_observer(1, range(2, 4), True, 0),
+    "bool three-observer tol": lambda: harness.verify_three_observer(1, [2], True, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TYPED_REJECTIONS))
 def test_integer_and_generator_rules_raise_qpool_error(name):
     with pytest.raises(
-        QpoolError, match=r"must be an integer|must be >=|must be a real|rng must be|pair"
+        QpoolError,
+        match=r"must be an integer|must be >=|must be a real|rng must be|dims must be|at least one dim",
     ):
         TYPED_REJECTIONS[name]()
 
 
 def test_a_numpy_float_tol_is_a_real_number():
-    report = harness.verify_two_observer(2, (2, 2), np.float64(1e-10), 0)
-    assert report == harness.verify_two_observer(2, (2, 2), 1e-10, 0)
+    report = harness.verify_two_observer(2, range(2, 3), np.float64(1e-10), 0)
+    assert report == harness.verify_two_observer(2, range(2, 3), 1e-10, 0)

@@ -184,11 +184,12 @@ class TestBareUpdate:
             measurement.bare_update(Z1, Z0)
 
     def test_infinite_entry_is_a_bad_input(self):
-        # The outcome probability is inf: a bad state, not an impossible
-        # outcome, so the error is no ZeroProbabilityError for a sweep to redraw on.
+        # The state gate rejects it before an outcome probability is formed:
+        # a bad state, not an impossible outcome, so the error is no
+        # ZeroProbabilityError for a sweep to redraw on.
         rho = MIXED2.copy()
         rho[0, 0] = np.inf
-        with pytest.raises(QpoolError, match="outcome probability inf is not finite") as exc:
+        with pytest.raises(QpoolError, match="state has a non-finite entry") as exc:
             measurement.bare_update(Z0, rho)
         assert type(exc.value) is QpoolError
 

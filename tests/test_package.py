@@ -83,16 +83,18 @@ BOUNDARIES = {
 }
 
 # The functions that take the Hermitian part of their matrix arguments, by
-# how many leading arguments that gate covers (bare_update's state is not one).
+# the positions of the arguments that gate covers (outcome_probabilities
+# gates its state, not the elements of a POVM built without validate_povm).
 HERMITIAN_GATED = {
-    "hermitian_sqrt": 1,
-    "posterior_from_outcome": 1,
-    "bare_update": 1,
-    "pool_ordered": 2,
-    "pool_symmetric": 2,
-    "pool_ordered_multi": 3,
-    "pool_symmetric_multi": 3,
-    "compatibility": 2,
+    "hermitian_sqrt": (0,),
+    "posterior_from_outcome": (0,),
+    "bare_update": (0, 1),
+    "outcome_probabilities": (-1,),
+    "pool_ordered": (0, 1),
+    "pool_symmetric": (0, 1),
+    "pool_ordered_multi": (0, 1, 2),
+    "pool_symmetric_multi": (0, 1, 2),
+    "compatibility": (0, 1),
 }
 
 
@@ -133,8 +135,9 @@ def test_non_hermitian_matrix_raises_typed_error(name, dim, seed, where, scale, 
     make, call = BOUNDARIES[name]
     args = [np.array(a) for a in make(np.random.default_rng(seed), dim)]
     call(*args)  # the unspoiled input is valid
-    m = args[where % HERMITIAN_GATED[name]]
-    i, j = divmod((where // HERMITIAN_GATED[name]) % (dim * dim), dim)
+    gated = HERMITIAN_GATED[name]
+    m = args[gated[where % len(gated)]]
+    i, j = divmod((where // len(gated)) % (dim * dim), dim)
     # An anti-Hermitian perturbation: |M - M^dag| is scale * tol at (i, j),
     # and the Hermitian part, so every other gate's verdict, is unchanged.
     x = scale * linalg.DEFAULT_TOL / 2 * (1j if i == j else cmath.exp(1j * phase))
@@ -157,6 +160,8 @@ HUGE_DIAG = np.diag([1e308, 1e308])
 
 # Hermitian part I/2, Hermiticity defect 0.8.
 SKEW_HALF = np.array([[0.5, 0.4], [-0.4, 0.5]])
+Z0 = np.diag([1.0, 0.0])
+Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -183,6 +188,10 @@ SKEW_HALF = np.array([[0.5, 0.4], [-0.4, 0.5]])
         # Before the Hermiticity gate these returned I/2 and 0.18.
         lambda: pooling.pool_ordered(SKEW_HALF, np.eye(2) / 2),
         lambda: pooling.compatibility(SKEW_HALF, SKEW_HALF),
+        # Before the state gates these returned diag(1, 0), diag(1, 0) and [0.5, 0.5].
+        lambda: measurement.bare_update(Z0, SKEW_HALF),
+        lambda: measurement.bare_update(Z0, np.diag([3.0, 0.0])),
+        lambda: measurement.outcome_probabilities(Z_POVM, SKEW_HALF),
     ],
     ids=[
         "validate_density",
@@ -205,6 +214,9 @@ SKEW_HALF = np.array([[0.5, 0.4], [-0.4, 0.5]])
         "pool_ordered_multi product overflow",
         "pool_ordered non-Hermitian",
         "compatibility non-Hermitian",
+        "bare_update non-Hermitian state",
+        "bare_update state trace 3",
+        "outcome_probabilities non-Hermitian state",
     ],
 )
 def test_gate_raises_without_a_warning(call):
@@ -212,6 +224,15 @@ def test_gate_raises_without_a_warning(call):
     # (test_overflowing_sum_of_products_rejected covers classical_pool).
     with pytest.raises(QpoolError):
         call()
+
+
+def test_bare_update_gates_the_effect_before_the_outcome_probability():
+    # Re Tr[E rho] is 0 here, so a probability gate that ran first would
+    # raise ZeroProbabilityError, on which the sweeps redraw.
+    skew_effect = np.array([[0.0, 0.4], [-0.4, 1.0]])
+    with pytest.raises(QpoolError, match="not Hermitian") as info:
+        measurement.bare_update(skew_effect, Z0)
+    assert not isinstance(info.value, errors.ZeroProbabilityError)
 
 
 def test_no_assert_statements():
