@@ -202,6 +202,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random(args) -> int:
+    # Refused rather than ignored: each size option applies to one kind.
+    if args.kind == "state" and args.outcomes is not None:
+        raise QpoolError("--outcomes does not apply to random state")
+    if args.kind == "povm" and args.rank is not None:
+        raise QpoolError("--rank does not apply to random povm")
     rng = np.random.default_rng(linalg.check_int(args.seed, "seed", 0))
     if args.kind == "state":
         rank = args.rank if args.rank is not None else args.dim
@@ -224,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pool = sub.add_parser("pool", help="pool two or more states from files")
     p_pool.add_argument("--mode", choices=("ordered", "symmetric"), required=True)
     p_pool.add_argument(
-        "--in", dest="inputs", nargs="+", required=True, metavar="FILE",
-        help="input state files, in measurement order for --mode ordered",
+        "--in", dest="inputs", nargs="+", action="extend", required=True, metavar="FILE",
+        help="input state files, in measurement order for --mode ordered;"
+        " a repeated --in appends",
     )
     p_pool.add_argument("--out", required=True, metavar="FILE")
     p_pool.add_argument("--pretty", action="store_true")

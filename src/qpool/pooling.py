@@ -15,6 +15,15 @@ from .errors import IncompatibleStatesError, QpoolError
 # at n = 6); the cap on n is a fixed count, not yet derived from that cost.
 MAX_SYMMETRIC_STATES = 6
 
+# _roots keeps the last stack of states that passed its gates, with their
+# roots, only if the stack takes at most this many bytes; the key and the
+# roots then hold about twice that between pooling calls.
+MAX_ROOT_MEMO_BYTES = 1 << 20
+
+# (shape, bytes) of that stack and its read-only roots, or None.  It is read
+# once and replaced whole, so callers in other threads can at worst miss.
+_last_roots = None
+
 
 @dataclass(frozen=True)
 class PoolReport:
@@ -94,9 +103,24 @@ def _roots(arrs) -> np.ndarray:
     The stacked hermitian_sqrt gates finiteness, Hermiticity and positivity
     and names the lane that fails; the trace gate follows, before any
     product of states, so no product of them can overflow.
+
+    The last stack that passed both gates is kept with its roots (read-only),
+    so pooling the same states again, by the other rule say, skips both: a
+    stack of the same shape and the same bytes gets those roots back, which
+    are bitwise the roots a fresh call computes.  Stacks above
+    MAX_ROOT_MEMO_BYTES are not kept.
     """
+    global _last_roots
+    last = _last_roots
+    # Bytes, not np.array_equal, which treats 0.0 and -0.0 as equal; a shape
+    # that differs misses before any bytes are copied.
+    if last is not None and last[0] == arrs.shape and last[1] == arrs.tobytes():
+        return last[2]
     roots = linalg.hermitian_sqrt(arrs)
     linalg.check_unit_trace(arrs, linalg.DEFAULT_TOL, "state trace")
+    if arrs.nbytes <= MAX_ROOT_MEMO_BYTES:
+        roots.setflags(write=False)
+        _last_roots = (arrs.shape, arrs.tobytes(), roots)
     return roots
 
 

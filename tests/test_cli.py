@@ -457,8 +457,10 @@ def test_parser_rejects_an_integer_too_large_for_a_float():
     [
         ["random", "state", "--dim", "2", "--seed", "-1"],
         ["random", "povm", "--dim", "0", "--outcomes", "2"],
+        ["random", "povm", "--dim", "2", "--rank", "1"],
+        ["random", "state", "--dim", "2", "--outcomes", "3"],
     ],
-    ids=["negative seed", "zero dim povm"],
+    ids=["negative seed", "zero dim povm", "rank for a povm", "outcomes for a state"],
 )
 def test_bad_random_arguments_exit_2(argv, tmp_path, capsys):
     out = tmp_path / "x.json"
@@ -473,3 +475,25 @@ def test_verify_accepts_a_negative_seed(capsys):
     argv = ["verify", "--suite", "all", "--trials", "2", "--dims", "2..2", "--seed", "-1"]
     assert cli.main(argv) == 0
     assert set(json.loads(capsys.readouterr().out)) == {"two", "commuting", "three"}
+
+
+@pytest.mark.parametrize(
+    "kind, option", [("povm", ["--rank", "1"]), ("state", ["--outcomes", "3"])]
+)
+def test_random_names_the_option_that_does_not_apply(kind, option, tmp_path, capsys):
+    argv = ["random", kind, "--dim", "2", *option, "--out", str(tmp_path / "x.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {option[0]} does not apply to random {kind}\n"
+
+
+def test_repeated_in_appends_its_files(state_files, tmp_path, capsys):
+    z0, plus, mixed = state_files["z0"], state_files["plus"], state_files["mixed"]
+    cases = (([z0, plus], [z0, "--in", plus]), ([z0, plus, mixed], [z0, "--in", plus, mixed]))
+    for files, repeated in cases:
+        once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+        assert cli.main(["pool", "--mode", "ordered", "--in", *files, "--out", str(once)]) == 0
+        assert cli.main(["pool", "--mode", "ordered", "--in", *repeated, "--out", str(twice)]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert once.read_bytes() == twice.read_bytes() and first == second
+        # Only a pool of three or more states reports the discrepancy.
+        assert ("norm_discrepancy" in json.loads(second)) == (len(files) == 3)
