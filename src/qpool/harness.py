@@ -386,9 +386,9 @@ def _distance(pooled: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _is_density(rho) -> bool:
-    """Whether rho passes validate_density at the sweeps' 1e-9 tolerance."""
+    """Whether rho passes validate_density's gates at the sweeps' 1e-9 tolerance."""
     try:
-        linalg.validate_density(rho, tol=1e-9)
+        linalg.check_unit_trace(linalg.check_positive(rho, 1e-9, "matrix"), 1e-9, "trace")
     except QpoolError:
         return False
     return True

@@ -205,33 +205,27 @@ def check_unit_trace(m: np.ndarray, tol: float, what: str):
     return tr
 
 
-def check_positive(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check M passes hermitian_part and has eigenvalues >= -tol.
-
-    Returns the eigenvalues in ascending order and the Hermitian part of M.
-    """
-    h = hermitian_part(m, tol, what)
-    w = np.linalg.eigvalsh(h)
+def _check_lowest(w: np.ndarray, tol: float, what: str) -> None:
+    """The eigenvalue gate: each matrix's smallest eigenvalue (eigh/eigvalsh output) >= -tol."""
     low = lowest(w)
     require(low >= -tol, f"{what} has negative eigenvalue {{:.3e}} below -{tol:.0e}", low)
-    return w, h
 
 
-def cholesky_accepts(m: np.ndarray, tol: float) -> bool:
-    """Whether every matrix of the stack surely passes check_positive(m, tol).
+def check_positive(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Check M passes hermitian_part and has eigenvalues >= -tol; return its Hermitian part.
 
-    True when m passes hermitian_part (which gates finiteness first) and
-    one Cholesky factorization of its result + (tol / 2) I succeeds.  A
-    factor exists only if every eigenvalue is above -tol / 2 minus rounding,
-    so a matrix this accepts is one the eigenvalue gate passes.  False
-    decides nothing: a bad entry, a defect over tol, or an eigenvalue below
-    -tol / 2 (the gate still passes those in [-tol, -tol / 2)).
+    One Cholesky factorization of the whole stack, shifted by (tol / 2) I,
+    accepts the usual input: a factor exists only if every eigenvalue is
+    above -tol / 2 less rounding, so what it accepts the eigenvalue gate
+    passes.  Only when it fails does eigvalsh decide, which passes
+    eigenvalues in [-tol, -tol / 2) and words every rejection.
     """
+    h = hermitian_part(m, tol, what)
     try:
-        np.linalg.cholesky(hermitian_part(m, tol, "matrix") + (tol / 2) * np.eye(m.shape[-1]))
-    except (QpoolError, np.linalg.LinAlgError):
-        return False
-    return True
+        np.linalg.cholesky(h + (tol / 2) * np.eye(h.shape[-1]))
+    except np.linalg.LinAlgError:
+        _check_lowest(np.linalg.eigvalsh(h), tol, what)
+    return h
 
 
 def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -245,7 +239,10 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises QpoolError naming the rule that failed (check_tol gates tol).
     """
     tol = check_tol(tol)
-    w, h = check_positive(as_complex_matrix(m), tol, "matrix")
+    # The clip needs the eigenvalues, so this gate skips check_positive's Cholesky accept.
+    h = hermitian_part(as_complex_matrix(m), tol, "matrix")
+    w = np.linalg.eigvalsh(h)
+    _check_lowest(w, tol, "matrix")
     tr = check_unit_trace(h, tol, "trace")
     clip = lowest(w) < 0.0
     if clip.any():
@@ -266,8 +263,7 @@ def hermitian_sqrt(m) -> np.ndarray:
     """
     h = hermitian_part(as_complex_matrix(m), DEFAULT_TOL, "matrix")
     w, v = np.linalg.eigh(h)
-    low = lowest(w)
-    require(low >= -DEFAULT_TOL, f"negative eigenvalue {{:.3e}} below -{DEFAULT_TOL:.0e}", low)
+    _check_lowest(w, DEFAULT_TOL, "matrix")
     w[w < EIGENVALUE_FLOOR] = 0.0
     return hermitianize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 

@@ -447,6 +447,36 @@ def test_unreadable_file_exits_2(name, state_files, tmp_path, capsys):
     assert not out.exists()
 
 
+SHORT_ROW = {"dim": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}
+
+
+@pytest.mark.parametrize(
+    "parse, payload, message",
+    [
+        (cli.parse_matrix_payload, SHORT_ROW, "matrix row 1 must have 2 entries"),
+        (
+            cli.parse_povm_payload,
+            {"dim": 2, "elements": []},
+            "elements must be a non-empty list of matrices",
+        ),
+    ],
+    ids=["short row", "no elements"],
+)
+def test_payload_rejection_names_its_rule(parse, payload, message):
+    with pytest.raises(QpoolError) as exc:
+        parse(payload)
+    assert str(exc.value) == message
+
+
+def test_compat_on_a_short_row_exits_2(state_files, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(SHORT_ROW))
+    assert cli.main(["compat", state_files["z0"], str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: matrix row 1 must have 2 entries\n"
+
+
 def test_parser_rejects_an_integer_too_large_for_a_float():
     with pytest.raises(QpoolError, match=r"too large for a float"):
         cli.parse_matrix_payload({"dim": 1, "matrix": [[[10**400, 0]]]})

@@ -91,6 +91,13 @@ class TestScenario:
         with pytest.raises(QpoolError):
             harness.oracle_pool(scen)
 
+    def test_oracle_rejects_a_record_one_outcome_short(self):
+        scen = harness.Scenario(
+            dim=2, povms=(_projective_z(), _projective_z()), seed=0, sampled_outcomes=(0,)
+        )
+        with pytest.raises(QpoolError, match=r"^outcome count does not match POVM count$"):
+            harness.oracle_pool(scen)
+
     def test_oracle_single_measurement_is_posterior(self):
         rng = np.random.default_rng(58)
         povm = harness.random_povm(3, 3, rng)

@@ -145,22 +145,55 @@ def _per_element(elements):
         linalg.check_positive(e, TOL, f"element {i}")
 
 
+def _counted(monkeypatch, name):
+    """Replace np.linalg.<name> with a wrapper; returns the list each call appends to."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
 class TestCholeskyAccept:
+    """check_positive accepts by one shifted Cholesky factorization; eigvalsh decides the rest."""
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("low", LOWEST)
-    def test_accepts_only_what_the_eigenvalue_gate_passes(self, dim, low):
+    def test_accepts_only_what_the_eigenvalue_gate_passes(self, dim, low, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        calls = _counted(monkeypatch, "eigvalsh")
         rng = np.random.default_rng(dim * 1000 + LOWEST.index(low))
         m = _with_lowest(dim, low, rng)
-        for x in (m, _lanes(m, rng)):
-            if linalg.cholesky_accepts(x, TOL):
-                linalg.check_positive(x, TOL, "m")
-            # The POVM {E, I - E} gets the verdict and the message of the
-            # per-element eigenvalue gate, whichever path decides.
+        # Lane 2 of 5 holds m; in the POVM {E, I - E} it is element 0 of that lane.
+        for x, suffix, povm_suffix in (
+            (m, "", " (1 of 2 lanes, first 0)"),
+            (_lanes(m, rng), " (1 of 5 lanes, first 2)", " (1 of 10 lanes, first 2)"),
+        ):
+            passes = bool(np.all(linalg.lowest(eigvalsh(linalg.hermitianize(x))) >= -TOL))
+            calls.clear()
+            message = _message(linalg.check_positive, x, TOL, "m")
+            assert (message is None) == passes
+            if -TOL <= low < -TOL / 2:
+                # Below -tol / 2 no factor exists, so eigvalsh decides these.
+                assert calls == [x.shape]
+            if low >= 0.0:
+                assert calls == []
+            # validate_povm gets the verdict of the per-element gate and names
+            # the failing element as a lane of its (2, *lanes, d, d) stack.
             povm = [x, np.eye(dim) - x]
-            assert _message(measurement.validate_povm, povm) == _message(_per_element, povm)
-        if -TOL <= low < -TOL / 2:
-            # Below -tol / 2 no factor exists, so these pass through the fallback.
-            assert not linalg.cholesky_accepts(m, TOL)
+            loop = _message(_per_element, povm)
+            calls.clear()
+            got = _message(measurement.validate_povm, povm)
+            if loop is None:
+                assert got is None
+            else:
+                assert got == loop.replace("element 0", "element").removesuffix(suffix) + povm_suffix
+            if low >= 0.0:
+                assert calls == []
         if -TOL * (1.0 - 1e-3) <= low:
             # 1e-13 or more above -tol, far beyond rounding: the gate passes it.
             for x in (m, _lanes(m, rng)):
@@ -168,14 +201,16 @@ class TestCholeskyAccept:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("kind", ["nan", "non-Hermitian"])
-    def test_bad_entries_decided_by_the_gate(self, dim, kind):
+    def test_bad_entries_decided_by_the_gate(self, dim, kind, monkeypatch):
         rng = np.random.default_rng(dim)
         m = _spoiled(_with_lowest(dim, 0.3, rng), kind)
         message = {"nan": "non-finite entry", "non-Hermitian": "not Hermitian"}[kind]
+        calls = _counted(monkeypatch, "cholesky")
         for x in (m, _lanes(m, rng)):
-            assert not linalg.cholesky_accepts(x, TOL)
             with pytest.raises(QpoolError, match=message):
                 linalg.check_positive(x, TOL, "m")
+        # The finite and Hermiticity gates run first, so cholesky never sees a bad entry.
+        assert calls == []
 
 
 class TestOneDotProductGates:
@@ -193,7 +228,7 @@ class TestOneDotProductGates:
         for stack, suffix in ((lambda x: x, ""), (lambda x: _lanes(x, rng), lanes)):
             x = stack(spread)
             assert np.array_equal(linalg.hermitian_part(x, TOL, "m"), linalg.hermitianize(x))
-            assert linalg.cholesky_accepts(x, TOL)
+            assert np.array_equal(linalg.check_positive(x, TOL, "m"), linalg.hermitianize(x))
             with pytest.raises(QpoolError) as exc:
                 linalg.hermitian_part(stack(one), TOL, "m")
             assert str(exc.value) == "m is not Hermitian: max |M - M^dag| = 1.010e-10" + suffix

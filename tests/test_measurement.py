@@ -264,6 +264,12 @@ class TestSampleOutcome:
         with pytest.raises(QpoolError, match=r"rng must be a numpy Generator"):
             measurement.sample_outcome(povm, Z0, rng)
 
+    def test_one_generator_per_lane(self):
+        povm = measurement.validate_povm([Z0[None], Z1[None]])
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(QpoolError, match=r"^2 generators for 1 lanes$"):
+            measurement.sample_outcome(povm, Z0[None], rngs)
+
     def test_deterministic_given_seed(self):
         povm = measurement.validate_povm([0.5 * np.eye(2), 0.5 * np.eye(2)])
         draws_a = [
