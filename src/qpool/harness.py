@@ -3,10 +3,10 @@
 The oracle never calls the pooling rules: it is the state reached by a
 chain of bare updates starting from total ignorance, the chain that
 run_scenario walks while it samples the outcomes.  The verify_* sweeps
-generate random scenarios, pool the observers' individual posteriors, and
-compare against the oracle.  They share one signature, (trials, dims,
-tol, seed), and one seed scheme: trial i runs at dims[i % len(dims)] from
-default_rng(trial_seed(seed, i)).
+generate random scenarios, pool the observers' individual posteriors by
+both rules, and compare against the oracle.  They share one trial, one
+signature, (trials, dims, tol, seed), and one seed scheme: trial i runs at
+dims[i % len(dims)] from default_rng(trial_seed(seed, i)).
 
 A sweep runs all its trials at one dim as one stack, each lane drawing
 from its own trial stream in the order a lone trial would.  A stack in
@@ -172,14 +172,23 @@ def _outcome_effect(povm: measurement.Povm, k) -> np.ndarray:
     return np.take_along_axis(povm.elements, idx[None, ..., None, None], axis=0)[0]
 
 
-def _ignorance(scenario: Scenario) -> np.ndarray:
-    """I/dim, once per lane of the scenario's POVMs, which must have that dim."""
+def _walk(scenario: Scenario, outcome) -> tuple[tuple, np.ndarray]:
+    """Bare-update I/dim by each POVM's outcome in turn, outcome(povm, rho) naming it.
+
+    Returns the outcomes and the state the chain ends in.  The POVMs must
+    have the scenario's dim; with stacked POVMs the chain runs once per lane.
+    """
     rho = linalg.maximally_mixed(scenario.dim)
     if scenario.povms:
         effect = scenario.povms[0].elements[0]
         rho = np.broadcast_to(rho, effect.shape[:-2] + rho.shape)
         linalg.same_shape((effect, rho), ("POVM 0", "I/dim"))
-    return rho
+    outcomes = []
+    for povm in scenario.povms:
+        k = outcome(povm, rho)
+        rho = measurement.bare_update(_outcome_effect(povm, k), rho)
+        outcomes.append(k)
+    return tuple(outcomes), rho
 
 
 def run_scenario(scenario: Scenario, rng=None) -> Scenario:
@@ -194,13 +203,8 @@ def run_scenario(scenario: Scenario, rng=None) -> Scenario:
     """
     if rng is None:
         rng = np.random.default_rng(linalg.check_int(scenario.seed, "seed", 0))
-    rho = _ignorance(scenario)
-    outcomes = []
-    for povm in scenario.povms:
-        k = measurement.sample_outcome(povm, rho, rng)
-        rho = measurement.bare_update(_outcome_effect(povm, k), rho)
-        outcomes.append(k)
-    return replace(scenario, sampled_outcomes=tuple(outcomes), final_state=rho)
+    outcomes, rho = _walk(scenario, lambda povm, rho: measurement.sample_outcome(povm, rho, rng))
+    return replace(scenario, sampled_outcomes=outcomes, final_state=rho)
 
 
 def oracle_pool(scenario: Scenario) -> np.ndarray:
@@ -214,10 +218,8 @@ def oracle_pool(scenario: Scenario) -> np.ndarray:
         raise QpoolError("scenario has no sampled outcomes; run it first")
     if len(scenario.sampled_outcomes) != len(scenario.povms):
         raise QpoolError("outcome count does not match POVM count")
-    rho = _ignorance(scenario)
-    for povm, k in zip(scenario.povms, scenario.sampled_outcomes):
-        rho = measurement.bare_update(_outcome_effect(povm, k), rho)
-    return rho
+    recorded = iter(scenario.sampled_outcomes)
+    return _walk(scenario, lambda povm, rho: next(recorded))[1]
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -312,7 +314,7 @@ def _random_diagonal_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     return measurement.validate_povm(elements[:, 0] if single else elements)
 
 
-def _trial_alone(trial, dim: int, tseed: int) -> tuple[float, float, int]:
+def _trial_alone(n: int, diagonal: bool, dim: int, tseed: int) -> tuple[float, float, int]:
     """One trial as a stack of one, redrawn from its stream after a zero
     probability or zero overlap at most MAX_CHAIN_RESAMPLES times.
 
@@ -322,23 +324,22 @@ def _trial_alone(trial, dim: int, tseed: int) -> tuple[float, float, int]:
     rng = np.random.default_rng(tseed)
     for redraw in range(MAX_CHAIN_RESAMPLES):
         try:
-            d, disc = trial(dim, [rng])
+            d, disc = _trial(n, diagonal, dim, [rng])
         except (ZeroProbabilityError, IncompatibleStatesError):
             continue
         return float(d[0]), float(np.ravel(disc)[0]), redraw
     return math.inf, 0.0, MAX_CHAIN_RESAMPLES
 
 
-def _sweep(trials: int, dims, tol: float, seed: int, trial) -> VerificationReport:
-    """Run `trials` trials per dim, cycling through dims, into one report.
+def _sweep(trials: int, dims, tol: float, seed: int, n: int, diagonal: bool) -> VerificationReport:
+    """Run `trials` n-observer trials per dim, cycling through dims, into one report.
 
     dims is a list, tuple or range.  Trial i runs at dims[i % len(dims)]
     and draws from default_rng(trial_seed(seed, i)); trial_generators
-    seeds the trials at one dim in one pass.  trial(dim, rngs) runs one
-    trial per generator as a stack and returns per-lane (oracle_distance,
-    norm_discrepancy).  The trials at one dim run as one stack; if it raises
-    QpoolError, each of its trials runs alone (_trial_alone), from a fresh
-    default_rng(trial_seed(seed, i)), as a failing seed is replayed.
+    seeds the trials at one dim in one pass.  The trials at one dim run as
+    one stack (_trial); if it raises QpoolError, each of its trials runs
+    alone (_trial_alone), from a fresh default_rng(trial_seed(seed, i)), as
+    a failing seed is replayed.
     """
     tol = linalg.check_tol(tol)
     trials = linalg.check_int(trials, "trials", 1)
@@ -355,10 +356,10 @@ def _sweep(trials: int, dims, tol: float, seed: int, trial) -> VerificationRepor
     for j, dim in enumerate(dims):
         lanes = range(j, total, len(dims))
         try:
-            dist[lanes], disc[lanes] = trial(dim, trial_generators(seed, lanes))
+            dist[lanes], disc[lanes] = _trial(n, diagonal, dim, trial_generators(seed, lanes))
         except QpoolError:
             for i in lanes:
-                dist[i], disc[i], redraws = _trial_alone(trial, dim, trial_seed(seed, i))
+                dist[i], disc[i], redraws = _trial_alone(n, diagonal, dim, trial_seed(seed, i))
                 resamples += redraws
     dist, disc = dist.tolist(), disc.tolist()
     return VerificationReport(
@@ -394,54 +395,55 @@ def _is_density(rho) -> bool:
     return True
 
 
-def _random_chain(make_povm, dim: int, n: int, rngs) -> tuple[Scenario, np.ndarray]:
-    """Draw n random POVMs with 2 to 4 outcomes per lane and run them in order.
+def _trial(n: int, diagonal: bool, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """n observers measure one chain, one trial per generator; both rules are checked.
 
-    Returns the run scenario and the observers' posteriors as one
-    (n, lanes, dim, dim) stack.  Outcomes come from each lane's own
-    generator, so the scenario's own seed is never read.
+    Draws n POVMs with 2 to 4 outcomes per lane (diagonal ones if diagonal)
+    and runs them in order (run_scenario); each observer's posterior is its
+    outcome's effect over its trace.  pool_ordered_multi is held to the
+    chain's final state.  pool_symmetric_multi is held to the classical
+    product of the posteriors' diagonals if diagonal, else only to being a
+    density matrix (an invalid state is an infinite distance).  Returns per
+    lane the larger of the two distances, and the symmetric rule's
+    norm_discrepancy.  Outcomes come from each lane's own generator, so the
+    scenario's own seed is never read.
     """
+    make_povm = _random_diagonal_povm if diagonal else random_povm
     povms = tuple(
         make_povm(dim, [int(r.integers(2, 5)) for r in rngs], rngs) for _ in range(n)
     )
     scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rngs)
     effects = np.array([_outcome_effect(p, k) for p, k in zip(povms, scen.sampled_outcomes)])
-    return scen, measurement.posterior_from_outcome(effects)
+    posteriors = measurement.posterior_from_outcome(effects)
+    d = _distance(pooling.pool_ordered_multi(posteriors).pooled, scen.final_state)
+    symmetric = pooling.pool_symmetric_multi(posteriors)
+    if diagonal:
+        classical = pooling.classical_pool(*np.diagonal(posteriors, axis1=-2, axis2=-1).real)
+        d = np.maximum(d, _distance(symmetric.pooled, classical[..., None] * np.eye(dim)))
+    elif not _is_density(symmetric.pooled):
+        d[[not _is_density(rho) for rho in symmetric.pooled]] = math.inf
+    return d, symmetric.norm_discrepancy
 
 
 def verify_two_observer(trials: int, dims, tol: float, seed: int) -> VerificationReport:
-    """Pooled two-observer posteriors vs the two-step oracle.
+    """Two observers, random POVMs: both rules, ordered against the two-step oracle.
 
-    Runs `trials` random scenarios at every dim in dims (_sweep), pools the
-    observers' posteriors with the ordered rule, and records the Frobenius
-    distance to the oracle.
+    Runs `trials` random scenarios at every dim in dims (_sweep, _trial):
+    the ordered rule's Frobenius distance to the oracle, with an invalid
+    symmetric state counting as infinite, and the symmetric rule's
+    norm discrepancy.
     """
-
-    def trial(dim, rngs):
-        scen, (rho_a, rho_b) = _random_chain(random_povm, dim, 2, rngs)
-        pooled = pooling.pool_ordered(rho_a, rho_b)
-        return _distance(pooled.pooled, scen.final_state), pooled.norm_discrepancy
-
-    return _sweep(trials, dims, tol, seed, trial)
+    return _sweep(trials, dims, tol, seed, 2, False)
 
 
 def verify_commuting_reduction(trials: int, dims, tol: float, seed: int) -> VerificationReport:
-    """Diagonal scenarios: symmetric pooling vs the classical product rule.
+    """Two observers, diagonal POVMs: the classical reduction of both rules.
 
-    All operators commute, so the pooled state must be the diagonal matrix
-    of the renormalized product of the two posterior distributions.
+    All operators commute, so the symmetric rule must give the diagonal
+    matrix of the renormalized product of the two posterior distributions,
+    and the ordered rule the two-step oracle (_trial).
     """
-
-    def trial(dim, rngs):
-        _, (rho_a, rho_b) = _random_chain(_random_diagonal_povm, dim, 2, rngs)
-        pooled = pooling.pool_symmetric(rho_a, rho_b)
-        classical = pooling.classical_pool(
-            np.diagonal(rho_a, axis1=-2, axis2=-1).real, np.diagonal(rho_b, axis1=-2, axis2=-1).real
-        )
-        d = _distance(pooled.pooled, classical[..., None] * np.eye(dim))
-        return d, pooled.norm_discrepancy
-
-    return _sweep(trials, dims, tol, seed, trial)
+    return _sweep(trials, dims, tol, seed, 2, True)
 
 
 def verify_three_observer(
@@ -449,23 +451,11 @@ def verify_three_observer(
 ) -> VerificationReport:
     """Three observers: ordered pooling vs the three-step oracle.
 
-    Also pools symmetrically (trace normalization), checks the result is a
-    valid density matrix (an invalid one registers as an infinite oracle
-    distance), and records the trace-vs-closed-form denominator
-    discrepancy.  With diagonal=True all effects commute and the
-    discrepancy itself must vanish to rounding.
+    Also pools symmetrically and checks the result is a valid density
+    matrix (an invalid one registers as an infinite oracle distance), and
+    records its trace-vs-closed-form denominator discrepancy.  With
+    diagonal=True all effects commute: the symmetric result must be the
+    classical product of the three posteriors, and the discrepancy itself
+    must vanish to rounding.
     """
-    make_povm = _random_diagonal_povm if diagonal else random_povm
-
-    def trial(dim, rngs):
-        scen, posteriors = _random_chain(make_povm, dim, 3, rngs)
-        ordered = pooling.pool_ordered_multi(posteriors)
-        d = _distance(ordered.pooled, scen.final_state)
-        symmetric = pooling.pool_symmetric_multi(posteriors)
-        # Invalid pooled output counts as an infinite-distance failure so
-        # the report invariant still holds.
-        if not _is_density(symmetric.pooled):
-            d[[not _is_density(rho) for rho in symmetric.pooled]] = math.inf
-        return d, symmetric.norm_discrepancy
-
-    return _sweep(trials, dims, tol, seed, trial)
+    return _sweep(trials, dims, tol, seed, 3, diagonal)

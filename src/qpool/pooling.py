@@ -58,22 +58,24 @@ class PoolReport:
     norm_discrepancy: float
 
 
-def classical_pool(pa, pb) -> np.ndarray:
-    """Pool two independent classical distributions: renormalized product.
+def classical_pool(*dists) -> np.ndarray:
+    """Pool n >= 2 independent classical distributions: their renormalized product.
 
-    Leading axes index a stack of pairs; the distributions run along the last axis.
+    Leading axes index a stack of collections; the distributions run along the last axis.
     """
-    a = np.asarray(pa, dtype=float)
-    b = np.asarray(pb, dtype=float)
-    if a.ndim < 1 or b.ndim < 1 or a.shape[-1] == 0:
+    if len(dists) < 2:
+        raise QpoolError(f"need at least two distributions, got {len(dists)}")
+    ps = [np.asarray(p, dtype=float) for p in dists]
+    if any(p.ndim < 1 or p.shape[-1] == 0 for p in ps):
         raise QpoolError("probability vectors must be non-empty along their last axis")
-    linalg.same_shape((a, b), ("pa", "pb"))
-    ok = np.isfinite(a).all(axis=-1) & np.isfinite(b).all(axis=-1)
-    ok &= (a.min(axis=-1) >= -linalg.ZERO_TOL) & (b.min(axis=-1) >= -linalg.ZERO_TOL)
+    linalg.same_shape(ps, "distribution")
+    ps = np.array(ps)
+    ok = (np.isfinite(ps).all(axis=-1) & (ps.min(axis=-1) >= -linalg.ZERO_TOL)).all(axis=0)
     linalg.require(ok, "probability vectors must be finite and nonnegative")
-    # Finite products can overflow; the normalizer gate then raises on the inf sum.
-    with np.errstate(over="ignore"):
-        prod = np.clip(a, 0.0, None) * np.clip(b, 0.0, None)
+    # Finite products can overflow, and inf * 0 is NaN; the normalizer gate
+    # then raises on the sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.clip(ps, 0.0, None).prod(axis=0)
         total = prod.sum(axis=-1)
     overlap = linalg.normalizer(total, "sum of products", IncompatibleStatesError)
     return prod / overlap[..., None]

@@ -432,25 +432,29 @@ def _tripping(monkeypatch, attr, once):
     original = getattr(pooling, attr)
     calls = []
 
-    def tripping(*args, **kwargs):
-        states = args[0] if attr.endswith("_multi") else args
+    def tripping(states, *args, **kwargs):
         if np.shape(states[0])[0] > 1 and not (once and calls):
             calls.append(1)
             raise ZeroProbabilityError("forced to the fallback")
-        return original(*args, **kwargs)
+        return original(states, *args, **kwargs)
 
     monkeypatch.setattr(pooling, attr, tripping)
     return calls
 
 
+# (suite, the rule forced to the fallback, the sweep)
 SWEEPS = [
-    ("pool_ordered", lambda: harness.verify_two_observer(6, range(2, 4), 1e-18, 11)),
-    ("pool_symmetric", lambda: harness.verify_commuting_reduction(6, [3], 1e-18, 12)),
-    ("pool_ordered_multi", lambda: harness.verify_three_observer(6, [3], 1e-18, 13)),
+    ("two", "pool_ordered_multi", lambda: harness.verify_two_observer(6, range(2, 4), 1e-18, 11)),
+    (
+        "commuting",
+        "pool_symmetric_multi",
+        lambda: harness.verify_commuting_reduction(6, [3], 1e-18, 12),
+    ),
+    ("three", "pool_ordered_multi", lambda: harness.verify_three_observer(6, [3], 1e-18, 13)),
 ]
 
 
-@pytest.mark.parametrize("attr,sweep", SWEEPS, ids=[a for a, _ in SWEEPS])
+@pytest.mark.parametrize("attr,sweep", [s[1:] for s in SWEEPS], ids=[s[0] for s in SWEEPS])
 def test_a_lane_forced_to_the_fallback_gives_the_all_serial_report(monkeypatch, attr, sweep):
     batched = sweep()
     with monkeypatch.context() as m:
@@ -480,7 +484,7 @@ def _spoiling(monkeypatch, attr, lane, spoil):
 
 
 def test_a_non_finite_lane_fails_only_its_own_trial(monkeypatch):
-    _spoiling(monkeypatch, "pool_ordered", 2, lambda rho: np.full_like(rho, np.nan))
+    _spoiling(monkeypatch, "pool_ordered_multi", 2, lambda rho: np.full_like(rho, np.nan))
     report = harness.verify_two_observer(5, range(3, 4), 1e-10, 21)
     assert report.failures == [(harness.trial_seed(21, 2), np.inf)]
     assert report.resamples == 0
@@ -495,10 +499,10 @@ def test_an_invalid_symmetric_lane_fails_only_its_own_trial(monkeypatch):
 
 
 def test_a_trial_that_never_completes_redraws_then_fails(monkeypatch):
-    def incompatible(first, second):
+    def incompatible(states):
         raise IncompatibleStatesError("never compatible")
 
-    monkeypatch.setattr(pooling, "pool_ordered", incompatible)
+    monkeypatch.setattr(pooling, "pool_ordered_multi", incompatible)
     report = harness.verify_two_observer(2, range(2, 3), 1e-10, 3)
     assert report.resamples == 2 * harness.MAX_CHAIN_RESAMPLES
     assert [d for _, d in report.failures] == [np.inf, np.inf]

@@ -407,19 +407,20 @@ def _no_constants(name):
 
 
 def test_verify_stdout_is_strict_json_when_trials_fail_with_nan(monkeypatch, capsys):
-    def nan_pool(first, second):
+    def nan_pool(states):
         return pooling.PoolReport(
-            pooled=np.full(np.shape(first), np.nan, dtype=complex),
+            pooled=np.full(np.shape(states[0]), np.nan, dtype=complex),
             compatibility=1.0, paper_norm=1.0, trace_norm=1.0, norm_discrepancy=0.0,
         )
 
-    monkeypatch.setattr(pooling, "pool_ordered", nan_pool)
+    # Every suite holds the ordered rule to the chain oracle.
+    monkeypatch.setattr(pooling, "pool_ordered_multi", nan_pool)
     code = cli.main(["verify", "--suite", "all", "--trials", "2", "--dims", "2..3", "--seed", "4"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
-    assert payload["two"]["max_oracle_distance"] is None
-    assert [d for _, d in payload["two"]["failures"]] == [None] * 4
-    assert payload["three"]["failures"] == []
+    for suite in ("two", "commuting", "three"):
+        assert payload[suite]["max_oracle_distance"] is None
+        assert [d for _, d in payload[suite]["failures"]] == [None] * 4
 
 
 # Inputs that once escaped main as a traceback; each must end in exit 2 with one error line.

@@ -163,6 +163,17 @@ def test_chain_probabilities_factorize():
         assert abs(marginal - np.trace(f).real / dim) < 1e-10
 
 
+def _spoil(monkeypatch, attr, spoil):
+    """Make pooling.<attr> return its report with spoil applied to the pooled states."""
+    original = getattr(pooling, attr)
+
+    def spoiled(states):
+        report = original(states)
+        return replace(report, pooled=spoil(report.pooled))
+
+    monkeypatch.setattr(pooling, attr, spoiled)
+
+
 class TestVerifySweeps:
     def test_two_observer_clean(self):
         report = harness.verify_two_observer(10, range(2, 4), 1e-10, 123)
@@ -182,13 +193,13 @@ class TestVerifySweeps:
             harness.verify_two_observer(5, range(3, 2), 1e-10, 1)
 
     def test_nan_distance_is_a_failure(self, monkeypatch):
-        def nan_pool(first, second):
+        def nan_pool(states):
             return pooling.PoolReport(
-                pooled=np.full((first.shape[0],) * 2, np.nan, dtype=complex),
+                pooled=np.full(np.shape(states[0]), np.nan, dtype=complex),
                 compatibility=1.0, paper_norm=1.0, trace_norm=1.0, norm_discrepancy=0.0,
             )
 
-        monkeypatch.setattr(pooling, "pool_ordered", nan_pool)
+        monkeypatch.setattr(pooling, "pool_ordered_multi", nan_pool)
         report = harness.verify_two_observer(5, range(2, 4), 1e-10, 0)
         assert report.max_oracle_distance == np.inf
         assert len(report.failures) == 10
@@ -215,6 +226,41 @@ class TestVerifySweeps:
         report = harness.verify_three_observer(10, [3], 1e-10, 13, diagonal=True)
         assert report.failures == []
         assert report.max_norm_discrepancy < 1e-10
+
+    # Every suite pools by both rules: the ordered one against the chain
+    # oracle, the symmetric one against its family's reference.
+    def test_two_observer_fails_an_invalid_symmetric_state(self, monkeypatch):
+        # Twice a state has trace 2, so it is not a density matrix.
+        _spoil(monkeypatch, "pool_symmetric_multi", lambda rho: 2.0 * rho)
+        report = harness.verify_two_observer(3, range(2, 4), 1e-10, 0)
+        assert [d for _, d in report.failures] == [np.inf] * 6
+
+    def test_commuting_reduction_fails_an_ordered_rule_that_conjugates_by_the_states(
+        self, monkeypatch
+    ):
+        def by_states(states):
+            arrs = pooling._matrices(states)
+            num = arrs[0]
+            for rho in arrs[1:]:
+                num = rho @ num @ rho
+            return pooling._report(num, arrs, 1, "nested trace")
+
+        monkeypatch.setattr(pooling, "pool_ordered_multi", by_states)
+        report = harness.verify_commuting_reduction(3, range(2, 4), 1e-10, 0)
+        assert len(report.failures) == 6
+
+    def test_diagonal_three_observer_fails_a_symmetric_state_off_the_classical_product(
+        self, monkeypatch
+    ):
+        # Still a density matrix, so only the classical reference can catch it.
+        _spoil(
+            monkeypatch,
+            "pool_symmetric_multi",
+            lambda rho: 0.9 * rho + 0.1 * np.eye(rho.shape[-1]) / rho.shape[-1],
+        )
+        report = harness.verify_three_observer(3, range(2, 4), 1e-10, 0, diagonal=True)
+        assert len(report.failures) == 6
+        assert all(d > 1e-3 for _, d in report.failures)
 
     def test_bad_args(self):
         with pytest.raises(QpoolError):

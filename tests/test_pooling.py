@@ -33,7 +33,7 @@ class TestClassicalPool:
             pooling.classical_pool([1.0, 0.0], [0.0, 1.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(QpoolError, match=r"dimension mismatch: pb has dim 3, expected 2"):
+        with pytest.raises(QpoolError, match=r"dimension mismatch: distribution 1 has dim 3, expected 2"):
             pooling.classical_pool([0.5, 0.5], [0.3, 0.3, 0.4])
 
     def test_negative_entries_rejected(self):
@@ -48,6 +48,22 @@ class TestClassicalPool:
         with pytest.raises(QpoolError, match="sum of products inf is not finite") as exc:
             pooling.classical_pool(pa, pb)
         assert type(exc.value) is QpoolError
+
+    def test_three_distributions_pool_as_two_steps_in_any_order(self):
+        a, b, c = [0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.6, 0.3]
+        out = pooling.classical_pool(a, b, c)
+        two_steps = pooling.classical_pool(pooling.classical_pool(a, b), c)
+        np.testing.assert_allclose(out, two_steps, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out, pooling.classical_pool(c, a, b), rtol=0, atol=1e-15)
+
+    def test_needs_two_distributions(self):
+        with pytest.raises(QpoolError, match=r"need at least two distributions, got 1"):
+            pooling.classical_pool([0.5, 0.5])
+
+    def test_overflowed_product_times_zero_rejected(self):
+        # inf * 0 is NaN; the normalizer gate raises on it, with no warning.
+        with pytest.raises(QpoolError, match="sum of products nan is not finite"):
+            pooling.classical_pool([1e200, 1.0], [1e200, 1.0], [0.0, 1.0])
 
     def test_empty_vectors_rejected(self):
         with pytest.raises(QpoolError, match=r"non-empty"):
