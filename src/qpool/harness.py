@@ -5,8 +5,9 @@ chain of bare updates starting from total ignorance, the chain that
 run_scenario walks while it samples the outcomes.  The verify_* sweeps
 generate random scenarios, pool the observers' individual posteriors by
 both rules, and compare against the oracle.  They share one trial, one
-signature, (trials, dims, tol, seed), and one seed scheme: trial i runs at
-dims[i % len(dims)] from default_rng(trial_seed(seed, i)).
+signature, (trials, dims, tol, seed), and one seed scheme: trial i of n
+observers runs at dims[i % len(dims)] from default_rng(trial_seed(seed,
+i + (n - 2) * _OBSERVER_INDEX_STRIDE)).
 
 A sweep runs all its trials at one dim as one stack, each lane drawing
 from its own trial stream in the order a lone trial would.  A stack in
@@ -28,6 +29,10 @@ from .errors import IncompatibleStatesError, QpoolError, ZeroProbabilityError
 # Odd 64-bit constant; consecutive trial seeds land in well-separated
 # generator streams.
 TRIAL_SEED_STRIDE = 0x9E3779B97F4A7C15
+
+# Trial indices of consecutive observer counts lie this far apart, so within
+# one call no two counts share a stream (a sweep has far fewer trials).
+_OBSERVER_INDEX_STRIDE = 2**61
 
 MAX_CHAIN_RESAMPLES = 32
 MAX_POVM_ATTEMPTS = 8
@@ -335,15 +340,16 @@ def _sweep(trials: int, dims, tol: float, seed: int, n: int, diagonal: bool) -> 
     """Run `trials` n-observer trials per dim, cycling through dims, into one report.
 
     dims is a list, tuple or range.  Trial i runs at dims[i % len(dims)]
-    and draws from default_rng(trial_seed(seed, i)); trial_generators
+    and draws from default_rng(trial_seed(seed', i)), where seed' is
+    trial_seed(seed, (n - 2) * _OBSERVER_INDEX_STRIDE); trial_generators
     seeds the trials at one dim in one pass.  The trials at one dim run as
     one stack (_trial); if it raises QpoolError, each of its trials runs
-    alone (_trial_alone), from a fresh default_rng(trial_seed(seed, i)), as
-    a failing seed is replayed.
+    alone (_trial_alone), from a fresh default_rng(trial_seed(seed', i)),
+    as a failing seed is replayed.  Each failure carries that seed.
     """
     tol = linalg.check_tol(tol)
     trials = linalg.check_int(trials, "trials", 1)
-    seed = linalg.check_int(seed, "seed")
+    seed = trial_seed(linalg.check_int(seed, "seed"), (n - 2) * _OBSERVER_INDEX_STRIDE)
     if not isinstance(dims, (list, tuple, range)):
         raise QpoolError(f"dims must be a list, tuple or range, got {dims!r}")
     dims = [linalg.check_int(d, "dim", 2) for d in dims]

@@ -269,6 +269,43 @@ class TestVerifySweeps:
             harness.verify_three_observer(5, [1], 1e-10, 1)
 
 
+def test_observer_counts_draw_their_first_povm_from_their_own_streams(monkeypatch):
+    # Trial i of the two- and the three-observer suite must not share a stream.
+    first = []
+    original = harness.random_povm
+
+    def recording(dim, n_outcomes, rng):
+        povm = original(dim, n_outcomes, rng)
+        first.append(povm.elements)
+        return povm
+
+    monkeypatch.setattr(harness, "random_povm", recording)
+    harness.verify_two_observer(5, [3], 1e-10, 0)
+    harness.verify_three_observer(5, [3], 1e-10, 0)
+    two, three = first[0], first[2]
+    for i in range(5):
+        assert not np.array_equal(two[:, i], three[:, i])
+
+
+@pytest.mark.parametrize(
+    "n,sweep", [(2, harness.verify_two_observer), (3, harness.verify_three_observer)]
+)
+def test_a_failure_seed_replays_its_trial_alone(monkeypatch, n, sweep):
+    # A squared ordered state fails every trial by a distance of its own.
+    def squared(rho):
+        sq = rho @ rho
+        return sq / linalg.per_matrix(linalg.trace(sq))
+
+    _spoil(monkeypatch, "pool_ordered_multi", squared)
+    dims = (2, 3)
+    report = sweep(4, dims, 1e-10, 5)
+    assert len(report.failures) == 8
+    for i, (seed, d) in enumerate(report.failures):
+        replay, _, _ = harness._trial_alone(n, False, dims[i % 2], seed)
+        assert replay == pytest.approx(d, rel=1e-9)
+        assert d > 1e-6
+
+
 def test_trial_seeds_distinct():
     seeds = {harness.trial_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
