@@ -334,11 +334,16 @@ def bloch_to_density(v) -> np.ndarray:
 
 
 def density_to_bloch(rho) -> np.ndarray:
-    """Bloch vector of a 2x2 density matrix, components Re Tr[rho sigma_i]."""
+    """Bloch vector of a 2x2 density matrix, components Re Tr[rho sigma_i].
+
+    rho must pass the pooling rules' state gates at DEFAULT_TOL: finite,
+    Hermitian, positive semidefinite, unit trace.
+    """
     r = as_complex_matrix(rho)
     if r.shape != (2, 2):
         raise QpoolError(f"expected a 2x2 matrix, got {r.shape}")
-    check_finite(r, "matrix")
+    r = check_positive(r, DEFAULT_TOL, "state")
+    check_unit_trace(r, DEFAULT_TOL, "state trace")
     x = float(r[1, 0].real + r[0, 1].real)
     y = float(r[1, 0].imag - r[0, 1].imag)
     z = float(r[0, 0].real - r[1, 1].real)

@@ -192,6 +192,9 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
         lambda: measurement.bare_update(Z0, SKEW_HALF),
         lambda: measurement.bare_update(Z0, np.diag([3.0, 0.0])),
         lambda: measurement.outcome_probabilities(Z_POVM, SKEW_HALF),
+        # Before the state gates these returned [5, 0, 1] and [0, 0, 2].
+        lambda: linalg.density_to_bloch([[1.0, 5.0], [0.0, 0.0]]),
+        lambda: linalg.density_to_bloch(np.diag([2.0, 0.0])),
     ],
     ids=[
         "validate_density",
@@ -217,6 +220,8 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
         "bare_update non-Hermitian state",
         "bare_update state trace 3",
         "outcome_probabilities non-Hermitian state",
+        "density_to_bloch non-Hermitian",
+        "density_to_bloch trace 2",
     ],
 )
 def test_gate_raises_without_a_warning(call):
