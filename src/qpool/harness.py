@@ -402,17 +402,14 @@ def _is_density(rho) -> bool:
 
 
 def _trial(n: int, diagonal: bool, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """n observers measure one chain, one trial per generator; both rules are checked.
+    """n observers measure one chain per generator, and both rules are checked.
 
     Draws n POVMs with 2 to 4 outcomes per lane (diagonal ones if diagonal)
-    and runs them in order (run_scenario); each observer's posterior is its
-    outcome's effect over its trace.  pool_ordered_multi is held to the
-    chain's final state.  pool_symmetric_multi is held to the classical
-    product of the posteriors' diagonals if diagonal, else only to being a
-    density matrix (an invalid state is an infinite distance).  Returns per
-    lane the larger of the two distances, and the symmetric rule's
-    norm_discrepancy.  Outcomes come from each lane's own generator, so the
-    scenario's own seed is never read.
+    and runs them from each lane's generator (run_scenario).
+    pool_ordered_multi is held to the chain's final state;
+    pool_symmetric_multi to the classical product of the posteriors'
+    diagonals if diagonal, else to being a density matrix (inf if not).
+    Returns per lane the larger distance, and the symmetric norm_discrepancy.
     """
     make_povm = _random_diagonal_povm if diagonal else random_povm
     povms = tuple(
