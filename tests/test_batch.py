@@ -494,7 +494,9 @@ def test_an_invalid_symmetric_lane_fails_only_its_own_trial(monkeypatch):
     # Twice a state has trace 2, so it is not a density matrix.
     _spoiling(monkeypatch, "pool_symmetric_multi", 1, lambda rho: 2.0 * rho)
     report = harness.verify_three_observer(6, [3], 1e-10, 13)
-    assert report.failures == [(harness.trial_seed(13, 1 + harness._OBSERVER_INDEX_STRIDE), np.inf)]
+    # Three observers draw from trial indices offset by one stride.
+    seed = harness.trial_seed(13, 1 + harness._OBSERVER_INDEX_STRIDE)
+    assert report.failures == [(seed, np.inf)]
     assert report.resamples == 0
 
 
