@@ -181,17 +181,22 @@ def _walk(scenario: Scenario, outcome) -> tuple[tuple, np.ndarray]:
     """Bare-update I/dim by each POVM's outcome in turn, outcome(povm, rho) naming it.
 
     Returns the outcomes and the state the chain ends in.  The POVMs must
-    have the scenario's dim; with stacked POVMs the chain runs once per lane.
+    have the scenario's dim and one lane shape; with stacked POVMs the
+    chain runs once per lane.  Those shapes are checked once, and each
+    chosen effect passes hermitian_sqrt; the states are I/dim and what the
+    update step (measurement._update) made of it, so no state gate runs.
     """
     rho = linalg.maximally_mixed(scenario.dim)
     if scenario.povms:
-        effect = scenario.povms[0].elements[0]
-        rho = np.broadcast_to(rho, effect.shape[:-2] + rho.shape)
-        linalg.same_shape((effect, rho), ("POVM 0", "I/dim"))
+        firsts = [povm.elements[0] for povm in scenario.povms]
+        rho = np.broadcast_to(rho, firsts[0].shape[:-2] + rho.shape)
+        linalg.same_shape((firsts[0], rho), ("POVM 0", "I/dim"))
+        linalg.same_shape(firsts, "POVM")
     outcomes = []
     for povm in scenario.povms:
         k = outcome(povm, rho)
-        rho = measurement.bare_update(_outcome_effect(povm, k), rho)
+        effect = _outcome_effect(povm, k)
+        rho = measurement._update(effect, linalg.hermitian_sqrt(effect), rho)
         outcomes.append(k)
     return tuple(outcomes), rho
 
@@ -208,7 +213,10 @@ def run_scenario(scenario: Scenario, rng=None) -> Scenario:
     """
     if rng is None:
         rng = np.random.default_rng(linalg.check_int(scenario.seed, "seed", 0))
-    outcomes, rho = _walk(scenario, lambda povm, rho: measurement.sample_outcome(povm, rho, rng))
+    rngs = linalg.generators(rng)[0]
+    outcomes, rho = _walk(
+        scenario, lambda povm, rho: measurement._draw(measurement._probabilities(povm, rho), rngs)
+    )
     return replace(scenario, sampled_outcomes=outcomes, final_state=rho)
 
 
@@ -393,9 +401,9 @@ def _distance(pooled: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _is_density(rho) -> bool:
-    """Whether rho passes validate_density's gates at the sweeps' 1e-9 tolerance."""
+    """Whether rho passes the state gate at the sweeps' 1e-9 tolerance."""
     try:
-        linalg.check_unit_trace(linalg.check_positive(rho, 1e-9, "matrix"), 1e-9, "trace")
+        linalg.check_state(rho, 1e-9, "matrix")
     except QpoolError:
         return False
     return True

@@ -228,6 +228,20 @@ def check_positive(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     return h
 
 
+def check_state(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The state gate; return the Hermitian part of M.
+
+    The one place where the rule "finite, Hermitian, positive semidefinite,
+    unit trace" is composed: check_positive, then check_unit_trace, whose
+    message calls the trace "<what> trace".  validate_density and
+    pooling._roots gate states by their own eigendecomposition instead,
+    since both need the spectrum.
+    """
+    h = check_positive(m, tol, what)
+    check_unit_trace(h, tol, f"{what} trace")
+    return h
+
+
 def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check that M is a density matrix and return a cleaned copy.
 
@@ -239,7 +253,8 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     Raises QpoolError naming the rule that failed (check_tol gates tol).
     """
     tol = check_tol(tol)
-    # The clip needs the eigenvalues, so this gate skips check_positive's Cholesky accept.
+    # The state rule without check_state: the clip needs the eigenvalues, so
+    # this gate takes eigvalsh where check_positive would try a Cholesky accept.
     h = hermitian_part(as_complex_matrix(m), tol, "matrix")
     w = np.linalg.eigvalsh(h)
     _check_lowest(w, tol, "matrix")
@@ -336,14 +351,12 @@ def bloch_to_density(v) -> np.ndarray:
 def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector of a 2x2 density matrix, components Re Tr[rho sigma_i].
 
-    rho must pass the pooling rules' state gates at DEFAULT_TOL: finite,
-    Hermitian, positive semidefinite, unit trace.
+    rho must pass the state gate (check_state) at DEFAULT_TOL.
     """
     r = as_complex_matrix(rho)
     if r.shape != (2, 2):
         raise QpoolError(f"expected a 2x2 matrix, got {r.shape}")
-    r = check_positive(r, DEFAULT_TOL, "state")
-    check_unit_trace(r, DEFAULT_TOL, "state trace")
+    r = check_state(r, DEFAULT_TOL, "state")
     x = float(r[1, 0].real + r[0, 1].real)
     y = float(r[1, 0].imag - r[0, 1].imag)
     z = float(r[0, 0].real - r[1, 1].real)

@@ -52,15 +52,13 @@ def validate_povm(elements) -> Povm:
     return Povm(dim=dim, elements=stack)
 
 
-def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
-    """Outcome distribution p_k = Re Tr[E_k rho], along the last axis.
+def _probabilities(povm: Povm, r: np.ndarray) -> np.ndarray:
+    """p_k = Re Tr[E_k rho] along the last axis, for a state rho that has passed its gates.
 
-    rho has the shape of the POVM's elements: one state per lane.  It must
-    be Hermitian within DEFAULT_TOL; the sum-to-1 gate bounds its trace.
+    A p_k below -ZERO_TOL, or a sum further than COMPLETENESS_TOL from 1,
+    raises: a POVM that is not one (a Povm built without validate_povm)
+    fails here.  p_k in [-ZERO_TOL, 0) come back as 0.
     """
-    r = linalg.as_complex_matrix(rho)
-    linalg.same_shape((povm.elements[0], r), ("POVM", "state"))
-    r = linalg.hermitian_part(r, linalg.DEFAULT_TOL, "state")
     # One einsum per outcome, so a lane's numbers are those of its single call.
     p = np.empty(r.shape[:-2] + (len(povm),))
     for k, e in enumerate(povm.elements):
@@ -75,46 +73,65 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     return p
 
 
-def bare_update(effect, rho) -> np.ndarray:
-    """State of knowledge after observing the outcome with effect E.
+def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
+    """Outcome distribution p_k = Re Tr[E_k rho], along the last axis.
 
-    Returns sqrt(E) rho sqrt(E) / Tr[E rho], the update with no disturbance
-    beyond the information gain itself.  E and rho are gated before the
-    outcome probability is formed: E through hermitian_sqrt, rho Hermitian
-    and of unit trace within DEFAULT_TOL.
+    rho has the shape of the POVM's elements: one state per lane.  It must
+    pass the state gate (linalg.check_state) at DEFAULT_TOL; then the
+    distribution is gated as in _probabilities.
     """
-    e = linalg.as_complex_matrix(effect)
     r = linalg.as_complex_matrix(rho)
-    linalg.same_shape((e, r), ("effect", "state"))
-    s = linalg.hermitian_sqrt(e)
-    r = linalg.hermitian_part(r, linalg.DEFAULT_TOL, "state")
-    linalg.check_unit_trace(r, linalg.DEFAULT_TOL, "state trace")
+    linalg.same_shape((povm.elements[0], r), ("POVM", "state"))
+    return _probabilities(povm, linalg.check_state(r, linalg.DEFAULT_TOL, "state"))
+
+
+def _update(e: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sqrt(E) rho sqrt(E) / Tr[E rho] for E, its root s and rho; gates only Tr[E rho].
+
+    A probability that is not finite raises QpoolError, one at or below
+    ZERO_TOL ZeroProbabilityError.
+    """
     p = linalg.normalizer(
         np.einsum("...ij,...ji->...", e, r).real, "outcome probability", ZeroProbabilityError
     )
     return linalg.hermitianize(s @ r @ s) / linalg.per_matrix(p)
 
 
+def bare_update(effect, rho) -> np.ndarray:
+    """State of knowledge after observing the outcome with effect E.
+
+    Returns sqrt(E) rho sqrt(E) / Tr[E rho], the update with no disturbance
+    beyond the information gain itself.  E is gated through hermitian_sqrt
+    (finite, Hermitian, positive), then rho through the state gate
+    (linalg.check_state), both at DEFAULT_TOL and before the outcome
+    probability is formed.
+    """
+    e = linalg.as_complex_matrix(effect)
+    r = linalg.as_complex_matrix(rho)
+    linalg.same_shape((e, r), ("effect", "state"))
+    s = linalg.hermitian_sqrt(e)
+    return _update(e, s, linalg.check_state(r, linalg.DEFAULT_TOL, "state"))
+
+
 def posterior_from_outcome(effect) -> np.ndarray:
     """Observer's state of knowledge E / Tr[E], starting from total ignorance.
 
-    This is what bare_update yields when applied to the maximally mixed state.
+    This is what bare_update yields when applied to the maximally mixed
+    state.  E must be finite, Hermitian and positive (check_positive) at
+    DEFAULT_TOL.
     """
-    e = linalg.hermitian_part(linalg.as_complex_matrix(effect), linalg.DEFAULT_TOL, "effect")
+    e = linalg.check_positive(linalg.as_complex_matrix(effect), linalg.DEFAULT_TOL, "effect")
     t = linalg.normalizer(linalg.trace(e), "effect trace")
     return e / linalg.per_matrix(t)
 
 
-def sample_outcome(povm: Povm, rho, rng):
-    """Draw one outcome index by inverse-CDF sampling on one uniform variate.
+def _draw(p: np.ndarray, rngs: list):
+    """One outcome index per lane of p (_probabilities), by inverse-CDF sampling.
 
-    Ties at the cumulative boundaries break toward the lower index.  For a
-    stack of POVMs and states with one leading axis, rng is a list or tuple
-    of generators, one per lane; each lane draws its variate from its own
-    generator and the result is an array of indices.
+    Each lane draws one uniform from its own generator.  Ties at the
+    cumulative boundaries break toward the lower index.  A single lane
+    gives an int, a stack an array of indices.
     """
-    p = outcome_probabilities(povm, rho)
-    rngs, _ = linalg.generators(rng)
     if len(rngs) != p[..., 0].size:
         raise QpoolError(f"{len(rngs)} generators for {p[..., 0].size} lanes")
     u = np.array([g.random() for g in rngs]).reshape(p.shape[:-1])
@@ -122,3 +139,16 @@ def sample_outcome(povm: Povm, rho, rng):
     # The count of cumulative values below u is searchsorted(cum, u, "left").
     k = np.minimum((cum < u[..., None]).sum(axis=-1), p.shape[-1] - 1)
     return int(k) if k.ndim == 0 else k
+
+
+def sample_outcome(povm: Povm, rho, rng):
+    """Draw one outcome index by inverse-CDF sampling on one uniform variate.
+
+    rho is gated as in outcome_probabilities.  Ties at the cumulative
+    boundaries break toward the lower index.  For a stack of POVMs and
+    states with one leading axis, rng is a list or tuple of generators, one
+    per lane; each lane draws its variate from its own generator and the
+    result is an array of indices.
+    """
+    p = outcome_probabilities(povm, rho)
+    return _draw(p, linalg.generators(rng)[0])

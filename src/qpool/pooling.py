@@ -104,7 +104,9 @@ def _roots(arrs) -> np.ndarray:
 
     The stacked hermitian_sqrt gates finiteness, Hermiticity and positivity
     and names the lane that fails; the trace gate follows, before any
-    product of states, so no product of them can overflow.
+    product of states, so no product of them can overflow.  This is the
+    state rule without linalg.check_state: the root needs the spectrum,
+    which check_state's Cholesky accept would not give.
 
     The last stack that passed both gates is kept with its roots (read-only),
     so pooling the same states again, by the other rule say, skips both: a
@@ -243,12 +245,11 @@ def compatibility(a, b) -> float:
     """Overlap Tr[rho_A rho_B]: the probability the two findings coexist.
 
     Equals (1/2)(1 + a . b) for qubits with Bloch vectors a and b, and
-    reaches 1 only for identical pure states.  Both must pass the gates of
-    the pooling rules: finite, Hermitian, positive semidefinite, unit trace.
+    reaches 1 only for identical pure states.  Both must pass the state
+    gate (linalg.check_state) at DEFAULT_TOL, as the pooling rules' states do.
     """
     arrs = _matrices((a, b))
-    linalg.check_positive(arrs, linalg.DEFAULT_TOL, "state")
-    linalg.check_unit_trace(arrs, linalg.DEFAULT_TOL, "state trace")
+    linalg.check_state(arrs, linalg.DEFAULT_TOL, "state")
     # Gated states have no entry above 1 (plus the tolerances), so t is
     # finite; only the imaginary part left by a Hermiticity defect is gated.
     t = _trace_of_product(arrs)

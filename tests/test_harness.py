@@ -163,6 +163,70 @@ def test_chain_probabilities_factorize():
         assert abs(marginal - np.trace(f).real / dim) < 1e-10
 
 
+# The linalg gates a state or an effect can pass through.
+GATES = ("check_state", "check_positive", "check_unit_trace", "hermitian_part", "check_finite")
+
+
+def _count_gates(monkeypatch):
+    """Wrap each gate and hermitian_sqrt; return the list of (name, first argument) calls."""
+    calls = []
+    for name in GATES + ("hermitian_sqrt",):
+        original = getattr(linalg, name)
+
+        def counted(m, *args, _name=name, _original=original):
+            calls.append((_name, m))
+            return _original(m, *args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_the_chain_gates_no_state_it_made(monkeypatch):
+    # Five lanes of three POVMs at d = 3, with 2 to 4 outcomes per lane.
+    counts = [2, 3, 4, 2, 3]
+    draw = [np.random.default_rng(60 + i) for i in range(5)]
+    povms = tuple(harness.random_povm(3, counts, draw) for _ in range(3))
+    rngs = [np.random.default_rng(70 + i) for i in range(5)]
+    calls = _count_gates(monkeypatch)
+    scen = harness.run_scenario(harness.Scenario(dim=3, povms=povms, seed=0), rng=rngs)
+    oracle = harness.oracle_pool(scen)
+    assert np.array_equal(oracle, scen.final_state)
+    # Per step and walk, hermitian_sqrt runs once, on the chosen effect,
+    # with its own Hermiticity gate; no other gate runs.
+    effects = [harness._outcome_effect(p, k) for p, k in zip(povms, scen.sampled_outcomes)]
+    names = [name for name, _ in calls]
+    assert names == ["hermitian_sqrt", "hermitian_part", "check_finite"] * 6
+    rooted = [m for name, m in calls if name == "hermitian_sqrt"]
+    assert all(np.array_equal(m, e) for m, e in zip(rooted, effects + effects))
+
+
+@pytest.mark.parametrize(
+    "second, match",
+    [(np.eye(2), r"^probabilities sum to 1\.5"), (np.full((2, 2), np.nan), r"^probability nan < 0")],
+    ids=["effects sum to I + Z0", "NaN effect"],
+)
+def test_the_chain_gates_each_outcome_distribution(second, match):
+    # Povm does not validate itself; the chain's probability step is what
+    # rejects one built without validate_povm.
+    povm = measurement.Povm(2, np.array([Z0, second], dtype=complex))
+    scen = harness.Scenario(dim=2, povms=(povm,), seed=0)
+    with pytest.raises(QpoolError, match=match):
+        harness.run_scenario(scen)
+
+
+def test_a_public_update_or_probability_call_gates_its_state_once(monkeypatch):
+    povm = harness.random_povm(3, 3, np.random.default_rng(61))
+    rho = harness.random_density(3, 3, np.random.default_rng(62))
+    calls = _count_gates(monkeypatch)
+    measurement.bare_update(povm.elements[0], rho)
+    assert [name for name, _ in calls].count("check_state") == 1
+    calls.clear()
+    measurement.outcome_probabilities(povm, rho)
+    assert [name for name, _ in calls] == [
+        "check_state", "check_positive", "hermitian_part", "check_finite", "check_unit_trace"
+    ]
+
+
 def _spoil(monkeypatch, attr, spoil):
     """Make pooling.<attr> return its report with spoil applied to the pooled states."""
     original = getattr(pooling, attr)

@@ -136,14 +136,28 @@ class TestOutcomeProbabilities:
     @pytest.mark.parametrize(
         "rho, match",
         [
-            (np.diag([1.5, -0.5]).astype(complex), r"probability .* < 0"),
-            (np.eye(2, dtype=complex), r"probabilities sum to"),
+            (np.diag([1.5, -0.5]).astype(complex), r"^state has negative eigenvalue"),
+            (np.eye(2, dtype=complex), r"^state trace 2\.0 differs from 1"),
         ],
     )
     def test_invalid_state_raises_typed_error(self, rho, match):
         povm = measurement.validate_povm(PROJECTIVE_Z)
         with pytest.raises(QpoolError, match=match):
             measurement.outcome_probabilities(povm, rho)
+
+    @pytest.mark.parametrize(
+        "elements, match",
+        [
+            ([-Z0, np.eye(2) + Z0], r"^probability -5\.000e-01 < 0"),
+            ([Z0, np.eye(2)], r"^probabilities sum to 1\.5"),
+        ],
+        ids=["negative effect", "effects sum to I + Z0"],
+    )
+    def test_a_povm_built_without_validate_povm_meets_the_probability_gates(self, elements, match):
+        # A valid state gets past the state gate; the probabilities are gated after it.
+        povm = measurement.Povm(2, np.array(elements, dtype=complex))
+        with pytest.raises(QpoolError, match=match):
+            measurement.outcome_probabilities(povm, MIXED2)
 
 
 class TestBareUpdate:

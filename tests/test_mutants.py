@@ -70,9 +70,9 @@ def _report_with(change):
 
 
 def _effect_not_its_root():
-    """bare_update conjugating by the effect: sqrt(E^2) = E."""
-    original = measurement.bare_update
-    return lambda effect, rho: original(effect @ effect, rho)
+    """The update step of bare_update and of the chain, handed E^2 and its root E."""
+    original = measurement._update
+    return lambda e, s, r: original(e @ e, e, r)
 
 
 # name -> (module, attribute, replacement factory, suites that kill it)
@@ -113,7 +113,7 @@ MUTANTS = {
         pooling, "pool_ordered_multi", lambda: _ordered_reversed, {"three"}
     ),
     "bare_update conjugates by the effect, not its root": (
-        measurement, "bare_update", _effect_not_its_root, set(SUITES)
+        measurement, "_update", _effect_not_its_root, set(SUITES)
     ),
 }
 

@@ -195,6 +195,13 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
         # Before the state gates these returned [5, 0, 1] and [0, 0, 2].
         lambda: linalg.density_to_bloch([[1.0, 5.0], [0.0, 0.0]]),
         lambda: linalg.density_to_bloch(np.diag([2.0, 0.0])),
+        # Before the positivity gates these returned diag(1.5, -0.5), [1.]
+        # and diag(1.5, -0.5).
+        lambda: measurement.bare_update(np.eye(2), np.diag([1.5, -0.5])),
+        lambda: measurement.outcome_probabilities(
+            measurement.validate_povm([np.eye(2)]), np.diag([1.5, -0.5])
+        ),
+        lambda: measurement.posterior_from_outcome(np.diag([1.5, -0.5])),
     ],
     ids=[
         "validate_density",
@@ -222,6 +229,9 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
         "outcome_probabilities non-Hermitian state",
         "density_to_bloch non-Hermitian",
         "density_to_bloch trace 2",
+        "bare_update negative state",
+        "outcome_probabilities negative state",
+        "posterior_from_outcome negative effect",
     ],
 )
 def test_gate_raises_without_a_warning(call):
