@@ -86,11 +86,7 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
 
 
 def _update(e: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sqrt(E) rho sqrt(E) / Tr[E rho] for E, its root s and rho; gates only Tr[E rho].
-
-    A probability that is not finite raises QpoolError, one at or below
-    ZERO_TOL ZeroProbabilityError.
-    """
+    """sqrt(E) rho sqrt(E) / Tr[E rho], s being sqrt(E); only Tr[E rho] is gated (normalizer)."""
     p = linalg.normalizer(
         np.einsum("...ij,...ji->...", e, r).real, "outcome probability", ZeroProbabilityError
     )
@@ -117,8 +113,7 @@ def posterior_from_outcome(effect) -> np.ndarray:
     """Observer's state of knowledge E / Tr[E], starting from total ignorance.
 
     This is what bare_update yields when applied to the maximally mixed
-    state.  E must be finite, Hermitian and positive (check_positive) at
-    DEFAULT_TOL.
+    state.  E must pass check_positive at DEFAULT_TOL.
     """
     e = linalg.check_positive(linalg.as_complex_matrix(effect), linalg.DEFAULT_TOL, "effect")
     t = linalg.normalizer(linalg.trace(e), "effect trace")
@@ -126,11 +121,9 @@ def posterior_from_outcome(effect) -> np.ndarray:
 
 
 def _draw(p: np.ndarray, rngs: list):
-    """One outcome index per lane of p (_probabilities), by inverse-CDF sampling.
+    """One outcome index per lane of p (_probabilities), from one uniform per generator.
 
-    Each lane draws one uniform from its own generator.  Ties at the
-    cumulative boundaries break toward the lower index.  A single lane
-    gives an int, a stack an array of indices.
+    An int for a single lane, else an array of indices.
     """
     if len(rngs) != p[..., 0].size:
         raise QpoolError(f"{len(rngs)} generators for {p[..., 0].size} lanes")
@@ -150,5 +143,4 @@ def sample_outcome(povm: Povm, rho, rng):
     per lane; each lane draws its variate from its own generator and the
     result is an array of indices.
     """
-    p = outcome_probabilities(povm, rho)
-    return _draw(p, linalg.generators(rng)[0])
+    return _draw(outcome_probabilities(povm, rho), linalg.generators(rng)[0])

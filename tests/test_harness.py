@@ -133,6 +133,20 @@ class TestScenario:
         with pytest.raises(QpoolError, match=r"dimension mismatch: I/dim has dim 3, expected 2"):
             harness.oracle_pool(replace(scen, sampled_outcomes=(0,)))
 
+    def test_every_povm_must_have_the_shape_of_povm_0(self):
+        # The chain checks each POVM once, before its first step.
+        z3 = measurement.validate_povm([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])])
+        lanes = harness.random_povm(2, [2, 2, 2], [np.random.default_rng(i) for i in range(3)])
+        for other, match in [
+            (z3, r"^dimension mismatch: POVM 1 has dim 3, expected 2$"),
+            (lanes, r"^shape mismatch: POVM 1 has shape \(3, 2, 2\), expected \(2, 2\)$"),
+        ]:
+            scen = harness.Scenario(dim=2, povms=(_projective_z(), other), seed=0)
+            with pytest.raises(QpoolError, match=match):
+                harness.run_scenario(scen)
+            with pytest.raises(QpoolError, match=match):
+                harness.oracle_pool(replace(scen, sampled_outcomes=(0, 0)))
+
 
 def test_chain_probabilities_factorize():
     # P(k) P(j|k) must equal Tr[F_j E_k] / N: sampling through the updated
