@@ -106,13 +106,17 @@ def generators(rng) -> tuple[list, bool]:
     )
 
 
+def _cast(v, dtype, what: str) -> np.ndarray:
+    """v as a dtype array by a same-kind cast: no strings, objects, or complex to float."""
+    try:
+        return np.asarray(v).astype(dtype, copy=False, casting="same_kind")
+    except (TypeError, ValueError) as exc:
+        raise QpoolError(f"expected a {what}: {exc}") from None
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a complex128 matrix or stack of matrices, square in the last two axes."""
-    try:
-        # A same-kind cast refuses strings and objects (None, ints too large for a float).
-        a = np.asarray(m).astype(complex, copy=False, casting="same_kind")
-    except (TypeError, ValueError) as exc:
-        raise QpoolError(f"expected a numeric matrix: {exc}") from None
+    a = _cast(m, complex, "numeric matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise QpoolError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -317,10 +321,10 @@ def trace_product(a, b):
 def as_bloch_vector(v) -> tuple[np.ndarray, float]:
     """Return v as a float vector of shape (3,) with its norm.
 
-    Another shape, or a component or norm that is not at most 1 + BLOCH_SLACK
-    in magnitude, raises QpoolError.
+    A value that is not real, another shape, or a component or norm that is
+    not at most 1 + BLOCH_SLACK in magnitude raises QpoolError.
     """
-    a = np.asarray(v, dtype=float)
+    a = _cast(v, float, "real Bloch vector")
     if a.shape != (3,):
         raise QpoolError(f"Bloch vector must have shape (3,), got {a.shape}")
     # No component at or below 1 + BLOCH_SLACK can overflow the norm, and

@@ -76,10 +76,12 @@ def _probabilities(povm: Povm, r: np.ndarray) -> np.ndarray:
 def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     """Outcome distribution p_k = Re Tr[E_k rho], along the last axis.
 
-    rho has the shape of the POVM's elements: one state per lane.  It must
-    pass the state gate (linalg.check_state) at DEFAULT_TOL; then the
-    distribution is gated as in _probabilities.
+    rho has the shape of the povm's elements (a Povm): one state per lane.
+    It must pass the state gate (linalg.check_state) at DEFAULT_TOL; then
+    the distribution is gated as in _probabilities.
     """
+    if not isinstance(povm, Povm):
+        raise QpoolError(f"expected a Povm (validate_povm), got {type(povm).__name__}")
     r = linalg.as_complex_matrix(rho)
     linalg.same_shape((povm.elements[0], r), ("POVM", "state"))
     return _probabilities(povm, linalg.check_state(r, linalg.DEFAULT_TOL, "state"))

@@ -2,6 +2,7 @@
 its trials as a stack reports what running every trial alone reports."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -314,33 +315,27 @@ def test_random_povm_lanes_draw_what_single_calls_draw():
             np.testing.assert_allclose(stacked.elements[k][i], want, rtol=0, atol=LANE_TOL)
 
 
-class _SingularBlocks:
-    """A generator whose first `zeros` Gaussian blocks are all zeros: singular POVM normalizers."""
+class _SingularBlocks(np.random.Generator):
+    """default_rng(seed), but its Gaussian blocks are all zeros: a singular POVM normalizer."""
 
-    def __init__(self, seed, zeros=1):
-        self.rng = np.random.default_rng(seed)
-        self.zeros = zeros
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
 
-    def standard_normal(self, size=None, *, out=None):
-        block = self.rng.standard_normal(size, out=out)
-        self.zeros -= 1
-        if self.zeros >= 0:
-            block[...] = 0.0
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        block = super().standard_normal(size, dtype, out)
+        block[...] = 0.0
         return block
 
 
-def test_a_singular_normalizer_redraws_from_its_own_lane():
-    stacked = harness.random_povm(2, [3, 2], [_SingularBlocks(4), np.random.default_rng(5)])
-    for i, (m, rng) in enumerate(((3, _SingularBlocks(4)), (2, np.random.default_rng(5)))):
-        single = harness.random_povm(2, [m], [rng])
-        for k in range(m):
-            np.testing.assert_allclose(
-                stacked.elements[k][i], single.elements[k][0], rtol=0, atol=LANE_TOL
-            )
-    never = _SingularBlocks(7, zeros=harness.MAX_POVM_ATTEMPTS)
-    with pytest.raises(QpoolError, match="near-singular") as exc:
-        harness.random_povm(2, [2, 2], [np.random.default_rng(6), never])
-    assert str(exc.value).endswith("(1 of 2 lanes, first 1)")
+def test_a_singular_normalizer_raises_naming_its_lane():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QpoolError, match="near-singular") as exc:
+            harness.random_povm(2, [2, 2], [np.random.default_rng(6), _SingularBlocks(7)])
+        assert str(exc.value).endswith("(1 of 2 lanes, first 1)")
+        with pytest.raises(QpoolError, match="near-singular: eigenvalue 0.000e") as exc:
+            harness.random_povm(1, 2, _SingularBlocks(7))
+        assert not str(exc.value).endswith(")")
 
 
 def _advanced(seed, counts, dim):
@@ -352,16 +347,17 @@ def _advanced(seed, counts, dim):
 
 
 def test_random_povm_draws_only_its_gaussian_blocks():
-    # Each lane's stream moves by its lone draw's Gaussian blocks, one call
-    # per attempt, and by nothing else.
+    # Each lane's stream moves by its lone draw's Gaussian blocks, in one
+    # call, and by nothing else; a singular lane raises and is not redrawn.
     lone = np.random.default_rng(11)
     harness.random_povm(3, 4, lone)
     assert lone.bit_generator.state == _advanced(11, [4], 3)
     singular = _SingularBlocks(12)
     rngs = [np.random.default_rng(13), singular, np.random.default_rng(14)]
-    harness.random_povm(3, [2, 3, 4], rngs)
+    with pytest.raises(QpoolError, match="near-singular"):
+        harness.random_povm(3, [2, 3, 4], rngs)
     assert rngs[0].bit_generator.state == _advanced(13, [2], 3)
-    assert singular.rng.bit_generator.state == _advanced(12, [3, 3], 3)
+    assert singular.bit_generator.state == _advanced(12, [3], 3)
     assert rngs[2].bit_generator.state == _advanced(14, [4], 3)
 
 

@@ -301,7 +301,7 @@ class TestVerifySweeps:
         assert report.max_norm_discrepancy > 1e-6
 
     def test_three_observer_commuting_discrepancy_vanishes(self):
-        report = harness.verify_three_observer(10, [3], 1e-10, 13, diagonal=True)
+        report = harness._sweep(10, [3], 1e-10, 13, 3, True)
         assert report.failures == []
         assert report.max_norm_discrepancy < 1e-10
 
@@ -336,7 +336,7 @@ class TestVerifySweeps:
             "pool_symmetric_multi",
             lambda rho: 0.9 * rho + 0.1 * np.eye(rho.shape[-1]) / rho.shape[-1],
         )
-        report = harness.verify_three_observer(3, range(2, 4), 1e-10, 0, diagonal=True)
+        report = harness._sweep(3, range(2, 4), 1e-10, 0, 3, True)
         assert len(report.failures) == 6
         assert all(d > 1e-3 for _, d in report.failures)
 

@@ -323,9 +323,12 @@ class TestBlochMaps:
         assert w[0] >= -1e-15
         assert abs(np.trace(rho).real - 1.0) < 1e-15
 
-    def test_too_long_rejected(self):
-        with pytest.raises(QpoolError, match=r"exceeds 1"):
-            linalg.bloch_to_density([0.0, 0.0, 1.001])
+    @pytest.mark.parametrize(
+        "v, match", [([0.0, 0.0, 1.001], "component"), ([0.9, 0.9, 0.0], "norm")]
+    )
+    def test_too_long_rejected(self, v, match):
+        with pytest.raises(QpoolError, match=rf"{match} .* exceeds 1"):
+            linalg.bloch_to_density(v)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(QpoolError):

@@ -22,9 +22,7 @@ SUITES = {
     "two": lambda: harness.verify_two_observer(TRIALS, DIMS, TOL, SEED),
     "commuting": lambda: harness.verify_commuting_reduction(TRIALS, DIMS, TOL, SEED),
     "three": lambda: harness.verify_three_observer(TRIALS, DIMS, TOL, SEED),
-    "three diagonal": lambda: harness.verify_three_observer(
-        TRIALS, DIMS, TOL, SEED, diagonal=True
-    ),
+    "three diagonal": lambda: harness._sweep(TRIALS, DIMS, TOL, SEED, 3, True),
 }
 
 
@@ -78,7 +76,10 @@ def _effect_not_its_root():
 # name -> (module, attribute, replacement factory, suites that kill it)
 MUTANTS = {
     "symmetric sums only the first outermost observer": (
-        pooling, "pool_symmetric_multi", lambda: _symmetric(outermost=slice(0, 1)), set()
+        pooling,
+        "pool_symmetric_multi",
+        lambda: _symmetric(outermost=slice(0, 1)),
+        {"two", "commuting", "three diagonal"},
     ),
     "symmetric drops the last outermost observer, rescaled": (
         pooling,
@@ -90,7 +91,7 @@ MUTANTS = {
         pooling,
         "pool_symmetric_multi",
         lambda: _symmetric(by_states=True),
-        {"commuting", "three diagonal"},
+        {"two", "commuting", "three diagonal"},
     ),
     "compatibility divides by n! - 1": (
         pooling,
@@ -107,7 +108,7 @@ MUTANTS = {
                 "norm_discrepancy": abs(r.trace_norm - r.paper_norm / n),
             }
         ),
-        set(),
+        {"two", "commuting", "three diagonal"},
     ),
     "ordered nests the roots in reverse": (
         pooling, "pool_ordered_multi", lambda: _ordered_reversed, {"three"}
@@ -119,13 +120,10 @@ MUTANTS = {
 
 # Survivors, each with the ROADMAP item that adds the check to kill it:
 # 1 holds the symmetric rule to the mixture of all orderings, 7 checks
-# compatibility against the chain's outcome probability, 14 bounds
-# norm_discrepancy in the commuting suite.
+# compatibility against the chain's outcome probability.
 SURVIVORS = {
-    "symmetric sums only the first outermost observer": 1,
     "symmetric drops the last outermost observer, rescaled": 1,
     "compatibility divides by n! - 1": 7,
-    "paper_norm lacks the factor n!": 14,
 }
 
 
@@ -161,4 +159,4 @@ def test_the_suites_kill_what_the_table_says(monkeypatch, name):
 
 def test_the_survivors_are_named_with_their_item():
     assert {name for name, m in MUTANTS.items() if not m[3]} == set(SURVIVORS)
-    assert set(SURVIVORS.values()) <= {1, 7, 14}
+    assert set(SURVIVORS.values()) <= {1, 7}

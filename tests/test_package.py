@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpool
-from qpool import errors, linalg, measurement, pooling, qubit
+from qpool import errors, harness, linalg, measurement, pooling, qubit
 from qpool.errors import QpoolError
 from qpool.harness import random_density, random_povm
 
@@ -202,6 +202,11 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
             measurement.validate_povm([np.eye(2)]), np.diag([1.5, -0.5])
         ),
         lambda: measurement.posterior_from_outcome(np.diag([1.5, -0.5])),
+        # Before the Povm type gates these raised AttributeError or TypeError.
+        lambda: measurement.outcome_probabilities([np.eye(2)], np.eye(2) / 2),
+        lambda: measurement.sample_outcome([np.eye(2)], np.eye(2) / 2, np.random.default_rng(0)),
+        lambda: harness.run_scenario(harness.Scenario(2, None, 0), rng=np.random.default_rng(0)),
+        lambda: harness.oracle_pool(harness.Scenario(2, (np.eye(2),), 0, (0,))),
     ],
     ids=[
         "validate_density",
@@ -232,6 +237,10 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
         "bare_update negative state",
         "outcome_probabilities negative state",
         "posterior_from_outcome negative effect",
+        "outcome_probabilities not a Povm",
+        "sample_outcome not a Povm",
+        "run_scenario povms None",
+        "oracle_pool not a Povm",
     ],
 )
 def test_gate_raises_without_a_warning(call):

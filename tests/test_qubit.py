@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -162,6 +164,15 @@ class TestPoolBloch:
     def test_bad_shape(self):
         with pytest.raises(QpoolError, match=r"shape \(3,\)"):
             qubit.pool_bloch([0.0, 1.0], [0.0, 0.0, 1.0])
+
+    # Before the same-kind cast: ValueError, TypeError, TypeError, and the
+    # string "0.1" read as a number.
+    @pytest.mark.parametrize("v", ["abc", [1j, 0, 0], {1: 2}, ["0.1", 0, 0]])
+    def test_non_real_rejected(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QpoolError, match="expected a real Bloch vector"):
+                qubit.pool_bloch(v, Z)
 
     def test_weights_reject_bad_shape(self):
         with pytest.raises(QpoolError, match=r"shape \(3,\)"):
