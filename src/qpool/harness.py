@@ -234,6 +234,8 @@ def oracle_pool(scenario: Scenario) -> np.ndarray:
     """
     if scenario.sampled_outcomes is None:
         raise QpoolError("scenario has no sampled outcomes; run it first")
+    if not isinstance(scenario.sampled_outcomes, (list, tuple)):
+        raise QpoolError("sampled outcomes must be a list or tuple, one per POVM")
     if len(scenario.sampled_outcomes) != len(scenario.povms):
         raise QpoolError("outcome count does not match POVM count")
     recorded = iter(scenario.sampled_outcomes)
@@ -408,9 +410,10 @@ def _trial(n: int, diagonal: bool, dim: int, rngs) -> tuple[np.ndarray, np.ndarr
     """n observers measure one chain per generator, and both rules are checked.
 
     Draws n POVMs with 2 to 4 outcomes per lane (diagonal ones if diagonal)
-    and runs them from each lane's generator (run_scenario).
-    pool_ordered_multi is held to the chain's final state;
-    pool_symmetric_multi to the classical product of the posteriors'
+    and runs them from each lane's generator (run_scenario).  The
+    posteriors are rooted once (pooling._roots), and both rules' bodies
+    take those roots: the ordered rule is held to the chain's final state,
+    the symmetric rule to the classical product of the posteriors'
     diagonals if diagonal, else to being a density matrix (inf if not).
     Returns per lane the larger distance, and the symmetric norm_discrepancy.
     """
@@ -420,9 +423,11 @@ def _trial(n: int, diagonal: bool, dim: int, rngs) -> tuple[np.ndarray, np.ndarr
     )
     scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rngs)
     effects = np.array([_outcome_effect(p, k) for p, k in zip(povms, scen.sampled_outcomes)])
+    # Already the (n, lanes, d, d) complex stack that pooling._matrices makes.
     posteriors = measurement.posterior_from_outcome(effects)
-    d = _distance(pooling.pool_ordered_multi(posteriors).pooled, scen.final_state)
-    symmetric = pooling.pool_symmetric_multi(posteriors)
+    roots = pooling._roots(posteriors)
+    d = _distance(pooling._ordered(posteriors, roots).pooled, scen.final_state)
+    symmetric = pooling._symmetric(posteriors, roots)
     if diagonal:
         classical = pooling.classical_pool(*np.diagonal(posteriors, axis1=-2, axis2=-1).real)
         d = np.maximum(d, _distance(symmetric.pooled, classical[..., None] * np.eye(dim)))

@@ -107,11 +107,14 @@ def generators(rng) -> tuple[list, bool]:
 
 
 def _cast(v, dtype, what: str) -> np.ndarray:
-    """v as a dtype array by a same-kind cast: no strings, objects, or complex to float."""
+    """v as a dtype array by a same-kind cast: no bools, strings, objects, or complex to float."""
     try:
-        return np.asarray(v).astype(dtype, copy=False, casting="same_kind")
+        a = np.asarray(v)
+        if a.dtype.kind != "b":
+            return a.astype(dtype, copy=False, casting="same_kind")
     except (TypeError, ValueError) as exc:
         raise QpoolError(f"expected a {what}: {exc}") from None
+    raise QpoolError(f"expected a {what}, got a bool array")
 
 
 def as_complex_matrix(m) -> np.ndarray:

@@ -15,15 +15,6 @@ from .errors import IncompatibleStatesError, QpoolError
 # at n = 6); the cap on n is a fixed count, not yet derived from that cost.
 MAX_SYMMETRIC_STATES = 6
 
-# _roots keeps the last stack of states that passed its gates, with their
-# roots, only if the stack takes at most this many bytes; the key and the
-# roots then hold about twice that between pooling calls.
-MAX_ROOT_MEMO_BYTES = 1 << 20
-
-# (shape, bytes) of that stack and its read-only roots, or None.  It is read
-# once and replaced whole, so callers in other threads can at worst miss.
-_last_roots = None
-
 
 @dataclass(frozen=True)
 class PoolReport:
@@ -107,24 +98,9 @@ def _roots(arrs) -> np.ndarray:
     product of states, so no product of them can overflow.  This is the
     state rule without linalg.check_state: the root needs the spectrum,
     which check_state's Cholesky accept would not give.
-
-    The last stack that passed both gates is kept with its roots (read-only),
-    so pooling the same states again, by the other rule say, skips both: a
-    stack of the same shape and the same bytes gets those roots back, which
-    are bitwise the roots a fresh call computes.  Stacks above
-    MAX_ROOT_MEMO_BYTES are not kept.
     """
-    global _last_roots
-    last = _last_roots
-    # Bytes, not np.array_equal, which treats 0.0 and -0.0 as equal; a shape
-    # that differs misses before any bytes are copied.
-    if last is not None and last[0] == arrs.shape and last[1] == arrs.tobytes():
-        return last[2]
     roots = linalg.hermitian_sqrt(arrs)
     linalg.check_unit_trace(arrs, linalg.DEFAULT_TOL, "state trace")
-    if arrs.nbytes <= MAX_ROOT_MEMO_BYTES:
-        roots.setflags(write=False)
-        _last_roots = (arrs.shape, arrs.tobytes(), roots)
     return roots
 
 
@@ -176,8 +152,12 @@ def pool_ordered_multi(states) -> PoolReport:
     have unit trace (_roots).
     """
     arrs = _matrices(states)
-    # The root of state 0 is not in the product: taking it gates state 0.
-    roots = _roots(arrs)
+    return _ordered(arrs, _roots(arrs))
+
+
+def _ordered(arrs, roots) -> PoolReport:
+    """The ordered rule's body on a stack of states and their roots (_roots)."""
+    # The root of state 0 is not in the product: taking it gated state 0.
     num = arrs[0]
     for r in roots[1:]:
         num = r @ num @ r
@@ -231,10 +211,15 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     # (ROADMAP item 2) stops that, and the keyword goes with it.
     if norm_mode != "trace":
         raise QpoolError(f"norm_mode must be 'trace', got {norm_mode!r}")
+    return _symmetric(arrs, _roots(arrs))
+
+
+def _symmetric(arrs, roots) -> PoolReport:
+    """The symmetric rule's body on 2 to MAX_SYMMETRIC_STATES states and their roots (_roots)."""
     # Level k holds S(T) for every subset T of size k, one entry per T, so
     # level 1 is the states themselves and level n is S of all of them.
+    n = len(arrs)
     level = arrs
-    roots = _roots(level)
     for js, rows in _subset_levels(n):
         r = roots[js]
         level = (r @ level[rows] @ r).sum(axis=1)

@@ -424,15 +424,16 @@ def _assert_same_report(got, want):
 
 
 def _tripping(monkeypatch, attr, once):
-    """Make pooling.<attr> raise on stacks of more than one lane (the first time only when `once`)."""
+    """Make the rule body pooling.<attr> raise on stacks of more than one lane
+    (the first time only when `once`)."""
     original = getattr(pooling, attr)
     calls = []
 
-    def tripping(states, *args, **kwargs):
-        if np.shape(states[0])[0] > 1 and not (once and calls):
+    def tripping(arrs, roots):
+        if arrs.shape[1] > 1 and not (once and calls):
             calls.append(1)
             raise ZeroProbabilityError("forced to the fallback")
-        return original(states, *args, **kwargs)
+        return original(arrs, roots)
 
     monkeypatch.setattr(pooling, attr, tripping)
     return calls
@@ -440,13 +441,9 @@ def _tripping(monkeypatch, attr, once):
 
 # (suite, the rule forced to the fallback, the sweep)
 SWEEPS = [
-    ("two", "pool_ordered_multi", lambda: harness.verify_two_observer(6, range(2, 4), 1e-18, 11)),
-    (
-        "commuting",
-        "pool_symmetric_multi",
-        lambda: harness.verify_commuting_reduction(6, [3], 1e-18, 12),
-    ),
-    ("three", "pool_ordered_multi", lambda: harness.verify_three_observer(6, [3], 1e-18, 13)),
+    ("two", "_ordered", lambda: harness.verify_two_observer(6, range(2, 4), 1e-18, 11)),
+    ("commuting", "_symmetric", lambda: harness.verify_commuting_reduction(6, [3], 1e-18, 12)),
+    ("three", "_ordered", lambda: harness.verify_three_observer(6, [3], 1e-18, 13)),
 ]
 
 
@@ -467,11 +464,12 @@ def test_a_lane_forced_to_the_fallback_gives_the_all_serial_report(monkeypatch, 
 
 
 def _spoiling(monkeypatch, attr, lane, spoil):
-    """Make pooling.<attr> return its result with spoil applied to one lane's pooled state."""
+    """Make the rule body pooling.<attr> return its result with spoil applied
+    to one lane's pooled state."""
     original = getattr(pooling, attr)
 
-    def spoiled(*args, **kwargs):
-        report = original(*args, **kwargs)
+    def spoiled(arrs, roots):
+        report = original(arrs, roots)
         pooled = report.pooled.copy()
         pooled[lane] = spoil(pooled[lane])
         return replace(report, pooled=pooled)
@@ -480,7 +478,7 @@ def _spoiling(monkeypatch, attr, lane, spoil):
 
 
 def test_a_non_finite_lane_fails_only_its_own_trial(monkeypatch):
-    _spoiling(monkeypatch, "pool_ordered_multi", 2, lambda rho: np.full_like(rho, np.nan))
+    _spoiling(monkeypatch, "_ordered", 2, lambda rho: np.full_like(rho, np.nan))
     report = harness.verify_two_observer(5, range(3, 4), 1e-10, 21)
     assert report.failures == [(harness.trial_seed(21, 2), np.inf)]
     assert report.resamples == 0
@@ -488,7 +486,7 @@ def test_a_non_finite_lane_fails_only_its_own_trial(monkeypatch):
 
 def test_an_invalid_symmetric_lane_fails_only_its_own_trial(monkeypatch):
     # Twice a state has trace 2, so it is not a density matrix.
-    _spoiling(monkeypatch, "pool_symmetric_multi", 1, lambda rho: 2.0 * rho)
+    _spoiling(monkeypatch, "_symmetric", 1, lambda rho: 2.0 * rho)
     report = harness.verify_three_observer(6, [3], 1e-10, 13)
     # Three observers draw from trial indices offset by one stride.
     seed = harness.trial_seed(13, 1 + harness._OBSERVER_INDEX_STRIDE)
@@ -497,10 +495,10 @@ def test_an_invalid_symmetric_lane_fails_only_its_own_trial(monkeypatch):
 
 
 def test_a_trial_that_never_completes_redraws_then_fails(monkeypatch):
-    def incompatible(states):
+    def incompatible(arrs, roots):
         raise IncompatibleStatesError("never compatible")
 
-    monkeypatch.setattr(pooling, "pool_ordered_multi", incompatible)
+    monkeypatch.setattr(pooling, "_ordered", incompatible)
     report = harness.verify_two_observer(2, range(2, 3), 1e-10, 3)
     assert report.resamples == 2 * harness.MAX_CHAIN_RESAMPLES
     assert [d for _, d in report.failures] == [np.inf, np.inf]

@@ -407,14 +407,14 @@ def _no_constants(name):
 
 
 def test_verify_stdout_is_strict_json_when_trials_fail_with_nan(monkeypatch, capsys):
-    def nan_pool(states):
+    def nan_pool(arrs, roots):
         return pooling.PoolReport(
-            pooled=np.full(np.shape(states[0]), np.nan, dtype=complex),
+            pooled=np.full(arrs.shape[1:], np.nan, dtype=complex),
             compatibility=1.0, paper_norm=1.0, trace_norm=1.0, norm_discrepancy=0.0,
         )
 
-    # Every suite holds the ordered rule to the chain oracle.
-    monkeypatch.setattr(pooling, "pool_ordered_multi", nan_pool)
+    # Every suite holds the ordered rule's body to the chain oracle.
+    monkeypatch.setattr(pooling, "_ordered", nan_pool)
     code = cli.main(["verify", "--suite", "all", "--trials", "2", "--dims", "2..3", "--seed", "4"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out, parse_constant=_no_constants)

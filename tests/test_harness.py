@@ -98,6 +98,11 @@ class TestScenario:
         with pytest.raises(QpoolError, match=r"^outcome count does not match POVM count$"):
             harness.oracle_pool(scen)
 
+    def test_oracle_rejects_a_record_that_is_not_a_sequence(self):
+        scen = harness.Scenario(2, (_projective_z(),), 0, 5)
+        with pytest.raises(QpoolError, match="must be a list or tuple"):
+            harness.oracle_pool(scen)
+
     def test_oracle_single_measurement_is_posterior(self):
         rng = np.random.default_rng(58)
         povm = harness.random_povm(3, 3, rng)
@@ -242,11 +247,12 @@ def test_a_public_update_or_probability_call_gates_its_state_once(monkeypatch):
 
 
 def _spoil(monkeypatch, attr, spoil):
-    """Make pooling.<attr> return its report with spoil applied to the pooled states."""
+    """Make the rule body pooling.<attr> return its report with spoil applied
+    to the pooled states."""
     original = getattr(pooling, attr)
 
-    def spoiled(states):
-        report = original(states)
+    def spoiled(arrs, roots):
+        report = original(arrs, roots)
         return replace(report, pooled=spoil(report.pooled))
 
     monkeypatch.setattr(pooling, attr, spoiled)
@@ -271,13 +277,13 @@ class TestVerifySweeps:
             harness.verify_two_observer(5, range(3, 2), 1e-10, 1)
 
     def test_nan_distance_is_a_failure(self, monkeypatch):
-        def nan_pool(states):
+        def nan_pool(arrs, roots):
             return pooling.PoolReport(
-                pooled=np.full(np.shape(states[0]), np.nan, dtype=complex),
+                pooled=np.full(arrs.shape[1:], np.nan, dtype=complex),
                 compatibility=1.0, paper_norm=1.0, trace_norm=1.0, norm_discrepancy=0.0,
             )
 
-        monkeypatch.setattr(pooling, "pool_ordered_multi", nan_pool)
+        monkeypatch.setattr(pooling, "_ordered", nan_pool)
         report = harness.verify_two_observer(5, range(2, 4), 1e-10, 0)
         assert report.max_oracle_distance == np.inf
         assert len(report.failures) == 10
@@ -309,21 +315,20 @@ class TestVerifySweeps:
     # oracle, the symmetric one against its family's reference.
     def test_two_observer_fails_an_invalid_symmetric_state(self, monkeypatch):
         # Twice a state has trace 2, so it is not a density matrix.
-        _spoil(monkeypatch, "pool_symmetric_multi", lambda rho: 2.0 * rho)
+        _spoil(monkeypatch, "_symmetric", lambda rho: 2.0 * rho)
         report = harness.verify_two_observer(3, range(2, 4), 1e-10, 0)
         assert [d for _, d in report.failures] == [np.inf] * 6
 
     def test_commuting_reduction_fails_an_ordered_rule_that_conjugates_by_the_states(
         self, monkeypatch
     ):
-        def by_states(states):
-            arrs = pooling._matrices(states)
+        def by_states(arrs, roots):
             num = arrs[0]
             for rho in arrs[1:]:
                 num = rho @ num @ rho
             return pooling._report(num, arrs, 1, "nested trace")
 
-        monkeypatch.setattr(pooling, "pool_ordered_multi", by_states)
+        monkeypatch.setattr(pooling, "_ordered", by_states)
         report = harness.verify_commuting_reduction(3, range(2, 4), 1e-10, 0)
         assert len(report.failures) == 6
 
@@ -333,7 +338,7 @@ class TestVerifySweeps:
         # Still a density matrix, so only the classical reference can catch it.
         _spoil(
             monkeypatch,
-            "pool_symmetric_multi",
+            "_symmetric",
             lambda rho: 0.9 * rho + 0.1 * np.eye(rho.shape[-1]) / rho.shape[-1],
         )
         report = harness._sweep(3, range(2, 4), 1e-10, 0, 3, True)
@@ -374,7 +379,7 @@ def test_a_failure_seed_replays_its_trial_alone(monkeypatch, n, sweep):
         sq = rho @ rho
         return sq / linalg.per_matrix(linalg.trace(sq))
 
-    _spoil(monkeypatch, "pool_ordered_multi", squared)
+    _spoil(monkeypatch, "_ordered", squared)
     dims = (2, 3)
     report = sweep(4, dims, 1e-10, 5)
     assert len(report.failures) == 8

@@ -373,6 +373,7 @@ NON_NUMERIC_MATRICES = {
     "None entry": [[1, None], [0, 1]],
     "string": "a",
     "ragged rows": [[1, 0], [0]],
+    "bool matrix": np.eye(2, dtype=bool),
 }
 
 

@@ -27,13 +27,13 @@ SUITES = {
 
 
 def _symmetric(outermost=slice(None), rescale=False, by_states=False):
-    """pool_symmetric_multi with only the `outermost` observers of each subset
-    summed (rescaled to the full count if rescale), or conjugating by the
-    states instead of their roots."""
+    """The symmetric rule's body with only the `outermost` observers of each
+    subset summed (rescaled to the full count if rescale), or conjugating by
+    the states instead of their roots."""
 
-    def pool_symmetric_multi(states, norm_mode="trace"):
-        arrs = pooling._matrices(states)
-        roots = arrs if by_states else pooling._roots(arrs)
+    def symmetric(arrs, roots):
+        if by_states:
+            roots = arrs
         level = arrs
         for js, rows in pooling._subset_levels(len(arrs)):
             k = js.shape[1]
@@ -42,14 +42,13 @@ def _symmetric(outermost=slice(None), rescale=False, by_states=False):
             level = (r @ level[rows] @ r).sum(axis=1) * (k / js.shape[1] if rescale else 1.0)
         return pooling._report(level[0], arrs, factorial(len(arrs)), "permutation-sum trace")
 
-    return pool_symmetric_multi
+    return symmetric
 
 
-def _ordered_reversed(states):
-    """pool_ordered_multi with the roots nested in reverse order."""
-    arrs = pooling._matrices(states)
+def _ordered_reversed(arrs, roots):
+    """The ordered rule's body with the roots nested in reverse order."""
     num = arrs[0]
-    for r in pooling._roots(arrs)[:0:-1]:
+    for r in roots[:0:-1]:
         num = r @ num @ r
     return pooling._report(num, arrs, 1, "nested trace")
 
@@ -77,19 +76,19 @@ def _effect_not_its_root():
 MUTANTS = {
     "symmetric sums only the first outermost observer": (
         pooling,
-        "pool_symmetric_multi",
+        "_symmetric",
         lambda: _symmetric(outermost=slice(0, 1)),
         {"two", "commuting", "three diagonal"},
     ),
     "symmetric drops the last outermost observer, rescaled": (
         pooling,
-        "pool_symmetric_multi",
+        "_symmetric",
         lambda: _symmetric(outermost=slice(0, -1), rescale=True),
         set(),
     ),
     "symmetric conjugates by the states": (
         pooling,
-        "pool_symmetric_multi",
+        "_symmetric",
         lambda: _symmetric(by_states=True),
         {"two", "commuting", "three diagonal"},
     ),
@@ -111,7 +110,7 @@ MUTANTS = {
         {"two", "commuting", "three diagonal"},
     ),
     "ordered nests the roots in reverse": (
-        pooling, "pool_ordered_multi", lambda: _ordered_reversed, {"three"}
+        pooling, "_ordered", lambda: _ordered_reversed, {"three"}
     ),
     "bare_update conjugates by the effect, not its root": (
         measurement, "_update", _effect_not_its_root, set(SUITES)

@@ -260,8 +260,11 @@ def test_bare_update_gates_the_effect_before_the_outcome_probability():
 
 
 def test_no_assert_statements():
-    # python -O strips asserts, so no invariant may rest on one.
+    # python -O strips asserts, so no invariant may rest on one; and no
+    # function rebinds a module or enclosing name, so no module state hides
+    # between calls.
+    banned = (ast.Assert, ast.Global, ast.Nonlocal)
     for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-        assert not lines, f"{path.name} has assert statements at lines {lines}"
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, banned)]
+        assert not lines, f"{path.name} has assert, global or nonlocal statements at lines {lines}"

@@ -166,8 +166,8 @@ class TestPoolBloch:
             qubit.pool_bloch([0.0, 1.0], [0.0, 0.0, 1.0])
 
     # Before the same-kind cast: ValueError, TypeError, TypeError, and the
-    # string "0.1" read as a number.
-    @pytest.mark.parametrize("v", ["abc", [1j, 0, 0], {1: 2}, ["0.1", 0, 0]])
+    # string "0.1" read as a number; bools were read as 1.0 and 0.0.
+    @pytest.mark.parametrize("v", ["abc", [1j, 0, 0], {1: 2}, ["0.1", 0, 0], [True, False, False]])
     def test_non_real_rejected(self, v):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
