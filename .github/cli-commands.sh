@@ -1,0 +1,40 @@
+#!/usr/bin/env bash
+# The CLI commands whose files, stdout and exit codes the tests workflow
+# compares between two runs: against the base commit, under python -O, and
+# through the installed qpool script.  One list, so the three comparisons
+# cover the same commands.
+#
+# Usage: bash .github/cli-commands.sh OUT_DIR QPOOL...
+#   QPOOL... is how to run the CLI, e.g. `python -O -m qpool.cli` or `qpool`;
+#   a PYTHONPATH it needs must be absolute, since the commands run in
+#   OUT_DIR.  Each command writes its files there under their own names,
+#   its stdout to <name>.out, and one "<name> exit <code>" line to exits.
+set -u
+out="$1"
+shift
+qpool=("$@")
+mkdir -p "$out"
+cd "$out" || exit 2
+: > exits
+run() {  # name, CLI arguments
+  local name="$1"
+  shift
+  "${qpool[@]}" "$@" > "$name.out" && echo "$name exit 0" >> exits || echo "$name exit $?" >> exits
+}
+# random povm: dims 1, 2, 3, 5, 8 x outcomes 2, 3, 5 x seeds 0, 4, 99, and
+# dim 3 with 4 outcomes.
+for d in 1 2 3 5 8; do for k in 2 3 5; do for s in 0 4 99; do
+  run "povm-$d-$k-$s" random povm --dim $d --outcomes $k --seed $s --out "povm-$d-$k-$s.json"
+done; done; done
+run povm-3-4-4 random povm --dim 3 --outcomes 4 --seed 4 --out povm-3-4-4.json
+run state-1 random state --dim 1 --seed 5 --out state-1.json
+run s1 random state --dim 3 --seed 1 --out s1.json
+run s2 random state --dim 3 --rank 1 --seed 2 --out s2.json
+run s3 random state --dim 3 --rank 2 --seed 3 --out s3.json
+for mode in ordered symmetric; do
+  run "$mode-2" pool --mode $mode --in s1.json s2.json --out "$mode-2.json"
+  run "$mode-3" pool --mode $mode --in s1.json s2.json s3.json --out "$mode-3.json"
+done
+run compat compat s1.json s2.json
+run bloch bloch --a 0,0.6,0.8 --b=-0.3,0.4,0.1
+run verify verify --trials 5

@@ -304,7 +304,7 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     h = (v * (1.0 / np.sqrt(w))[:, None, :]) @ linalg.dagger(v) @ g
     # H's blocks as a (k, lanes, dim, dim) stack, so H_k H_k^dag is E_k.
     hk = h.reshape(-1, dim, k, dim).transpose(2, 0, 1, 3)
-    elements = linalg.hermitianize(hk @ linalg.dagger(hk))
+    elements = hk @ linalg.dagger(hk)
     return measurement.validate_povm(elements[:, 0] if single else elements)
 
 

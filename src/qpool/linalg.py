@@ -94,12 +94,15 @@ def check_tol(tol) -> float:
 def generators(rng) -> tuple[list, bool]:
     """The random streams of a call and whether it is for a single input.
 
-    rng is one numpy Generator, or a list or tuple with one entry per lane
-    (entries are used as they are).  Anything else raises QpoolError.
+    rng is one numpy Generator, or a list or tuple of them, one per lane.
+    Anything else, or any other entry, raises QpoolError.
     """
     if isinstance(rng, np.random.Generator):
         return [rng], True
     if isinstance(rng, (list, tuple)):
+        for i, g in enumerate(rng):
+            if not isinstance(g, np.random.Generator):
+                raise QpoolError(f"rng lane {i} is not a numpy Generator: {type(g).__name__}")
         return list(rng), False
     raise QpoolError(
         f"rng must be a numpy Generator or a list or tuple of them, got {type(rng).__name__}"

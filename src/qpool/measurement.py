@@ -16,60 +16,51 @@ COMPLETENESS_TOL = 1e-9
 class Povm:
     """A positive operator-valued measure: elements[k] is effect k, the effects sum to I.
 
-    elements is one complex array of shape (k, *lanes, dim, dim).
+    Povm(elements) is the one POVM gate: each effect passes check_positive
+    at DEFAULT_TOL, and their sum is I within COMPLETENESS_TOL per entry.
+    elements may be k matrices, k equal-shape stacks (one POVM per lane) or
+    a (k, *lanes, d, d) array; the Povm stores the effects' Hermitian parts
+    as one read-only complex array of that shape, never the caller's array.
     """
 
-    dim: int
     elements: np.ndarray
+
+    def __post_init__(self):
+        if len(self.elements) == 0:
+            raise QpoolError("POVM has no elements")
+        arrs = [linalg.as_complex_matrix(e) for e in self.elements]
+        linalg.same_shape(arrs, "element")
+        # Element i of lane l fails as lane i * lanes + l of the stack.
+        h = linalg.check_positive(np.array(arrs), linalg.DEFAULT_TOL, "element")
+        defect = np.abs(h.sum(axis=0) - np.eye(h.shape[-1])).max(axis=(-2, -1))
+        msg = f"effects sum to I only within {{:.3e}}, tol {COMPLETENESS_TOL:.0e}"
+        linalg.require(defect <= COMPLETENESS_TOL, msg, defect)
+        h.setflags(write=False)
+        object.__setattr__(self, "elements", h)
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[-1]
 
     def __len__(self) -> int:
         return len(self.elements)
 
 
 def validate_povm(elements) -> Povm:
-    """Check effects are Hermitian PSD summing to I; return a Povm.
-
-    Element-level Hermiticity and positivity are held to the standard
-    operator tolerance (1e-10), the sum to COMPLETENESS_TOL.  Each element
-    may be a stack (the same leading axes for all), which checks one POVM
-    per lane; so may elements be a (k, *lanes, d, d) array.  The Povm holds
-    its own copy, never the caller's array.
-    """
-    if len(elements) == 0:
-        raise QpoolError("POVM has no elements")
-    arrs = [linalg.as_complex_matrix(e) for e in elements]
-    linalg.same_shape(arrs, "element")
-    stack = np.array(arrs)
-    # Element i of lane l fails as lane i * lanes + l of the stack.
-    linalg.check_positive(stack, linalg.DEFAULT_TOL, "element")
-    dim = stack.shape[-1]
-    defect = np.abs(stack.sum(axis=0) - np.eye(dim)).max(axis=(-2, -1))
-    linalg.require(
-        defect <= COMPLETENESS_TOL,
-        f"effects sum to I only within {{:.3e}}, tol {COMPLETENESS_TOL:.0e}",
-        defect,
-    )
-    return Povm(dim=dim, elements=stack)
+    """Povm(elements): the POVM gate, under the name the library has always exported."""
+    return Povm(elements)
 
 
 def _probabilities(povm: Povm, r: np.ndarray) -> np.ndarray:
     """p_k = Re Tr[E_k rho] along the last axis, for a state rho that has passed its gates.
 
-    A p_k below -ZERO_TOL, or a sum further than COMPLETENESS_TOL from 1,
-    raises: a POVM that is not one (a Povm built without validate_povm)
-    fails here.  p_k in [-ZERO_TOL, 0) come back as 0.
+    The Povm and rho were gated where they entered; negatives come back as 0.
     """
     # One einsum per outcome, so a lane's numbers are those of its single call.
     p = np.empty(r.shape[:-2] + (len(povm),))
     for k, e in enumerate(povm.elements):
         p[..., k] = np.einsum("...ij,...ji->...", e, r).real
-    low = p.min(axis=-1)
-    linalg.require(low >= -linalg.ZERO_TOL, "probability {:.3e} < 0", low)
     p[p < 0.0] = 0.0
-    total = p.sum(axis=-1)
-    linalg.require(
-        abs(total - 1.0) <= COMPLETENESS_TOL, "probabilities sum to {!r}", total
-    )
     return p
 
 
@@ -77,8 +68,12 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     """Outcome distribution p_k = Re Tr[E_k rho], along the last axis.
 
     rho has the shape of the povm's elements (a Povm): one state per lane.
-    It must pass the state gate (linalg.check_state) at DEFAULT_TOL; then
-    the distribution is gated as in _probabilities.
+    It must pass the state gate (linalg.check_state) at DEFAULT_TOL.  Each
+    p_k is finite and >= 0, and with K outcomes at dim d the sum is within
+    2 (DEFAULT_TOL + d COMPLETENESS_TOL + K (d + 1) DEFAULT_TOL) of 1:
+    rho's trace defect, plus Tr[(sum_k E_k - I) rho], plus the negatives
+    clipped to 0 (each above -(d + 1) DEFAULT_TOL), doubled for the
+    second-order terms and rounding.
     """
     if not isinstance(povm, Povm):
         raise QpoolError(f"expected a Povm (validate_povm), got {type(povm).__name__}")

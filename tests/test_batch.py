@@ -110,7 +110,7 @@ def test_outcome_probabilities_lanes_equal_single_calls_bitwise(dim):
         stacked = measurement.outcome_probabilities(povm, rho)
         for i in range(lanes):
             single = measurement.outcome_probabilities(
-                measurement.Povm(dim, povm.elements[:, i]), rho[i]
+                measurement.Povm(povm.elements[:, i]), rho[i]
             )
             assert np.array_equal(stacked[i], single), f"lane {i} of {lanes}"
 
@@ -387,7 +387,7 @@ def test_run_scenario_lanes_sample_what_single_runs_sample():
         rng=[np.random.default_rng(i) for i in range(LANES)],
     )
     for i in range(LANES):
-        lane = tuple(measurement.Povm(3, p.elements[:, i]) for p in povms)
+        lane = tuple(measurement.Povm(p.elements[:, i]) for p in povms)
         single = harness.run_scenario(
             harness.Scenario(dim=3, povms=lane, seed=0), rng=np.random.default_rng(i)
         )

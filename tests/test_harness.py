@@ -219,18 +219,26 @@ def test_the_chain_gates_no_state_it_made(monkeypatch):
     assert all(np.array_equal(m, e) for m, e in zip(rooted, effects + effects))
 
 
+PLUS_MINUS = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
+
+
 @pytest.mark.parametrize(
-    "second, match",
-    [(np.eye(2), r"^probabilities sum to 1\.5"), (np.full((2, 2), np.nan), r"^probability nan < 0")],
-    ids=["effects sum to I + Z0", "NaN effect"],
+    "povms, first",
+    [
+        ([[np.diag([-5e-11, 0.0]), np.diag([1.0 + 5e-11, 1.0])]], 1),
+        ([PLUS_MINUS, [np.eye(2) / 2 + 9e-10 * np.ones((2, 2)), np.eye(2) / 2]], 0),
+    ],
+    ids=["effect eigenvalue -5e-11", "completeness defect 9e-10"],
 )
-def test_the_chain_gates_each_outcome_distribution(second, match):
-    # Povm does not validate itself; the chain's probability step is what
-    # rejects one built without validate_povm.
-    povm = measurement.Povm(2, np.array([Z0, second], dtype=complex))
-    scen = harness.Scenario(dim=2, povms=(povm,), seed=0)
-    with pytest.raises(QpoolError, match=match):
-        harness.run_scenario(scen)
+def test_the_chain_runs_povms_at_the_edge_of_their_gates(povms, first):
+    # Each POVM passes its own gate, so the chain must run it: from I/2 the
+    # first gives p_0 = -2.5e-11, and after outcome + (seed 2) the second
+    # gives probabilities summing to 1 + 1.8e-9.
+    povms = tuple(measurement.validate_povm(p) for p in povms)
+    scen = harness.run_scenario(harness.Scenario(dim=2, povms=povms, seed=2))
+    assert scen.sampled_outcomes[0] == first
+    assert np.isfinite(scen.final_state).all()
+    assert scen.final_state.tobytes() == harness.oracle_pool(scen).tobytes()
 
 
 def test_a_public_update_or_probability_call_gates_its_state_once(monkeypatch):

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpool import cli, harness, linalg, measurement
 from qpool.errors import QpoolError, ZeroProbabilityError
@@ -47,6 +49,35 @@ class TestValidatePovm:
         skew = np.array([[0.0, 0.1], [-0.1, 0.0]])
         with pytest.raises(QpoolError, match=r"not Hermitian"):
             measurement.validate_povm([0.5 * np.eye(2) + skew, 0.5 * np.eye(2) - skew])
+
+
+@pytest.mark.parametrize(
+    "elements, match",
+    [
+        ([-Z0, np.eye(2) + Z0], r"^element has negative eigenvalue -1\.000e\+00"),
+        ([np.diag([1.2, 0.5]), np.diag([-0.2, 0.5])], r"^element has negative eigenvalue -2\.000e-01"),
+        ([Z0, np.eye(2)], r"^effects sum to I only within 1\.000e\+00"),
+        ([Z0, np.full((2, 2), np.nan)], r"^element has a non-finite entry"),
+    ],
+    ids=["negative effect", "negative effect that sums to I", "effects sum to I + Z0", "NaN effect"],
+)
+def test_povm_rejects_elements_that_are_not_a_povm(elements, match):
+    # Povm is the one POVM gate, so no chain or distribution meets one of these.
+    with pytest.raises(QpoolError, match=match):
+        measurement.Povm(np.array(elements, dtype=complex))
+
+
+def test_povm_takes_no_dim_and_its_elements_are_read_only():
+    povm = measurement.Povm(np.array(PROJECTIVE_Z))
+    assert povm.dim == 2
+    assert [f.name for f in dataclasses.fields(measurement.Povm)] == ["elements"]
+    with pytest.raises(TypeError):
+        measurement.Povm(2, np.array(PROJECTIVE_Z))
+    with pytest.raises(ValueError, match="read-only"):
+        povm.elements[1, 0, 0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        povm.elements = np.array(PROJECTIVE_Z, dtype=complex)
+    assert povm.elements.tobytes() == np.array(PROJECTIVE_Z, dtype=complex).tobytes()
 
 
 def _lane_rngs(lanes):
@@ -96,7 +127,8 @@ def test_povm_elements_are_one_stack(name):
 def test_validate_povm_of_a_stack_owns_its_copy(given):
     # An array stack gives the Povm of its element list, and the Povm never
     # shares memory with the caller's array.
-    given = np.ascontiguousarray(given())
+    # The elements of a Povm are read-only, so the test writes into a copy.
+    given = np.array(given())
     povm = measurement.validate_povm(given)
     assert not np.shares_memory(povm.elements, given)
     assert povm.elements.tobytes() == measurement.validate_povm(list(given)).elements.tobytes()
@@ -146,18 +178,69 @@ class TestOutcomeProbabilities:
             measurement.outcome_probabilities(povm, rho)
 
     @pytest.mark.parametrize(
-        "elements, match",
+        "elements, rho",
         [
-            ([-Z0, np.eye(2) + Z0], r"^probability -5\.000e-01 < 0"),
-            ([Z0, np.eye(2)], r"^probabilities sum to 1\.5"),
+            ([np.diag([-5e-11, 0.5]), np.diag([1.0 + 5e-11, 0.5])], Z0),
+            ([np.eye(2) / 2 + 9e-10 * np.ones((2, 2)), np.eye(2) / 2], np.full((2, 2), 0.5)),
         ],
-        ids=["negative effect", "effects sum to I + Z0"],
+        ids=["effect eigenvalue -5e-11", "completeness defect 9e-10"],
     )
-    def test_a_povm_built_without_validate_povm_meets_the_probability_gates(self, elements, match):
-        # A valid state gets past the state gate; the probabilities are gated after it.
-        povm = measurement.Povm(2, np.array(elements, dtype=complex))
-        with pytest.raises(QpoolError, match=match):
-            measurement.outcome_probabilities(povm, MIXED2)
+    def test_a_povm_and_state_that_pass_their_gates_give_a_distribution(self, elements, rho):
+        # Each input passes its own gate, so no tighter gate on the
+        # distribution (p_k >= -1e-12, |sum - 1| <= 1e-9) may reject it.
+        povm = measurement.validate_povm(elements)
+        p = measurement.outcome_probabilities(povm, rho)
+        assert np.isfinite(p).all() and (p >= 0.0).all()
+        assert abs(p.sum() - 1.0) <= 2e-9
+        assert measurement.sample_outcome(povm, rho, np.random.default_rng(0)) in (0, 1)
+
+
+def _edge_matrix(basis, eigenvalues):
+    return (basis * eigenvalues) @ basis.conj().T
+
+
+@given(
+    dim=st.integers(2, 8),
+    k=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    element_low=st.floats(0.0, 1.0),
+    defect=st.floats(-1.0, 1.0),
+    state_low=st.floats(0.0, 1.0),
+    trace_defect=st.floats(-1.0, 1.0),
+    shared_basis=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_outcome_distribution_at_the_edges_of_the_gates(
+    dim, k, seed, element_low, defect, state_low, trace_defect, shared_basis
+):
+    # Effects U diag(w_k) U^dag with eigenvalues down to -1e-10 and a sum
+    # U diag(1 + eta) U^dag whose entries are within 1e-9 of I; a state with
+    # eigenvalues down to -1e-10 and trace 1 +- 1e-10.  In a shared basis an
+    # effect's negative eigenvalue can meet the state's largest one.  The
+    # 0.999 keeps each input inside its gate after rounding.
+    tol, margin = linalg.DEFAULT_TOL, 0.999
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    v = u if shared_basis else np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    w = rng.random((k, dim))
+    w /= w.sum(axis=0)
+    # Effect 0 gives eigenvalue weight to effect 1 in one column, down to
+    # -1e-10, so the column still sums to 1.
+    j, low = rng.integers(dim), margin * element_low * tol
+    w[1, j] += w[0, j] + low
+    w[0, j] = -low
+    w *= 1.0 + margin * defect * measurement.COMPLETENESS_TOL * rng.random(dim)
+    povm = measurement.validate_povm([_edge_matrix(u, wk) for wk in w])
+    mu, j, low = rng.random(dim), rng.integers(dim), margin * state_low * tol
+    mu[j] = 0.0
+    mu *= (1.0 + margin * trace_defect * tol + low) / mu.sum()
+    mu[j] = -low
+    rho = _edge_matrix(v, mu)
+    p = measurement.outcome_probabilities(povm, rho)
+    assert np.isfinite(p).all() and (p >= 0.0).all()
+    bound = 2 * (tol + dim * measurement.COMPLETENESS_TOL + k * (dim + 1) * tol)
+    assert abs(p.sum() - 1.0) <= bound
+    assert 0 <= measurement.sample_outcome(povm, rho, np.random.default_rng(seed)) < k
 
 
 class TestBareUpdate:
@@ -277,6 +360,12 @@ class TestSampleOutcome:
         povm = measurement.validate_povm(PROJECTIVE_Z)
         with pytest.raises(QpoolError, match=r"rng must be a numpy Generator"):
             measurement.sample_outcome(povm, Z0, rng)
+
+    def test_the_first_lane_that_is_not_a_generator_is_named(self):
+        povm = measurement.validate_povm([np.array([Z0] * 3), np.array([Z1] * 3)])
+        rngs = [np.random.default_rng(0), None, 1]
+        with pytest.raises(QpoolError, match=r"^rng lane 1 is not a numpy Generator: NoneType$"):
+            measurement.sample_outcome(povm, np.array([Z0] * 3), rngs)
 
     def test_one_generator_per_lane(self):
         povm = measurement.validate_povm([Z0[None], Z1[None]])

@@ -67,13 +67,11 @@ BOUNDARIES = {
         lambda rng, d: [random_povm(d, 2, rng).elements[0], random_density(d, d, rng)],
         measurement.bare_update,
     ),
-    # The elements, then the state; the POVM is built without validate_povm,
-    # so a spoiled element reaches outcome_probabilities itself.
+    # The three elements, then the state; each is gated where it enters:
+    # the elements by Povm, the state by outcome_probabilities.
     "outcome_probabilities": (
         lambda rng, d: [*random_povm(d, 3, rng).elements, random_density(d, d, rng)],
-        lambda *a: measurement.outcome_probabilities(
-            measurement.Povm(a[0].shape[-1], np.array(a[:-1])), a[-1]
-        ),
+        lambda *a: measurement.outcome_probabilities(measurement.Povm(np.array(a[:-1])), a[-1]),
     ),
     "trace_product": (_densities(2), linalg.trace_product),
     "pool_ordered_multi": (_densities(3), lambda *s: pooling.pool_ordered_multi(s)),
@@ -83,13 +81,13 @@ BOUNDARIES = {
 }
 
 # The functions that take the Hermitian part of their matrix arguments, by
-# the positions of the arguments that gate covers (outcome_probabilities
-# gates its state, not the elements of a POVM built without validate_povm).
+# the positions of the arguments that gate covers (outcome_probabilities'
+# three elements through Povm, its state itself).
 HERMITIAN_GATED = {
     "hermitian_sqrt": (0,),
     "posterior_from_outcome": (0,),
     "bare_update": (0, 1),
-    "outcome_probabilities": (-1,),
+    "outcome_probabilities": (0, 1, 2, 3),
     "pool_ordered": (0, 1),
     "pool_symmetric": (0, 1),
     "pool_ordered_multi": (0, 1, 2),
@@ -161,7 +159,8 @@ HUGE_DIAG = np.diag([1e308, 1e308])
 # Hermitian part I/2, Hermiticity defect 0.8.
 SKEW_HALF = np.array([[0.5, 0.4], [-0.4, 0.5]])
 Z0 = np.diag([1.0, 0.0])
-Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
+Z_POVM = measurement.Povm(np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
+Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=complex))
 
 
 @pytest.mark.parametrize(
@@ -207,6 +206,15 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
         lambda: measurement.sample_outcome([np.eye(2)], np.eye(2) / 2, np.random.default_rng(0)),
         lambda: harness.run_scenario(harness.Scenario(2, None, 0), rng=np.random.default_rng(0)),
         lambda: harness.oracle_pool(harness.Scenario(2, (np.eye(2),), 0, (0,))),
+        # Before the generator entry gate these raised AttributeError.
+        lambda: measurement.sample_outcome(Z_POVMS, np.array([Z0, Z0]), [1, 2]),
+        lambda: harness.run_scenario(harness.Scenario(2, (Z_POVMS,), 0), rng=[1, 2]),
+        lambda: random_povm(2, [2, 2], [1, 2]),
+        lambda: random_povm(2, [2, 2], [np.random.default_rng(0), None]),
+        lambda: harness._random_diagonal_povm(2, [2, 2], [np.random.default_rng(0), None]),
+        lambda: measurement.sample_outcome(
+            Z_POVMS, np.array([Z0, Z0]), (np.random.default_rng(0), None)
+        ),
     ],
     ids=[
         "validate_density",
@@ -241,6 +249,12 @@ Z_POVM = measurement.Povm(2, np.array([Z0, np.diag([0.0, 1.0])], dtype=complex))
         "sample_outcome not a Povm",
         "run_scenario povms None",
         "oracle_pool not a Povm",
+        "sample_outcome int generators",
+        "run_scenario int generators",
+        "random_povm int generators",
+        "random_povm None generator",
+        "_random_diagonal_povm None generator",
+        "sample_outcome None generator",
     ],
 )
 def test_gate_raises_without_a_warning(call):
