@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -235,18 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pool.add_argument("--out", required=True, metavar="FILE")
     p_pool.add_argument("--pretty", action="store_true")
-    p_pool.set_defaults(func=cmd_pool)
 
     p_compat = sub.add_parser("compat", help="print the overlap of two states")
     p_compat.add_argument("file_a")
     p_compat.add_argument("file_b")
-    p_compat.set_defaults(func=cmd_compat)
 
     p_bloch = sub.add_parser("bloch", help="pool two qubit Bloch vectors")
     p_bloch.add_argument("--a", required=True, metavar="X,Y,Z")
     p_bloch.add_argument("--b", required=True, metavar="X,Y,Z")
     p_bloch.add_argument("--pretty", action="store_true")
-    p_bloch.set_defaults(func=cmd_bloch)
 
     p_verify = sub.add_parser("verify", help="run randomized oracle sweeps")
     p_verify.add_argument(
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=1e-10)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--pretty", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_random = sub.add_parser("random", help="write a random state or POVM file")
     p_random.add_argument("kind", choices=("state", "povm"))
@@ -266,16 +263,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_random.add_argument("--outcomes", type=int, default=None)
     p_random.add_argument("--seed", type=int, default=0)
     p_random.add_argument("--out", required=True, metavar="FILE")
-    p_random.set_defaults(func=cmd_random)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # cmd_<name> is looked up per call, so a wrapper set on it after the
+    # parser was built still sees the call.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except IncompatibleStatesError:
         print(INCOMPATIBLE_MESSAGE, file=sys.stderr)
         return EXIT_INCOMPATIBLE

@@ -12,7 +12,7 @@ from .errors import QpoolError, ZeroProbabilityError
 COMPLETENESS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A positive operator-valued measure: elements[k] is effect k, the effects sum to I.
 
@@ -21,12 +21,20 @@ class Povm:
     elements may be k matrices, k equal-shape stacks (one POVM per lane) or
     a (k, *lanes, d, d) array; the Povm stores the effects' Hermitian parts
     as one read-only complex array of that shape, never the caller's array.
+    Two Povms are equal only if they are the same object, and each hashes by
+    identity.
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
-        if len(self.elements) == 0:
+        try:
+            count = len(self.elements)
+        except TypeError as exc:
+            raise QpoolError(
+                f"POVM elements must be a sequence of matrices, got {type(self.elements).__name__}"
+            ) from exc
+        if count == 0:
             raise QpoolError("POVM has no elements")
         arrs = [linalg.as_complex_matrix(e) for e in self.elements]
         linalg.same_shape(arrs, "element")

@@ -528,3 +528,54 @@ def test_repeated_in_appends_its_files(state_files, tmp_path, capsys):
         assert once.read_bytes() == twice.read_bytes() and first == second
         # Only a pool of three or more states reports the discrepancy.
         assert ("norm_discrepancy" in json.loads(second)) == (len(files) == 3)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["pool", "--mode", "symmetric", "--in", "z0", "plus", "mixed", "--out", "OUT"], 0),
+        (["pool", "--mode", "ordered", "--in", "z0", "z1", "--out", "OUT"], 3),
+        (["compat", "z0", "plus"], 0),
+        (["bloch", "--a", "0,0,1", "--b", "0.6,0,0", "--pretty"], 0),
+        (["bloch", "--a", "0,0,2", "--b", "0,0,1"], 2),
+        (["verify", "--suite", "all", "--trials", "3", "--dims", "2..3", "--seed", "5"], 0),
+        (["verify", "--dims", "1..3"], 2),
+        (["random", "povm", "--dim", "3", "--outcomes", "3", "--seed", "4", "--out", "OUT"], 0),
+        (["random", "state", "--dim", "2", "--rank", "3", "--out", "OUT"], 2),
+    ],
+    ids=[
+        "pool", "pool incompatible", "compat", "bloch", "bloch too long",
+        "verify", "verify bad dims", "random povm", "random state bad rank",
+    ],
+)
+def test_main_twice_in_one_process_gives_the_same_result(
+    argv, code, state_files, tmp_path, capsys
+):
+    # The parser is built once per process; a second call through it must
+    # print, write and exit as the first did.
+    out = tmp_path / "out.json"
+    argv = [state_files.get(a, str(out) if a == "OUT" else a) for a in argv]
+    runs = []
+    for _ in range(2):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        runs.append((rc, captured.out, captured.err, written))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    # Only a command that succeeds writes its file.
+    assert (runs[0][3] is not None) == (code == 0 and str(out) in argv)
+
+
+def test_main_calls_a_command_patched_after_the_parser_is_built(
+    state_files, monkeypatch, capsys
+):
+    argv = ["compat", state_files["z0"], state_files["plus"]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_compat", lambda args: seen.append(args.file_a) or 0)
+    assert cli.main(argv) == 0
+    assert seen == [state_files["z0"]]
+    assert capsys.readouterr().out == ""

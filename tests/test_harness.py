@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -416,6 +417,78 @@ def test_trial_generators_equal_default_rng(seed, lanes):
         assert rng.bit_generator.state == lone.bit_generator.state
         for draw in draws:
             assert draw(rng) == draw(lone)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("dims", [[2, 3, 4], [3]], ids=str)
+def test_sweep_seeds_each_suite_once_with_each_dims_own_streams(dims, n, monkeypatch):
+    # One trial_generators pass per suite; dim j's stack gets the streams of
+    # its own lanes j, j + len(dims), ..., in state as if seeded alone.
+    trials, seed = 5, 17
+    passes, stacks = [], []
+    seeding = harness.trial_generators
+
+    def counted(*args):
+        passes.append(args)
+        return seeding(*args)
+
+    def record(n, diagonal, dim, rngs):
+        stacks.append((dim, [r.bit_generator.state for r in rngs]))
+        return np.zeros(len(rngs)), np.zeros(len(rngs))
+
+    monkeypatch.setattr(harness, "trial_generators", counted)
+    monkeypatch.setattr(harness, "_trial", record)
+    report = harness._sweep(trials, dims, 1e-10, seed, n, False)
+    assert report.trials == trials * len(dims) and not report.failures
+    assert len(passes) == 1
+    suite_seed = harness.trial_seed(seed, (n - 2) * harness._OBSERVER_INDEX_STRIDE)
+    total = trials * len(dims)
+    assert [dim for dim, _ in stacks] == dims
+    for j, (_, states) in enumerate(stacks):
+        alone = seeding(suite_seed, range(j, total, len(dims)))
+        assert states == [r.bit_generator.state for r in alone]
+
+
+def _outcome_povm(lanes):
+    """A (3, *lanes, 2, 2) Povm, its lanes alternating 3 and 2 outcomes."""
+    count = math.prod(lanes)
+    rngs = [np.random.default_rng(80 + i) for i in range(count)]
+    stack = harness.random_povm(2, [3 - i % 2 for i in range(count)], rngs)
+    return measurement.Povm(stack.elements.reshape(3, *lanes, 2, 2))
+
+
+@pytest.mark.parametrize("lanes", [(), (4,), (2, 3)], ids=str)
+def test_outcome_effect_gathers_what_take_along_axis_gathers(lanes):
+    povm = _outcome_povm(lanes)
+    idx = np.random.default_rng(82).integers(0, 3, size=lanes)
+    for k in (idx, idx.astype(np.uint8)):
+        expected = np.take_along_axis(povm.elements, k[None, ..., None, None], axis=0)[0]
+        got = harness._outcome_effect(povm, k)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "lanes, k",
+    [
+        ((), 1.0),
+        ((4,), np.array([0.0, 1.0, 0.0, 1.0])),
+        ((), 3),
+        ((4,), np.array([0, 1, 3, 1])),
+        ((2, 3), np.full((2, 3), -1)),
+        ((4,), np.array([0, 1, 1])),
+        ((2, 3), np.zeros(6, dtype=int)),
+        ((4,), 0),
+    ],
+    ids=[
+        "float", "float lanes", "out of range", "out of range lane", "negative",
+        "too few lanes", "flat lanes", "one index for lanes",
+    ],
+)
+def test_outcome_effect_gates_its_index(lanes, k):
+    povm = _outcome_povm(lanes)
+    with pytest.raises(QpoolError):
+        harness._outcome_effect(povm, k)
 
 
 def _povm_rng():

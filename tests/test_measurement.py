@@ -80,6 +80,16 @@ def test_povm_takes_no_dim_and_its_elements_are_read_only():
     assert povm.elements.tobytes() == np.array(PROJECTIVE_Z, dtype=complex).tobytes()
 
 
+def test_povm_compares_and_hashes_by_identity():
+    # Element-wise == on the stored arrays would raise numpy's ambiguous-truth
+    # ValueError, so equal elements do not make equal Povms.
+    povm = measurement.Povm(np.array(PROJECTIVE_Z))
+    twin = measurement.Povm(povm.elements)
+    assert povm == povm and povm != twin
+    assert {povm: 0, twin: 1}[povm] == 0
+    assert hash(povm) == hash(povm)
+
+
 def _lane_rngs(lanes):
     return [np.random.default_rng(i) for i in range(lanes)]
 

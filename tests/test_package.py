@@ -215,6 +215,10 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
         lambda: measurement.sample_outcome(
             Z_POVMS, np.array([Z0, Z0]), (np.random.default_rng(0), None)
         ),
+        # Before the length gate these raised TypeError from len().
+        lambda: measurement.Povm(5),
+        lambda: measurement.Povm(None),
+        lambda: measurement.Povm(np.array(1.0)),
     ],
     ids=[
         "validate_density",
@@ -255,6 +259,9 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
         "random_povm None generator",
         "_random_diagonal_povm None generator",
         "sample_outcome None generator",
+        "Povm int",
+        "Povm None",
+        "Povm 0-d array",
     ],
 )
 def test_gate_raises_without_a_warning(call):
