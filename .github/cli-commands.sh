@@ -31,9 +31,13 @@ run state-1 random state --dim 1 --seed 5 --out state-1.json
 run s1 random state --dim 3 --seed 1 --out s1.json
 run s2 random state --dim 3 --rank 1 --seed 2 --out s2.json
 run s3 random state --dim 3 --rank 2 --seed 3 --out s3.json
+run s4 random state --dim 3 --seed 4 --out s4.json
+run s5 random state --dim 3 --rank 2 --seed 5 --out s5.json
+# Five states at dim 3 take the symmetric rule's Liouville route.
 for mode in ordered symmetric; do
   run "$mode-2" pool --mode $mode --in s1.json s2.json --out "$mode-2.json"
   run "$mode-3" pool --mode $mode --in s1.json s2.json s3.json --out "$mode-3.json"
+  run "$mode-5" pool --mode $mode --in s1.json s2.json s3.json s4.json s5.json --out "$mode-5.json"
 done
 run compat compat s1.json s2.json
 run bloch bloch --a 0,0.6,0.8 --b=-0.3,0.4,0.1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -12,8 +12,27 @@ from . import linalg
 from .errors import IncompatibleStatesError, QpoolError
 
 # Symmetric multi-observer pooling costs n * (2^(n-1) - 1) conjugations (186
-# at n = 6); the cap on n is a fixed count, not yet derived from that cost.
+# at n = 6).  The direct route makes them as 2 * k * C(n, k) d x d products
+# per subset size k; the Liouville route as n products (C(n, k-1) x d^2) by
+# (d^2 x d^2) per size and lane (_liouville_sum).  The cap on n is a fixed
+# count, not yet derived from either cost.
 MAX_SYMMETRIC_STATES = 6
+
+# The symmetric rule takes the Liouville route from LIOUVILLE_MIN_STATES
+# states up, at dims up to LIOUVILLE_MAX_DIM.  Body times of one d = 3
+# collection, each route forced (2 vCPU, numpy 2.4.6, OpenBLAS): direct
+# against Liouville 45 / 47 us at n = 3, 88 / 67 at n = 4, 179 / 102 at
+# n = 5 and 376 / 130 at n = 6.  n = 4 is left direct: in perfbench's
+# pool_multi batch, whose median op it is, an n >= 4 threshold read p50
+# +1.1 % and p90 -10.9 % against n >= 5, neither beyond the spread of 8
+# pairs of runs.
+LIOUVILLE_MIN_STATES = 5
+# Each root's K has d^4 entries, so the route loses as d grows: 128 / 367 us
+# for one collection at d = 8, n = 5, and 3.6 / 5.2 ms for 40 lanes at
+# d = 5, n = 5.  At d = 4 it still won at n = 5 (163 / 84 us; 40 lanes
+# 2.9 / 1.7 ms) but lost at n = 4 with 40 lanes (1.05 / 1.78 ms); no
+# benchmark workload has d >= 4 with n >= 5, so the bound stays at 3.
+LIOUVILLE_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -195,8 +214,10 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
     S(T) = sum_{j in T} sqrt(rho_j) S(T - {j}) sqrt(rho_j) with
     S({i}) = rho_i, so it costs n * (2^(n-1) - 1) conjugations where the
     literal sum costs n! * (n - 1).  It runs one subset size at a time: one
-    stacked square root of all n states, then one stacked product per size.
-    The sum is normalized by its own trace.
+    stacked square root of all n states, then per size two stacked d x d
+    products, or from LIOUVILLE_MIN_STATES states at dims up to
+    LIOUVILLE_MAX_DIM one stacked product in Liouville form
+    (_liouville_sum).  The sum is normalized by its own trace.
 
     Parameters
     ----------
@@ -219,11 +240,47 @@ def _symmetric(arrs, roots) -> PoolReport:
     # Level k holds S(T) for every subset T of size k, one entry per T, so
     # level 1 is the states themselves and level n is S of all of them.
     n = len(arrs)
-    level = arrs
+    if n >= LIOUVILLE_MIN_STATES and arrs.shape[-1] <= LIOUVILLE_MAX_DIM:
+        num = _liouville_sum(arrs, roots)
+    else:
+        level = arrs
+        for js, rows in _subset_levels(n):
+            r = roots[js]
+            level = (r @ level[rows] @ r).sum(axis=1)
+        num = level[0]
+    return _report(num, arrs, factorial(n), "permutation-sum trace")
+
+
+def _superoperators(roots) -> np.ndarray:
+    """K with vec(r X r) = vec(X) @ K for each root r of an (n, lanes, d, d) stack.
+
+    vec is row-major, so K[(c, e), (a, b)] = r[a, c] * r[e, b]: one
+    broadcast product, of shape (n, lanes, d^2, d^2).
+    """
+    n, lanes, d, _ = roots.shape
+    k = roots.swapaxes(-1, -2)[..., :, None, :, None] * roots[..., None, :, None, :]
+    return k.reshape(n, lanes, d * d, d * d)
+
+
+def _liouville_sum(arrs, roots) -> np.ndarray:
+    """S of all n states by the subset recurrence, each level in Liouville form.
+
+    Lanes are flattened to one axis and each level is held as (subsets,
+    lanes, d^2).  A level is one stacked product of every smaller subset
+    with every observer's superoperator, from which the _subset_levels
+    tables pick each subset's terms and sum them in the direct route's
+    order.  The products sum in another order than r @ X @ r, so the two
+    routes differ by rounding.
+    """
+    n, d = len(arrs), arrs.shape[-1]
+    lanes = arrs.shape[1:-2]
+    count = prod(lanes)
+    sup = _superoperators(roots.reshape(n, count, d, d))
+    level = arrs.reshape(n, count, d * d)
     for js, rows in _subset_levels(n):
-        r = roots[js]
-        level = (r @ level[rows] @ r).sum(axis=1)
-    return _report(level[0], arrs, factorial(n), "permutation-sum trace")
+        # A swapaxes view, not moveaxis: levels are small, so call overhead counts.
+        level = (level.swapaxes(0, 1) @ sup)[js, :, rows].sum(axis=1)
+    return level[0].reshape(*lanes, d, d)
 
 
 def compatibility(a, b) -> float:

@@ -71,6 +71,8 @@ def _cases(dim):
     povm = _povms(dim, dim)
     p = rng.random((LANES, dim))
     q = rng.random((LANES, dim))
+    # Five states take the Liouville route at dims 2 and 3, the direct one at 4.
+    five = [a, b, c, _states(rng, dim), _states(rng, dim)]
     return [
         ("hermitian_sqrt", lambda s: linalg.hermitian_sqrt(e[s])),
         ("check_positive", lambda s: linalg.check_positive(a[s], 1e-10, "m")),
@@ -81,6 +83,7 @@ def _cases(dim):
         ("posterior_from_outcome", lambda s: measurement.posterior_from_outcome(e[s])),
         ("pool_ordered_multi", lambda s: pooling.pool_ordered_multi([a[s], b[s], c[s]])),
         ("pool_symmetric_multi", lambda s: pooling.pool_symmetric_multi([a[s], b[s], c[s]])),
+        ("pool_symmetric_multi n=5", lambda s: pooling.pool_symmetric_multi([x[s] for x in five])),
         ("classical_pool", lambda s: pooling.classical_pool(p[s], q[s])),
         ("frobenius_distance", lambda s: linalg.frobenius_distance(a[s], b[s])),
         ("trace_product", lambda s: linalg.trace_product(a[s], b[s])),
@@ -97,6 +100,14 @@ def test_stacked_call_matches_single_calls(dim):
                 np.testing.assert_allclose(
                     np.asarray(got)[i], want, rtol=0, atol=LANE_TOL, err_msg=f"{name} lane {i}"
                 )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_five_states_of_zero_lanes_pool_to_an_empty_stack(dim):
+    empty = np.zeros((0, dim, dim), dtype=complex)
+    report = pooling.pool_symmetric_multi([empty] * 5)
+    assert report.pooled.shape == (0, dim, dim)
+    assert report.compatibility.shape == (0,)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

@@ -16,6 +16,8 @@ import pytest
 
 from qpool import harness, measurement, pooling
 
+from test_pooling import _permutation_sum
+
 TRIALS, DIMS, TOL, SEED = 2, (2, 3, 4), 1e-10, 0
 
 SUITES = {
@@ -43,6 +45,13 @@ def _symmetric(outermost=slice(None), rescale=False, by_states=False):
         return pooling._report(level[0], arrs, factorial(len(arrs)), "permutation-sum trace")
 
     return symmetric
+
+
+def _superoperators_of_roots(roots):
+    """pooling._superoperators with K built from each root r instead of its transpose."""
+    n, lanes, d, _ = roots.shape
+    k = roots[..., :, None, :, None] * roots[..., None, :, None, :]
+    return k.reshape(n, lanes, d * d, d * d)
 
 
 def _ordered_reversed(arrs, roots):
@@ -92,6 +101,12 @@ MUTANTS = {
         lambda: _symmetric(by_states=True),
         {"two", "commuting", "three diagonal"},
     ),
+    "symmetric Liouville route builds K from r, not its transpose": (
+        pooling,
+        "_superoperators",
+        lambda: _superoperators_of_roots,
+        set(),
+    ),
     "compatibility divides by n! - 1": (
         pooling,
         "_report",
@@ -119,10 +134,13 @@ MUTANTS = {
 
 # Survivors, each with the ROADMAP item that adds the check to kill it:
 # 1 holds the symmetric rule to the mixture of all orderings, 7 checks
-# compatibility against the chain's outcome probability.
+# compatibility against the chain's outcome probability, and 8 sweeps
+# n >= 5 observers, where the symmetric rule's Liouville route runs at
+# d <= 3 (no suite pools more than three states).
 SURVIVORS = {
     "symmetric drops the last outermost observer, rescaled": 1,
     "compatibility divides by n! - 1": 7,
+    "symmetric Liouville route builds K from r, not its transpose": 8,
 }
 
 
@@ -130,15 +148,23 @@ def _killed():
     return {suite for suite, sweep in SUITES.items() if sweep().failures}
 
 
+def _five_states():
+    """Five fixed d = 3 states: the symmetric rule takes its Liouville route."""
+    rng = np.random.default_rng(5)
+    return [harness.random_density(3, 3, rng) for _ in range(5)]
+
+
 def _results():
-    """Every number both rules and bare_update give on three fixed states."""
+    """Every number both rules and bare_update give on three fixed states, and
+    the symmetric rule's pooled state of _five_states."""
     rng = np.random.default_rng(3)
     states = [harness.random_density(3, 3, rng) for _ in range(3)]
     effect = harness.random_povm(3, 2, rng).elements[0]
     reports = [pooling.pool_ordered_multi(states), pooling.pool_symmetric_multi(states)]
     fields = ("pooled", "compatibility", "paper_norm", "trace_norm", "norm_discrepancy")
     return [getattr(r, f) for r in reports for f in fields] + [
-        measurement.bare_update(effect, states[0])
+        measurement.bare_update(effect, states[0]),
+        pooling.pool_symmetric_multi(_five_states()).pooled,
     ]
 
 
@@ -158,4 +184,15 @@ def test_the_suites_kill_what_the_table_says(monkeypatch, name):
 
 def test_the_survivors_are_named_with_their_item():
     assert {name for name, m in MUTANTS.items() if not m[3]} == set(SURVIVORS)
-    assert set(SURVIVORS.values()) <= {1, 7}
+    assert set(SURVIVORS.values()) <= {1, 7, 8}
+
+
+def test_the_permutation_sum_rejects_the_liouville_mutant(monkeypatch):
+    # No suite kills it; the reference of test_matches_permutation_sum does,
+    # past that test's 1e-13 bound.
+    states = _five_states()
+    num = _permutation_sum(states)
+    want = num / np.trace(num).real
+    assert np.abs(pooling.pool_symmetric_multi(states).pooled - want).max() <= 1e-13
+    monkeypatch.setattr(pooling, "_superoperators", _superoperators_of_roots)
+    assert np.abs(pooling.pool_symmetric_multi(states).pooled - want).max() > 1e-13
