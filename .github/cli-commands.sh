@@ -41,4 +41,11 @@ for mode in ordered symmetric; do
 done
 run compat compat s1.json s2.json
 run bloch bloch --a 0,0.6,0.8 --b=-0.3,0.4,0.1
+# The closed form's edges: orthogonal pure, identical, a length past the
+# sphere within BLOCH_SLACK, total ignorance, and near-antipodal mixed.
+run bloch-orthogonal bloch --a 0,0,1 --b 1,0,0
+run bloch-identical bloch --a 0,0.6,0.8 --b 0,0.6,0.8
+run bloch-slack bloch --a 0,0,1.0000000000005 --b 0.1,0.2,0.3
+run bloch-ignorance bloch --a 0,0,0 --b 0,0,0
+run bloch-opposed bloch --a 0,0,0.999 --b=0,0,-0.999
 run verify verify --trials 5

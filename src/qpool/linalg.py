@@ -11,6 +11,7 @@ message says how many lanes failed and which came first.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -245,7 +246,8 @@ def check_state(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     unit trace" is composed: check_positive, then check_unit_trace, whose
     message calls the trace "<what> trace".  validate_density and
     pooling._roots gate states by their own eigendecomposition instead,
-    since both need the spectrum.
+    since both need the spectrum, and density_to_bloch by the 2x2 closed
+    form of the smallest eigenvalue.
     """
     h = check_positive(m, tol, what)
     check_unit_trace(h, tol, f"{what} trace")
@@ -324,24 +326,29 @@ def trace_product(a, b):
     return t.real
 
 
-def as_bloch_vector(v) -> tuple[np.ndarray, float]:
-    """Return v as a float vector of shape (3,) with its norm.
+def as_bloch_vector(v) -> tuple[np.ndarray, float, list[float]]:
+    """Return v as a float vector of shape (3,), its norm and its components.
 
     A value that is not real, another shape, or a component or norm that is
-    not at most 1 + BLOCH_SLACK in magnitude raises QpoolError.
+    not at most 1 + BLOCH_SLACK in magnitude raises QpoolError.  The norm
+    is np.linalg.norm's value, sqrt of one BLAS dot product; the components
+    are the Python floats the component gate checked.
     """
     a = _cast(v, float, "real Bloch vector")
     if a.shape != (3,):
         raise QpoolError(f"Bloch vector must have shape (3,), got {a.shape}")
     # No component at or below 1 + BLOCH_SLACK can overflow the norm, and
     # one above it fails the norm gate anyway.
-    for c in a.tolist():
+    comps = a.tolist()
+    for c in comps:
         if not abs(c) <= 1.0 + BLOCH_SLACK:
             raise QpoolError(f"Bloch vector component {c!r} exceeds 1 in magnitude")
-    n = float(np.linalg.norm(a))
+    # np.linalg.norm(a) without its call overhead: the dot of ravel(order="K").
+    r = a.ravel(order="K")
+    n = math.sqrt(r.dot(r))
     if not n <= 1.0 + BLOCH_SLACK:
         raise QpoolError(f"Bloch vector norm {n!r} exceeds 1")
-    return a, n
+    return a, n, comps
 
 
 def bloch_to_density(v) -> np.ndarray:
@@ -349,10 +356,9 @@ def bloch_to_density(v) -> np.ndarray:
 
     Norms in (1, 1 + BLOCH_SLACK] are rescaled onto the unit sphere.
     """
-    a, n = as_bloch_vector(v)
+    _, n, (x, y, z) = as_bloch_vector(v)
     if n > 1.0:
-        a = a / n
-    x, y, z = a
+        x, y, z = x / n, y / n, z / n
     return np.array(
         [[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]], dtype=complex
     ) / 2.0
@@ -361,16 +367,22 @@ def bloch_to_density(v) -> np.ndarray:
 def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector of a 2x2 density matrix, components Re Tr[rho sigma_i].
 
-    rho must pass the state gate (check_state) at DEFAULT_TOL.
+    rho must pass the state gate at DEFAULT_TOL, in check_state's order and
+    wording: hermitian_part, positivity, then check_unit_trace.  Positivity
+    is the 2x2 closed form of the smallest eigenvalue, so accept and reject
+    can differ from eigvalsh only within rounding of -DEFAULT_TOL.
     """
     r = as_complex_matrix(rho)
     if r.shape != (2, 2):
         raise QpoolError(f"expected a 2x2 matrix, got {r.shape}")
-    r = check_state(r, DEFAULT_TOL, "state")
-    x = float(r[1, 0].real + r[0, 1].real)
-    y = float(r[1, 0].imag - r[0, 1].imag)
-    z = float(r[0, 0].real - r[1, 1].real)
-    return np.array([x, y, z])
+    h = hermitian_part(r, DEFAULT_TOL, "state")
+    (h00, h01), (h10, h11) = h.tolist()
+    low = (h00.real + h11.real) / 2.0 - math.hypot((h00.real - h11.real) / 2.0, abs(h01))
+    if not low >= -DEFAULT_TOL:
+        # A one-entry spectrum, so the rejection has check_positive's wording.
+        _check_lowest(np.array([low]), DEFAULT_TOL, "state")
+    check_unit_trace(h, DEFAULT_TOL, "state trace")
+    return np.array([h10.real + h01.real, h10.imag - h01.imag, h00.real - h11.real])
 
 
 def frobenius_distance(a, b):

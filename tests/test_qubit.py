@@ -1,8 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qpool import linalg, pooling, qubit
 from qpool.errors import IncompatibleStatesError, QpoolError
@@ -177,3 +178,239 @@ class TestPoolBloch:
     def test_weights_reject_bad_shape(self):
         with pytest.raises(QpoolError, match=r"shape \(3,\)"):
             qubit.bloch_weights([0.0, 0.5], [0.5, 0.0])
+
+
+# The qubit layer before its float path: numpy on every step.  The float
+# path must give these bits, return types, errors and messages.
+def _ref_as_bloch_vector(v):
+    a = linalg._cast(v, float, "real Bloch vector")
+    if a.shape != (3,):
+        raise QpoolError(f"Bloch vector must have shape (3,), got {a.shape}")
+    for c in a.tolist():
+        if not abs(c) <= 1.0 + linalg.BLOCH_SLACK:
+            raise QpoolError(f"Bloch vector component {c!r} exceeds 1 in magnitude")
+    n = float(np.linalg.norm(a))
+    if not n <= 1.0 + linalg.BLOCH_SLACK:
+        raise QpoolError(f"Bloch vector norm {n!r} exceeds 1")
+    return a, n
+
+
+def _ref_weights(ab, na, nb):
+    na = 1.0 if na >= qubit._PURE_NORM_SNAP else na
+    nb = 1.0 if nb >= qubit._PURE_NORM_SNAP else nb
+    fa = qubit.weight_factor(na)
+    fb = qubit.weight_factor(nb)
+    return qubit.BlochWeights(
+        alpha=0.5 + 0.25 * (ab / fa - nb * nb / fb), beta=0.5 + 0.25 * (ab / fb - na * na / fa)
+    )
+
+
+def _ref_bloch_weights(a, b):
+    va, na = _ref_as_bloch_vector(a)
+    vb, nb = _ref_as_bloch_vector(b)
+    return _ref_weights(float(np.dot(va, vb)), na, nb)
+
+
+def _ref_pool(a, b):
+    va, na = _ref_as_bloch_vector(a)
+    vb, nb = _ref_as_bloch_vector(b)
+    ab = float(np.dot(va, vb))
+    w = _ref_weights(ab, na, nb)
+    compat = linalg.normalizer(np.float64(0.5 * (1.0 + ab)), "overlap", IncompatibleStatesError)
+    pooled = (w.alpha * va + w.beta * vb) / compat
+    n = float(np.linalg.norm(pooled))
+    if not n <= 1.0 + 1e-9:
+        raise QpoolError(f"pooled Bloch norm {n!r} exceeds 1")
+    if n > 1.0:
+        pooled = pooled / n
+    return pooled, w, compat
+
+
+def _ref_bloch_to_density(v):
+    a, n = _ref_as_bloch_vector(v)
+    if n > 1.0:
+        a = a / n
+    x, y, z = a
+    return np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]], dtype=complex) / 2.0
+
+
+def _ref_density_to_bloch(rho):
+    r = linalg.as_complex_matrix(rho)
+    if r.shape != (2, 2):
+        raise QpoolError(f"expected a 2x2 matrix, got {r.shape}")
+    r = linalg.check_state(r, linalg.DEFAULT_TOL, "state")
+    x = float(r[1, 0].real + r[0, 1].real)
+    y = float(r[1, 0].imag - r[0, 1].imag)
+    z = float(r[0, 0].real - r[1, 1].real)
+    return np.array([x, y, z])
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except QpoolError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_bits(got, ref):
+    assert type(got) is type(ref)
+    if isinstance(got, tuple):  # a rejection, or _pool's result and BlochWeights
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            _assert_same_bits(g, r)
+    elif isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+        assert got.tobytes() == ref.tobytes()
+    elif isinstance(got, float):
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+    else:
+        assert got == ref
+
+
+_SLACK = linalg.BLOCH_SLACK
+# Bloch lengths at the closed form's edges: zero, mixed, snapped to pure,
+# and past the sphere by up to BLOCH_SLACK (rescaled) or by more (rejected).
+_lengths = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(qubit._PURE_NORM_SNAP, 1.0),
+    st.just(1.0),
+    st.floats(1.0, 1.0 + _SLACK),
+    st.floats(1.0 + _SLACK, 1.5),
+)
+_directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3)
+
+
+@st.composite
+def _bloch_inputs(draw):
+    """A Bloch vector as callers pass one: array (contiguous or strided), list or tuple."""
+    kind = draw(st.sampled_from(["length", "ints", "components"]))
+    if kind == "length":
+        u = np.array(draw(_directions))
+        v = u * (draw(_lengths) / np.linalg.norm(u))
+    elif kind == "ints":
+        v = np.array(draw(st.tuples(*[st.integers(-1, 1)] * 3)))
+    else:
+        v = np.array(draw(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3)))
+    form = draw(st.sampled_from(["array", "strided", "list", "tuple"]))
+    if form == "strided":
+        s = np.zeros((3, 2), dtype=v.dtype)
+        s[:, 1] = v
+        return s[:, 1]
+    return {"array": v, "list": v.tolist(), "tuple": tuple(v.tolist())}[form]
+
+
+_bad_inputs = st.sampled_from(
+    [
+        [True, False, False],
+        np.array([False, False, True]),
+        [1j, 0, 0],
+        np.array([0.1, 0.2, 0.3j]),
+        [0.0, 0.0],
+        np.zeros((3, 1)),
+        np.zeros((1, 3)),
+        0.5,
+        "abc",
+        ["0.1", 0, 0],
+        [0.0, 0.0, 1.0 + 2 * _SLACK],
+        [0.8, 0.8, 0.0],
+        [math.nan, 0.0, 0.0],
+        [0.0, -math.inf, 0.0],
+    ]
+)
+_any_input = st.one_of(_bloch_inputs(), _bad_inputs)
+
+
+def _assert_layer_matches_reference(a, b):
+    _assert_same_bits(_outcome(qubit._pool, a, b), _outcome(_ref_pool, a, b))
+    _assert_same_bits(_outcome(qubit.pool_bloch, a, b), _outcome(lambda *v: _ref_pool(*v)[0], a, b))
+    _assert_same_bits(_outcome(qubit.bloch_weights, a, b), _outcome(_ref_bloch_weights, a, b))
+    _assert_same_bits(_outcome(linalg.bloch_to_density, a), _outcome(_ref_bloch_to_density, a))
+
+
+class TestFloatPathBits:
+    """pool_bloch, bloch_weights, _pool and bloch_to_density against the numpy formulas."""
+
+    @given(_any_input, _any_input)
+    @settings(max_examples=400, deadline=None)
+    def test_pairs(self, a, b):
+        _assert_layer_matches_reference(a, b)
+
+    @given(_directions, st.floats(qubit._PURE_NORM_SNAP, 1.0 + _SLACK))
+    @settings(max_examples=200, deadline=None)
+    def test_antipodal_and_identical_pure_pairs(self, u, length):
+        a = np.array(u) * (length / math.hypot(*u))
+        for b in (-a, a, a.tolist()):
+            _assert_layer_matches_reference(a, b)
+
+    # The closed form's edges, as the CLI command list runs them, and the
+    # antipodal pure pair (IncompatibleStatesError).
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([0, 0, 1], [1, 0, 0]),
+            ([0, 0.6, 0.8], [0, 0.6, 0.8]),
+            ([0, 0, 1.0000000000005], [0.1, 0.2, 0.3]),
+            ([0, 0, 0], [0, 0, 0]),
+            ([0, 0, 0.999], [0, 0, -0.999]),
+            ([0, 0.6, 0.8], [-0.3, 0.4, 0.1]),
+            ([0, 0, 1], [0, 0, -1]),
+        ],
+    )
+    def test_edges(self, a, b):
+        _assert_layer_matches_reference(np.array(a, dtype=float), np.array(b, dtype=float))
+        _assert_layer_matches_reference(a, b)
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+class TestDensityToBloch:
+    """density_to_bloch's qubit-sized positivity gate against check_state."""
+
+    @given(st.floats(0.0, 1.5), st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0))
+    @settings(max_examples=400, deadline=None)
+    def test_states_and_near_states(self, length, phase, z):
+        # Bloch lengths up to 1.5 and traces near 1: valid states, negative
+        # eigenvalues and wrong traces, each gated in check_state's order.
+        v = np.array([math.cos(phase), math.sin(phase), z])
+        v *= length / np.linalg.norm(v)
+        rho = (np.eye(2) + np.tensordot(v, _PAULI, 1)) / 2.0
+        self._check(rho)
+        self._check(rho * (1.0 + 1e-9 * z))
+
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_hermitian_entries(self, entries):
+        h00, h11, re, im = entries
+        self._check(np.array([[h00, complex(re, -im)], [complex(re, im), h11]]))
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.diag([1.0, 0.0]),
+            np.eye(2) / 2,
+            np.diag([1.5, -0.5]),
+            np.diag([1.0 + 5e-11, -5e-11]),
+            np.diag([1.0 + 2e-10, -2e-10]),
+            np.diag([2.0, 0.0]),
+            np.array([[0.5, 0.5], [0.5, 0.5]]),
+            np.array([[0.5, 0.6], [0.6, 0.5]]),
+        ],
+    )
+    def test_examples(self, rho):
+        self._check(rho)
+
+    @staticmethod
+    def _check(rho):
+        low = float(np.linalg.eigvalsh(rho)[0])
+        got, ref = _outcome(linalg.density_to_bloch, rho), _outcome(_ref_density_to_bloch, rho)
+        if abs(low + linalg.DEFAULT_TOL) < 1e-14:
+            return  # within rounding of the gate, the two may decide apart
+        if isinstance(ref, tuple) and "negative eigenvalue" in ref[1]:
+            # The closed-form eigenvalue may round apart from eigvalsh's.
+            assert isinstance(got, tuple) and got[0] is ref[0]
+            assert got[1].split(" has")[0] == ref[1].split(" has")[0] == "state"
+            assert float(got[1].split()[4]) == pytest.approx(float(ref[1].split()[4]), rel=1e-3)
+            return
+        _assert_same_bits(got, ref)
