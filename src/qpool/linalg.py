@@ -129,6 +129,14 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def as_distribution(p) -> np.ndarray:
+    """Coerce input to a float vector or stack of vectors, non-empty along the last axis."""
+    a = _cast(p, float, "real probability vector")
+    if a.ndim < 1 or a.shape[-1] == 0:
+        raise QpoolError("probability vectors must be non-empty along their last axis")
+    return a
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix."""
     return m.conj().swapaxes(-1, -2)
@@ -315,11 +323,25 @@ def same_shape(arrays, names) -> None:
             raise QpoolError(f"shape mismatch: {name} has shape {a.shape}, expected {shape}")
 
 
+def cast_inputs(items, cast, names, least: int = 2) -> list[np.ndarray]:
+    """Return items cast: the one admission gate of a call that takes several inputs.
+
+    In order: a length, at least `least` (1 or 2) items, `cast` of each, then same_shape.
+    """
+    try:
+        count = len(items)
+    except TypeError:
+        raise QpoolError(f"expected a sequence of {names}s, got {type(items).__name__}") from None
+    if count < least:
+        raise QpoolError(f"need at least two {names}s, got {count}" if count else f"got no {names}s")
+    arrays = [cast(x) for x in items]
+    same_shape(arrays, names)
+    return arrays
+
+
 def trace_product(a, b):
     """Tr[A B] for Hermitian A, B of equal dimension, as a real number per matrix pair."""
-    ma = as_complex_matrix(a)
-    mb = as_complex_matrix(b)
-    same_shape((ma, mb), ("a", "b"))
+    ma, mb = cast_inputs((a, b), as_complex_matrix, ("a", "b"))
     t = np.einsum("...ij,...ji->...", ma, mb)
     require(abs(t.imag) <= ZERO_TOL, "Tr[AB] has imaginary part {:.3e}", t.imag)
     require(np.isfinite(t.real), "Tr[AB] {!r} is not finite", t.real)
@@ -390,9 +412,7 @@ def frobenius_distance(a, b):
 
     QpoolError if an entry is NaN or inf, or if the norm overflows.
     """
-    ma = as_complex_matrix(a)
-    mb = as_complex_matrix(b)
-    same_shape((ma, mb), ("a", "b"))
+    ma, mb = cast_inputs((a, b), as_complex_matrix, ("a", "b"))
     check_finite(ma, "a")
     check_finite(mb, "b")
     # Huge finite entries overflow the norm to inf or NaN, which the gate rejects.

@@ -28,16 +28,7 @@ class Povm:
     elements: np.ndarray
 
     def __post_init__(self):
-        try:
-            count = len(self.elements)
-        except TypeError as exc:
-            raise QpoolError(
-                f"POVM elements must be a sequence of matrices, got {type(self.elements).__name__}"
-            ) from exc
-        if count == 0:
-            raise QpoolError("POVM has no elements")
-        arrs = [linalg.as_complex_matrix(e) for e in self.elements]
-        linalg.same_shape(arrs, "element")
+        arrs = linalg.cast_inputs(self.elements, linalg.as_complex_matrix, "element", 1)
         # Element i of lane l fails as lane i * lanes + l of the stack.
         h = linalg.check_positive(np.array(arrs), linalg.DEFAULT_TOL, "element")
         defect = np.abs(h.sum(axis=0) - np.eye(h.shape[-1])).max(axis=(-2, -1))
@@ -85,8 +76,7 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     """
     if not isinstance(povm, Povm):
         raise QpoolError(f"expected a Povm (validate_povm), got {type(povm).__name__}")
-    r = linalg.as_complex_matrix(rho)
-    linalg.same_shape((povm.elements[0], r), ("POVM", "state"))
+    _, r = linalg.cast_inputs((povm.elements[0], rho), linalg.as_complex_matrix, ("POVM", "state"))
     return _probabilities(povm, linalg.check_state(r, linalg.DEFAULT_TOL, "state"))
 
 
@@ -107,9 +97,7 @@ def bare_update(effect, rho) -> np.ndarray:
     (linalg.check_state), both at DEFAULT_TOL and before the outcome
     probability is formed.
     """
-    e = linalg.as_complex_matrix(effect)
-    r = linalg.as_complex_matrix(rho)
-    linalg.same_shape((e, r), ("effect", "state"))
+    e, r = linalg.cast_inputs((effect, rho), linalg.as_complex_matrix, ("effect", "state"))
     s = linalg.hermitian_sqrt(e)
     return _update(e, s, linalg.check_state(r, linalg.DEFAULT_TOL, "state"))
 

@@ -71,15 +71,10 @@ class PoolReport:
 def classical_pool(*dists) -> np.ndarray:
     """Pool n >= 2 independent classical distributions: their renormalized product.
 
-    Leading axes index a stack of collections; the distributions run along the last axis.
+    dists: int or float arrays of one shape, non-empty along the last axis,
+    whose leading axes index a stack of collections (linalg.cast_inputs).
     """
-    if len(dists) < 2:
-        raise QpoolError(f"need at least two distributions, got {len(dists)}")
-    ps = [np.asarray(p, dtype=float) for p in dists]
-    if any(p.ndim < 1 or p.shape[-1] == 0 for p in ps):
-        raise QpoolError("probability vectors must be non-empty along their last axis")
-    linalg.same_shape(ps, "distribution")
-    ps = np.array(ps)
+    ps = np.array(linalg.cast_inputs(dists, linalg.as_distribution, "distribution"))
     ok = (np.isfinite(ps).all(axis=-1) & (ps.min(axis=-1) >= -linalg.ZERO_TOL)).all(axis=0)
     linalg.require(ok, "probability vectors must be finite and nonnegative")
     # Finite products can overflow, and inf * 0 is NaN; the normalizer gate
@@ -101,12 +96,8 @@ def _trace_of_product(arrs):
 
 def _matrices(states) -> np.ndarray:
     """The n >= 2 states of a pooling rule as one complex stack (n, *lanes, d, d)."""
-    if len(states) < 2:
-        raise QpoolError(f"need at least two states, got {len(states)}")
-    arrs = [linalg.as_complex_matrix(s) for s in states]
-    linalg.same_shape(arrs, "state")
     # np.array copies equal-shape arrays into one stack faster than np.stack.
-    return np.array(arrs)
+    return np.array(linalg.cast_inputs(states, linalg.as_complex_matrix, "state"))
 
 
 def _roots(arrs) -> np.ndarray:
@@ -165,10 +156,10 @@ def pool_ordered_multi(states) -> PoolReport:
     """Pool n >= 2 states in measurement order (last state outermost).
 
     Nests conjugations: sqrt(rho_n) ... sqrt(rho_2) rho_1 sqrt(rho_2) ...
-    sqrt(rho_n), normalized by its own trace.  Equals repeated two-observer
-    ordered pooling.  All n roots are one stacked hermitian_sqrt call, whose
-    gates every state passes, the innermost included, and every state must
-    have unit trace (_roots).
+    sqrt(rho_n), normalized by its own trace: repeated two-observer ordered
+    pooling.  states: a list, tuple or array of matrices or stacks of one
+    shape (linalg.cast_inputs).  Every state, the innermost included, passes
+    the gates of one stacked hermitian_sqrt and has unit trace (_roots).
     """
     arrs = _matrices(states)
     return _ordered(arrs, _roots(arrs))
@@ -221,7 +212,7 @@ def pool_symmetric_multi(states, norm_mode: str = "trace") -> PoolReport:
 
     Parameters
     ----------
-    states : sequence of density matrices, equal dims, 2 <= n <= 6.
+    states : list, tuple or array of 2 to 6 states or stacks of one shape.
     norm_mode : must be "trace".
     """
     arrs = _matrices(states)

@@ -78,6 +78,44 @@ BOUNDARIES = {
     "pool_symmetric_multi": (_densities(3), lambda *s: pooling.pool_symmetric_multi(s)),
     "pool_bloch": (lambda rng, d: [_bloch(rng), _bloch(rng)], qubit.pool_bloch),
     "compatibility": (_densities(2), pooling.compatibility),
+    "Povm": (
+        lambda rng, d: list(random_povm(d, 3, rng).elements),
+        lambda *es: measurement.Povm(list(es)),
+    ),
+    # As outcome_probabilities, with a fixed generator.
+    "sample_outcome": (
+        lambda rng, d: [*random_povm(d, 3, rng).elements, random_density(d, d, rng)],
+        lambda *a: measurement.sample_outcome(
+            measurement.Povm(np.array(a[:-1])), a[-1], np.random.default_rng(0)
+        ),
+    ),
+    "bloch_weights": (lambda rng, d: [_bloch(rng), _bloch(rng)], qubit.bloch_weights),
+}
+
+# The public callables that take no array input, or whose array input is
+# not theirs to gate, each with the reason it is not in BOUNDARIES.
+NO_ARRAY_INPUT = {
+    "IncompatibleStatesError": "an exception type",
+    "QpoolError": "an exception type",
+    "ZeroProbabilityError": "an exception type",
+    "BlochWeights": "a result record, built by bloch_weights from gated input",
+    "PoolReport": "a result record, built by the pooling rules from gated input",
+    "VerificationReport": "a result record, built by the sweeps",
+    "Scenario": "a record that gates nothing; run_scenario and oracle_pool gate its fields",
+    "run_scenario": "takes a Scenario, whose POVMs are Povm values gated when built",
+    "oracle_pool": "takes a Scenario, whose POVMs are Povm values gated when built",
+    "maximally_mixed": "takes only an int (check_int)",
+    "random_density": "takes only ints and a Generator (check_int, generators)",
+    "random_povm": "takes only ints and Generators (check_int, generators)",
+    "verify_two_observer": "takes only ints and scalars (check_int, check_tol)",
+    "verify_commuting_reduction": "takes only ints and scalars (check_int, check_tol)",
+    "verify_three_observer": "takes only ints and scalars (check_int, check_tol)",
+    "weight_factor": "takes only a scalar (check_real)",
+    "certainty_weight": "takes only a scalar (check_real, through weight_factor)",
+    "hermitianize": (
+        "arithmetic, not a gate: (M + M^dag) / 2 of an array its caller has gated, "
+        "run on every pooled numerator and update"
+    ),
 }
 
 # The functions that take the Hermitian part of their matrix arguments, by
@@ -93,7 +131,18 @@ HERMITIAN_GATED = {
     "pool_ordered_multi": (0, 1, 2),
     "pool_symmetric_multi": (0, 1, 2),
     "compatibility": (0, 1),
+    "Povm": (0, 1, 2),
+    "sample_outcome": (0, 1, 2, 3),
 }
+
+
+def test_every_public_callable_is_a_boundary_or_exempt():
+    # A new public function that takes arrays must join BOUNDARIES, so the
+    # non-finite and Hermiticity properties above run on it, or say here why not.
+    public = {name for name in qpool.__all__ if callable(getattr(qpool, name))}
+    assert not set(BOUNDARIES) & set(NO_ARRAY_INPUT)
+    assert set(BOUNDARIES) | set(NO_ARRAY_INPUT) == public
+    assert all(NO_ARRAY_INPUT.values())
 
 
 @given(
@@ -104,7 +153,7 @@ HERMITIAN_GATED = {
     where=st.integers(0, 10**6),
     imag=st.booleans(),
 )
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=480, deadline=None)
 def test_non_finite_entry_raises_typed_error(name, dim, seed, bad, where, imag):
     make, call = BOUNDARIES[name]
     args = [np.array(a) for a in make(np.random.default_rng(seed), dim)]
@@ -128,7 +177,7 @@ def test_non_finite_entry_raises_typed_error(name, dim, seed, bad, where, imag):
     scale=st.floats(1.01, 1e8),
     phase=st.floats(0.0, 2 * math.pi),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_non_hermitian_matrix_raises_typed_error(name, dim, seed, where, scale, phase):
     make, call = BOUNDARIES[name]
     args = [np.array(a) for a in make(np.random.default_rng(seed), dim)]
@@ -219,6 +268,47 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
         lambda: measurement.Povm(5),
         lambda: measurement.Povm(None),
         lambda: measurement.Povm(np.array(1.0)),
+        # Before the one admission gate (linalg.cast_inputs) these raised
+        # TypeError from len().
+        lambda: pooling.pool_ordered_multi(5),
+        lambda: pooling.pool_ordered_multi(None),
+        lambda: pooling.pool_ordered_multi(iter([Z0, Z0])),
+        lambda: pooling.pool_symmetric_multi(5),
+        lambda: pooling.pool_symmetric_multi(None),
+        lambda: pooling.pool_symmetric_multi(iter([Z0, Z0])),
+        lambda: measurement.Povm(iter([Z0, np.eye(2) - Z0])),
+        # Too few inputs.
+        lambda: pooling.pool_ordered_multi([Z0]),
+        lambda: pooling.pool_symmetric_multi([]),
+        lambda: pooling.classical_pool([0.5, 0.5]),
+        lambda: pooling.classical_pool(),
+        lambda: measurement.Povm([]),
+        # String entries; classical_pool's raised ValueError before.
+        lambda: pooling.classical_pool("ab", "cd"),
+        lambda: pooling.classical_pool(["0.5", "0.5"], [0.5, 0.5]),
+        lambda: pooling.pool_ordered_multi(["ab", "cd"]),
+        lambda: measurement.Povm(["ab"]),
+        lambda: measurement.bare_update("ab", Z0),
+        lambda: measurement.outcome_probabilities(Z_POVM, "ab"),
+        lambda: linalg.trace_product(Z0, "ab"),
+        lambda: linalg.frobenius_distance("ab", Z0),
+        # Complex entries where real ones are needed; TypeError before.
+        lambda: pooling.classical_pool([0.5 + 0j, 0.5], [0.5, 0.5]),
+        lambda: pooling.classical_pool([0.5, 0.5], [0.5 + 0.1j, 0.5]),
+        # Bool arrays; classical_pool([True, False], [True, True]) returned [1, 0].
+        lambda: pooling.classical_pool([True, False], [True, True]),
+        lambda: pooling.pool_symmetric_multi([np.eye(2, dtype=bool)] * 2),
+        lambda: measurement.Povm([np.eye(2, dtype=bool)]),
+        lambda: measurement.bare_update(np.eye(2, dtype=bool), Z0),
+        lambda: linalg.trace_product(np.eye(2, dtype=bool), Z0),
+        # Object arrays.
+        lambda: pooling.classical_pool(np.array([0.5, 0.5], dtype=object), [0.5, 0.5]),
+        lambda: pooling.classical_pool([None, 0.5], [0.5, 0.5]),
+        lambda: pooling.pool_ordered_multi([np.array(Z0, dtype=object), Z0]),
+        lambda: linalg.frobenius_distance(Z0, np.array(Z0, dtype=object)),
+        # Ragged entries.
+        lambda: pooling.classical_pool([[0.5], [0.5, 0.5]], [0.5, 0.5]),
+        lambda: pooling.pool_ordered_multi([[[1, 0], [0]], Z0]),
     ],
     ids=[
         "validate_density",
@@ -262,6 +352,39 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
         "Povm int",
         "Povm None",
         "Povm 0-d array",
+        "pool_ordered_multi int",
+        "pool_ordered_multi None",
+        "pool_ordered_multi iterator",
+        "pool_symmetric_multi int",
+        "pool_symmetric_multi None",
+        "pool_symmetric_multi iterator",
+        "Povm iterator",
+        "pool_ordered_multi one state",
+        "pool_symmetric_multi no states",
+        "classical_pool one distribution",
+        "classical_pool no distributions",
+        "Povm no elements",
+        "classical_pool strings",
+        "classical_pool numeric strings",
+        "pool_ordered_multi strings",
+        "Povm string",
+        "bare_update string effect",
+        "outcome_probabilities string state",
+        "trace_product string",
+        "frobenius_distance string",
+        "classical_pool complex zero imaginary",
+        "classical_pool complex",
+        "classical_pool bools",
+        "pool_symmetric_multi bools",
+        "Povm bools",
+        "bare_update bool effect",
+        "trace_product bools",
+        "classical_pool object array",
+        "classical_pool None entry",
+        "pool_ordered_multi object array",
+        "frobenius_distance object array",
+        "classical_pool ragged",
+        "pool_ordered_multi ragged",
     ],
 )
 def test_gate_raises_without_a_warning(call):

@@ -73,6 +73,32 @@ class TestClassicalPool:
             pooling.classical_pool([], [])
 
     @given(
+        n=st.integers(2, 4),
+        dim=st.integers(1, 5),
+        lanes=st.sampled_from([(), (3,)]),
+        kind=st.sampled_from(["list", "float64", "float32", "int", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_real_inputs_pool_as_their_float_cast(self, n, dim, lanes, kind, seed):
+        # The same-kind cast admits ints and floats as np.asarray(p, dtype=float)
+        # reads them, so the product, its sum and the quotient keep their bits.
+        rng = np.random.default_rng(seed)
+        raw = [rng.random(lanes + (2 * dim,)) + 0.01 for _ in range(n)]
+        dists = {
+            "list": [p[..., :dim].tolist() for p in raw],
+            "float64": [p[..., :dim] for p in raw],
+            "float32": [p[..., :dim].astype(np.float32) for p in raw],
+            "int": [(100 * p[..., :dim]).astype(int) + 1 for p in raw],
+            "strided": [p[..., ::2] for p in raw],
+        }[kind]
+        prod = np.array([np.asarray(p, dtype=float) for p in dists]).prod(axis=0)
+        expected = prod / prod.sum(axis=-1)[..., None]
+        out = pooling.classical_pool(*dists)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+    @given(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6),
         st.data(),
     )
