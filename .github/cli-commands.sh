@@ -49,3 +49,7 @@ run bloch-slack bloch --a 0,0,1.0000000000005 --b 0.1,0.2,0.3
 run bloch-ignorance bloch --a 0,0,0 --b 0,0,0
 run bloch-opposed bloch --a 0,0,0.999 --b=0,0,-0.999
 run verify verify --trials 5
+# Each suite alone: cmd_verify's single-suite path through harness.SUITES.
+for suite in two commuting three; do
+  run "verify-$suite" verify --suite $suite --trials 5
+done

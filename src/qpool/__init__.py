@@ -17,6 +17,7 @@ from .harness import (
     random_density,
     random_povm,
     run_scenario,
+    sweep,
     verify_commuting_reduction,
     verify_three_observer,
     verify_two_observer,
@@ -26,7 +27,6 @@ from .linalg import (
     density_to_bloch,
     frobenius_distance,
     hermitian_sqrt,
-    hermitianize,
     maximally_mixed,
     trace_product,
     validate_density,

@@ -188,14 +188,11 @@ def cmd_bloch(args) -> int:
 
 def cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
-    # Looked up per call, so a wrapper set on a harness function sees the call.
-    suites = {
-        "two": harness.verify_two_observer,
-        "commuting": harness.verify_commuting_reduction,
-        "three": harness.verify_three_observer,
+    names = list(harness.SUITES) if args.suite == "all" else [args.suite]
+    reports = {
+        name: harness.sweep(args.trials, dims, args.tol, args.seed, *harness.SUITES[name])
+        for name in names
     }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    reports = {name: suites[name](args.trials, dims, args.tol, args.seed) for name in names}
     payload = {name: r.as_dict() for name, r in reports.items()}
     _emit(payload if args.suite == "all" else payload[args.suite], args.pretty)
     failed = any(r.failures for r in reports.values())
@@ -247,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bloch.add_argument("--pretty", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run randomized oracle sweeps")
-    p_verify.add_argument(
-        "--suite", choices=("two", "commuting", "three", "all"), default="all"
-    )
+    p_verify.add_argument("--suite", choices=(*harness.SUITES, "all"), default="all")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--dims", default="2..4", metavar="LO..HI")
     p_verify.add_argument("--tol", type=float, default=1e-10)

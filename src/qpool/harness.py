@@ -2,12 +2,13 @@
 
 The oracle never calls the pooling rules: it is the state reached by a
 chain of bare updates starting from total ignorance, the chain that
-run_scenario walks while it samples the outcomes.  The verify_* sweeps
-generate random scenarios, pool the observers' individual posteriors by
-both rules, and compare against the oracle.  They share one trial, one
-signature, (trials, dims, tol, seed), and one seed scheme: trial i of n
-observers runs at dims[i % len(dims)] from default_rng(trial_seed(seed,
-i + (n - 2) * _OBSERVER_INDEX_STRIDE)).
+run_scenario walks while it samples the outcomes.  sweep(trials, dims, tol,
+seed, observers, family) generates random scenarios of `observers`
+observers measuring POVMs of one family, pools their individual posteriors
+by both rules, and compares against the oracle.  SUITES names the
+(observers, family) pairs that qpool verify runs; each verify_* function is
+one of them.  Trial i of n observers runs at dims[i % len(dims)] from
+default_rng(trial_seed(seed, i + (n - 2) * _OBSERVER_INDEX_STRIDE)).
 
 A sweep seeds all its trial streams in one pass (trial_generators) and runs
 the trials at one dim as one stack, each lane drawing from its own trial
@@ -37,6 +38,14 @@ _OBSERVER_INDEX_STRIDE = 2**61
 
 MAX_CHAIN_RESAMPLES = 32
 SINGULAR_SUM_TOL = 1e-10
+
+# The POVM families a sweep draws from: random_povm, or commuting
+# (_random_diagonal_povm).
+FAMILIES = ("random", "diagonal")
+
+# qpool verify's suites, in the order --suite all runs them: name ->
+# (observers, family), the last two arguments of sweep.
+SUITES = {"two": (2, "random"), "commuting": (2, "diagonal"), "three": (3, "random")}
 
 
 @dataclass(frozen=True)
@@ -322,7 +331,7 @@ def _random_diagonal_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     return measurement.validate_povm(elements[:, 0] if single else elements)
 
 
-def _trial_alone(n: int, diagonal: bool, dim: int, tseed: int) -> tuple[float, float, int]:
+def _trial_alone(n: int, family: str, dim: int, tseed: int) -> tuple[float, float, int]:
     """One trial as a stack of one, redrawn from its stream after a zero
     probability or zero overlap at most MAX_CHAIN_RESAMPLES times.
 
@@ -332,25 +341,36 @@ def _trial_alone(n: int, diagonal: bool, dim: int, tseed: int) -> tuple[float, f
     rng = np.random.default_rng(tseed)
     for redraw in range(MAX_CHAIN_RESAMPLES):
         try:
-            d, disc = _trial(n, diagonal, dim, [rng])
+            d, disc = _trial(n, family, dim, [rng])
         except (ZeroProbabilityError, IncompatibleStatesError):
             continue
         return float(d[0]), float(np.ravel(disc)[0]), redraw
     return math.inf, 0.0, MAX_CHAIN_RESAMPLES
 
 
-def _sweep(trials: int, dims, tol: float, seed: int, n: int, diagonal: bool) -> VerificationReport:
-    """Run `trials` n-observer trials per dim, cycling through dims, into one report.
+def sweep(
+    trials: int, dims, tol: float, seed: int, observers: int, family: str
+) -> VerificationReport:
+    """Run `trials` trials per dim, cycling through dims, into one report.
 
-    dims is a list, tuple or range.  Trial i runs at dims[i % len(dims)]
-    and draws from default_rng(trial_seed(seed', i)), where seed' is
-    trial_seed(seed, (n - 2) * _OBSERVER_INDEX_STRIDE); trial_generators
-    seeds all the suite's trials in one pass.  The trials at one dim run as
-    one stack (_trial); if it raises QpoolError, each of its trials runs
-    alone (_trial_alone), from a fresh default_rng(trial_seed(seed', i)),
-    as a failing seed is replayed.  Each failure carries that seed.  If
-    n == 2 or diagonal, a norm_discrepancy above tol fails its trial.
+    Each trial pools `observers` observers, an integer in [2,
+    pooling.MAX_SYMMETRIC_STATES], who measure POVMs of `family`, one of
+    FAMILIES; both are checked before anything is drawn.  dims is a
+    list, tuple or range.  Trial i runs at dims[i % len(dims)] and draws
+    from default_rng(trial_seed(seed', i)), where seed' is trial_seed(seed,
+    (observers - 2) * _OBSERVER_INDEX_STRIDE); trial_generators seeds all
+    the sweep's trials in one pass.  The trials at one dim run as one stack
+    (_trial); if it raises QpoolError, each of its trials runs alone
+    (_trial_alone), from a fresh default_rng(trial_seed(seed', i)), as a
+    failing seed is replayed.  Each failure carries that seed.  With two
+    observers or the diagonal family, a norm_discrepancy above tol fails
+    its trial.
     """
+    n = linalg.check_int(observers, "observers", 2)
+    if n > pooling.MAX_SYMMETRIC_STATES:
+        raise QpoolError(f"observers must be <= {pooling.MAX_SYMMETRIC_STATES}, got {n}")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise QpoolError(f"family must be {' or '.join(map(repr, FAMILIES))}, got {family!r}")
     tol = linalg.check_tol(tol)
     trials = linalg.check_int(trials, "trials", 1)
     seed = trial_seed(linalg.check_int(seed, "seed"), (n - 2) * _OBSERVER_INDEX_STRIDE)
@@ -367,12 +387,12 @@ def _sweep(trials: int, dims, tol: float, seed: int, n: int, diagonal: bool) -> 
     for j, dim in enumerate(dims):
         lanes = range(j, total, len(dims))
         try:
-            dist[lanes], disc[lanes] = _trial(n, diagonal, dim, gens[j :: len(dims)])
+            dist[lanes], disc[lanes] = _trial(n, family, dim, gens[j :: len(dims)])
         except QpoolError:
             for i in lanes:
-                dist[i], disc[i], redraws = _trial_alone(n, diagonal, dim, trial_seed(seed, i))
+                dist[i], disc[i], redraws = _trial_alone(n, family, dim, trial_seed(seed, i))
                 resamples += redraws
-    if n == 2 or diagonal:
+    if n == 2 or family == "diagonal":
         # trace_norm = paper_norm exactly here, so a discrepancy above tol fails.
         dist = np.where(disc <= tol, dist, np.maximum(dist, disc))
     dist, disc = dist.tolist(), disc.tolist()
@@ -409,17 +429,18 @@ def _is_density(rho) -> bool:
     return True
 
 
-def _trial(n: int, diagonal: bool, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+def _trial(n: int, family: str, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """n observers measure one chain per generator, and both rules are checked.
 
-    Draws n POVMs with 2 to 4 outcomes per lane (diagonal ones if diagonal)
-    and runs them from each lane's generator (run_scenario).  The
-    posteriors are rooted once (pooling._roots), and both rules' bodies
-    take those roots: the ordered rule is held to the chain's final state,
-    the symmetric rule to the classical product of the posteriors'
-    diagonals if diagonal, else to being a density matrix (inf if not).
-    Returns per lane the larger distance, and the symmetric norm_discrepancy.
+    Draws n POVMs of the family with 2 to 4 outcomes per lane and runs them
+    from each lane's generator (run_scenario).  The posteriors are rooted
+    once (pooling._roots), and both rules' bodies take those roots: the
+    ordered rule is held to the chain's final state, the symmetric rule to
+    the classical product of the posteriors' diagonals in the diagonal
+    family, else to being a density matrix (inf if not).  Returns per lane
+    the larger distance, and the symmetric norm_discrepancy.
     """
+    diagonal = family == "diagonal"
     make_povm = _random_diagonal_povm if diagonal else random_povm
     povms = tuple(
         make_povm(dim, [int(r.integers(2, 5)) for r in rngs], rngs) for _ in range(n)
@@ -440,34 +461,15 @@ def _trial(n: int, diagonal: bool, dim: int, rngs) -> tuple[np.ndarray, np.ndarr
 
 
 def verify_two_observer(trials: int, dims, tol: float, seed: int) -> VerificationReport:
-    """Two observers, random POVMs: both rules, ordered against the two-step oracle.
-
-    Runs `trials` random scenarios at every dim in dims (_sweep, _trial):
-    the ordered rule's Frobenius distance to the oracle, with an invalid
-    symmetric state counting as infinite, and the symmetric rule's
-    norm discrepancy, failing above tol.
-    """
-    return _sweep(trials, dims, tol, seed, 2, False)
+    """The "two" suite of SUITES: two observers, random POVMs (sweep)."""
+    return sweep(trials, dims, tol, seed, *SUITES["two"])
 
 
 def verify_commuting_reduction(trials: int, dims, tol: float, seed: int) -> VerificationReport:
-    """Two observers, diagonal POVMs: the classical reduction of both rules.
-
-    All operators commute, so the symmetric rule must give the diagonal
-    matrix of the renormalized product of the two posterior distributions,
-    and the ordered rule the two-step oracle (_trial); a norm discrepancy fails above tol.
-    """
-    return _sweep(trials, dims, tol, seed, 2, True)
+    """The "commuting" suite of SUITES: two observers, diagonal POVMs (sweep)."""
+    return sweep(trials, dims, tol, seed, *SUITES["commuting"])
 
 
 def verify_three_observer(trials: int, dims, tol: float, seed: int) -> VerificationReport:
-    """Three observers: ordered pooling vs the three-step oracle.
-
-    Also pools symmetrically and checks the result is a valid density
-    matrix (an invalid one registers as an infinite oracle distance), and
-    records its trace-vs-closed-form denominator discrepancy.  The same
-    trials with commuting effects are _sweep(trials, dims, tol, seed, 3,
-    True): there the symmetric result must be the classical product of the
-    three posteriors, and the discrepancy must stay within tol.
-    """
-    return _sweep(trials, dims, tol, seed, 3, False)
+    """The "three" suite of SUITES: three observers, random POVMs (sweep)."""
+    return sweep(trials, dims, tol, seed, *SUITES["three"])

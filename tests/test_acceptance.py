@@ -201,8 +201,8 @@ def test_07_three_observer_suite():
     )
     commuting = _combined(
         [
-            harness._sweep(250, [2], 1e-10, 207, 3, True),
-            harness._sweep(250, [3], 1e-10, 2007, 3, True),
+            harness.sweep(250, [2], 1e-10, 207, 3, "diagonal"),
+            harness.sweep(250, [3], 1e-10, 2007, 3, "diagonal"),
         ]
     )
     ok = (

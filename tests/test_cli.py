@@ -202,6 +202,14 @@ class TestBlochCommand:
         assert cli.main(["bloch", "--a", "0,0,x", "--b", "0,0,1"]) == 2
 
 
+# Each suite of harness.SUITES by its verify_* name.
+VERIFY_NAMES = {
+    "two": harness.verify_two_observer,
+    "commuting": harness.verify_commuting_reduction,
+    "three": harness.verify_three_observer,
+}
+
+
 class TestVerifyCommand:
     def test_two_suite_passes(self, capsys):
         code = cli.main(
@@ -222,23 +230,19 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"two", "commuting", "three"}
 
-    @pytest.mark.parametrize(
-        "suite,sweep",
-        [
-            ("two", harness.verify_two_observer),
-            ("commuting", harness.verify_commuting_reduction),
-            ("three", harness.verify_three_observer),
-        ],
-    )
-    def test_a_suite_prints_its_block_of_all_and_its_library_sweep(self, suite, sweep, capsys):
+    @pytest.mark.parametrize("suite,verify", [(s, VERIFY_NAMES[s]) for s in harness.SUITES])
+    def test_a_suite_prints_its_block_of_all_and_its_library_sweep(self, suite, verify, capsys):
         # The CLI holds no seed policy of its own: one suite's stdout is its
-        # block of --suite all and the one library call over the same dims.
+        # block of --suite all, the one sweep over the same dims, and the
+        # suite's verify_* name.
         args = ["--trials", "3", "--dims", "2..3", "--tol", "1e-10", "--seed", "17"]
         assert cli.main(["verify", "--suite", suite, *args]) == 0
         alone = capsys.readouterr().out
         assert cli.main(["verify", "--suite", "all", *args]) == 0
         assert alone == json.dumps(json.loads(capsys.readouterr().out)[suite]) + "\n"
-        assert alone == json.dumps(sweep(3, range(2, 4), 1e-10, 17).as_dict()) + "\n"
+        swept = harness.sweep(3, range(2, 4), 1e-10, 17, *harness.SUITES[suite])
+        assert alone == json.dumps(swept.as_dict()) + "\n"
+        assert swept == verify(3, range(2, 4), 1e-10, 17)
 
     def test_zero_trials_exits_2(self, capsys):
         assert cli.main(["verify", "--trials", "0"]) == 2

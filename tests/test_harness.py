@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -316,7 +317,7 @@ class TestVerifySweeps:
         assert report.max_norm_discrepancy > 1e-6
 
     def test_three_observer_commuting_discrepancy_vanishes(self):
-        report = harness._sweep(10, [3], 1e-10, 13, 3, True)
+        report = harness.sweep(10, [3], 1e-10, 13, 3, "diagonal")
         assert report.failures == []
         assert report.max_norm_discrepancy < 1e-10
 
@@ -350,7 +351,7 @@ class TestVerifySweeps:
             "_symmetric",
             lambda rho: 0.9 * rho + 0.1 * np.eye(rho.shape[-1]) / rho.shape[-1],
         )
-        report = harness._sweep(3, range(2, 4), 1e-10, 0, 3, True)
+        report = harness.sweep(3, range(2, 4), 1e-10, 0, 3, "diagonal")
         assert len(report.failures) == 6
         assert all(d > 1e-3 for _, d in report.failures)
 
@@ -359,6 +360,15 @@ class TestVerifySweeps:
             harness.verify_commuting_reduction(0, [4], 1e-10, 1)
         with pytest.raises(QpoolError):
             harness.verify_three_observer(5, [1], 1e-10, 1)
+
+    # No suite of SUITES runs n >= 4; the Liouville route of the symmetric
+    # rule serves n >= 5 at these dims.
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    @pytest.mark.parametrize("observers", [4, 5, 6])
+    def test_four_to_six_observers_pass(self, observers, family):
+        report = harness.sweep(20, [2, 3, 4], 1e-10, 0, observers, family)
+        assert report.trials == 60
+        assert report.failures == []
 
 
 def test_observer_counts_draw_their_first_povm_from_their_own_streams(monkeypatch):
@@ -393,7 +403,7 @@ def test_a_failure_seed_replays_its_trial_alone(monkeypatch, n, sweep):
     report = sweep(4, dims, 1e-10, 5)
     assert len(report.failures) == 8
     for i, (seed, d) in enumerate(report.failures):
-        replay, _, _ = harness._trial_alone(n, False, dims[i % 2], seed)
+        replay, _, _ = harness._trial_alone(n, "random", dims[i % 2], seed)
         assert replay == pytest.approx(d, rel=1e-9)
         assert d > 1e-6
 
@@ -432,13 +442,13 @@ def test_sweep_seeds_each_suite_once_with_each_dims_own_streams(dims, n, monkeyp
         passes.append(args)
         return seeding(*args)
 
-    def record(n, diagonal, dim, rngs):
+    def record(n, family, dim, rngs):
         stacks.append((dim, [r.bit_generator.state for r in rngs]))
         return np.zeros(len(rngs)), np.zeros(len(rngs))
 
     monkeypatch.setattr(harness, "trial_generators", counted)
     monkeypatch.setattr(harness, "_trial", record)
-    report = harness._sweep(trials, dims, 1e-10, seed, n, False)
+    report = harness.sweep(trials, dims, 1e-10, seed, n, "random")
     assert report.trials == trials * len(dims) and not report.failures
     assert len(passes) == 1
     suite_seed = harness.trial_seed(seed, (n - 2) * harness._OBSERVER_INDEX_STRIDE)
@@ -535,6 +545,18 @@ TYPED_REJECTIONS = {
     "None tol": lambda: harness.verify_commuting_reduction(1, [2], None, 0),
     "bool tol": lambda: harness.verify_two_observer(1, range(2, 4), True, 0),
     "bool three-observer tol": lambda: harness.verify_three_observer(1, [2], True, 0),
+    **{
+        f"sweep observers {observers!r}": (
+            lambda observers=observers: harness.sweep(1, [2], 1e-10, 0, observers, "random")
+        )
+        for observers in (1, 7, True, 2.0, "2")
+    },
+    **{
+        f"sweep family {family!r}": (
+            lambda family=family: harness.sweep(1, [2], 1e-10, 0, 2, family)
+        )
+        for family in ("x", None, True, [])
+    },
 }
 
 
@@ -542,9 +564,22 @@ TYPED_REJECTIONS = {
 def test_integer_and_generator_rules_raise_qpool_error(name):
     with pytest.raises(
         QpoolError,
-        match=r"must be an integer|must be >=|must be a real|rng must be|dims must be|at least one dim",
+        match=r"must be an integer|must be >=|must be <=|must be a real|rng must be"
+        r"|dims must be|at least one dim|family must be",
     ):
         TYPED_REJECTIONS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TYPED_REJECTIONS if n.startswith("sweep ")))
+def test_sweep_rejects_observers_and_family_before_any_draw(name, monkeypatch):
+    def seeding(*args):
+        raise AssertionError("the sweep seeded its trial streams")
+
+    monkeypatch.setattr(harness, "trial_generators", seeding)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QpoolError):
+            TYPED_REJECTIONS[name]()
 
 
 def test_a_numpy_float_tol_is_a_real_number():

@@ -20,12 +20,8 @@ from test_pooling import _permutation_sum
 
 TRIALS, DIMS, TOL, SEED = 2, (2, 3, 4), 1e-10, 0
 
-SUITES = {
-    "two": lambda: harness.verify_two_observer(TRIALS, DIMS, TOL, SEED),
-    "commuting": lambda: harness.verify_commuting_reduction(TRIALS, DIMS, TOL, SEED),
-    "three": lambda: harness.verify_three_observer(TRIALS, DIMS, TOL, SEED),
-    "three diagonal": lambda: harness._sweep(TRIALS, DIMS, TOL, SEED, 3, True),
-}
+# qpool verify's suites, and the three-observer commuting sweep.
+SUITES = {**harness.SUITES, "three diagonal": (3, "diagonal")}
 
 
 def _symmetric(outermost=slice(None), rescale=False, by_states=False):
@@ -145,7 +141,11 @@ SURVIVORS = {
 
 
 def _killed():
-    return {suite for suite, sweep in SUITES.items() if sweep().failures}
+    return {
+        suite
+        for suite, (observers, family) in SUITES.items()
+        if harness.sweep(TRIALS, DIMS, TOL, SEED, observers, family).failures
+    }
 
 
 def _five_states():

@@ -107,15 +107,12 @@ NO_ARRAY_INPUT = {
     "maximally_mixed": "takes only an int (check_int)",
     "random_density": "takes only ints and a Generator (check_int, generators)",
     "random_povm": "takes only ints and Generators (check_int, generators)",
+    "sweep": "takes only ints, scalars and a family name",
     "verify_two_observer": "takes only ints and scalars (check_int, check_tol)",
     "verify_commuting_reduction": "takes only ints and scalars (check_int, check_tol)",
     "verify_three_observer": "takes only ints and scalars (check_int, check_tol)",
     "weight_factor": "takes only a scalar (check_real)",
     "certainty_weight": "takes only a scalar (check_real, through weight_factor)",
-    "hermitianize": (
-        "arithmetic, not a gate: (M + M^dag) / 2 of an array its caller has gated, "
-        "run on every pooled numerator and update"
-    ),
 }
 
 # The functions that take the Hermitian part of their matrix arguments, by

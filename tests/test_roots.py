@@ -119,8 +119,8 @@ def test_an_input_changed_in_place_gives_its_own_result(name, sqrt_calls):
     assert len(sqrt_calls) == 3
 
 
-@pytest.mark.parametrize("diagonal", [False, True])
-def test_a_sweep_trial_roots_its_posteriors_once_for_both_bodies(diagonal, monkeypatch):
+@pytest.mark.parametrize("family", harness.FAMILIES)
+def test_a_sweep_trial_roots_its_posteriors_once_for_both_bodies(family, monkeypatch):
     calls = []
 
     def wrap(name):
@@ -136,7 +136,7 @@ def test_a_sweep_trial_roots_its_posteriors_once_for_both_bodies(diagonal, monke
     for name in ("_roots", "_ordered", "_symmetric"):
         wrap(name)
     rngs = harness.trial_generators(11, range(3))
-    harness._trial(3, diagonal, 3, rngs)
+    harness._trial(3, family, 3, rngs)
     assert [name for name, _ in calls] == ["_roots", "_ordered", "_symmetric"]
     roots = calls[0][1]
     assert roots.shape == (3, 3, 3, 3)
