@@ -39,8 +39,11 @@ for mode in ordered symmetric; do
   run "$mode-3" pool --mode $mode --in s1.json s2.json s3.json --out "$mode-3.json"
   run "$mode-5" pool --mode $mode --in s1.json s2.json s3.json s4.json s5.json --out "$mode-5.json"
 done
+# --pretty prints through _emit's indented path.
+run pool-pretty pool --mode symmetric --in s1.json s2.json s3.json --out pool-pretty.json --pretty
 run compat compat s1.json s2.json
 run bloch bloch --a 0,0.6,0.8 --b=-0.3,0.4,0.1
+run bloch-pretty bloch --a 0,0.6,0.8 --b=-0.3,0.4,0.1 --pretty
 # The closed form's edges: orthogonal pure, identical, a length past the
 # sphere within BLOCH_SLACK, total ignorance, and near-antipodal mixed.
 run bloch-orthogonal bloch --a 0,0,1 --b 1,0,0
@@ -53,3 +56,4 @@ run verify verify --trials 5
 for suite in two commuting three; do
   run "verify-$suite" verify --suite $suite --trials 5
 done
+run verify-pretty verify --suite all --trials 3 --dims 2..3 --seed 5 --pretty

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -118,7 +119,7 @@ def _json_safe(obj):
         return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     return obj
 
@@ -193,7 +194,7 @@ def cmd_verify(args) -> int:
         name: harness.sweep(args.trials, dims, args.tol, args.seed, *harness.SUITES[name])
         for name in names
     }
-    payload = {name: r.as_dict() for name, r in reports.items()}
+    payload = {name: dataclasses.asdict(r) for name, r in reports.items()}
     _emit(payload if args.suite == "all" else payload[args.suite], args.pretty)
     failed = any(r.failures for r in reports.values())
     return EXIT_VERIFY_FAILED if failed else EXIT_OK

@@ -72,7 +72,7 @@ class Scenario:
 
 @dataclass
 class VerificationReport:
-    """Outcome of a randomized sweep.
+    """Outcome of a randomized sweep; qpool verify prints its fields in this order.
 
     failures holds (trial_seed, distance) pairs for trials beyond
     tolerance; resamples counts chains redrawn after a numerically
@@ -82,19 +82,9 @@ class VerificationReport:
     trials: int
     max_oracle_distance: float
     max_norm_discrepancy: float
-    failures: list[tuple[int, float]] = field(default_factory=list)
     mean_norm_discrepancy: float = 0.0
     resamples: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_oracle_distance": self.max_oracle_distance,
-            "max_norm_discrepancy": self.max_norm_discrepancy,
-            "mean_norm_discrepancy": self.mean_norm_discrepancy,
-            "resamples": self.resamples,
-            "failures": [[int(s), d] for s, d in self.failures],
-        }
+    failures: list[tuple[int, float]] = field(default_factory=list)
 
 
 def trial_seed(seed: int, index: int) -> int:
@@ -265,19 +255,6 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     return linalg.hermitianize(m) / float(np.trace(m).real)
 
 
-def _lane_args(rng, n_outcomes) -> tuple[list, list[int], bool]:
-    """Generators and outcome counts per lane, and whether the call is for one POVM."""
-    rngs, single = linalg.generators(rng)
-    one_count = not isinstance(n_outcomes, (list, tuple))
-    counts = [n_outcomes] if one_count else list(n_outcomes)
-    counts = [linalg.check_int(m, "outcome count", 2) for m in counts]
-    if len(rngs) != len(counts) or not rngs or single != one_count:
-        raise QpoolError(
-            "rng and n_outcomes must be one generator and one count, or equal-length sequences"
-        )
-    return rngs, counts, single
-
-
 def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     """Random POVM: Wishart draws whitened by their sum, E_k = H_k H_k^dag.
 
@@ -296,7 +273,14 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     (lanes, k, 2, dim, dim) buffer, the order of standard_normal((k, 2, dim, dim)).
     """
     dim = linalg.check_int(dim, "dim", 1)
-    rngs, counts, single = _lane_args(rng, n_outcomes)
+    rngs, single = linalg.generators(rng)
+    one_count = not isinstance(n_outcomes, (list, tuple))
+    counts = [n_outcomes] if one_count else list(n_outcomes)
+    counts = [linalg.check_int(m, "outcome count", 2) for m in counts]
+    if len(rngs) != len(counts) or not rngs or single != one_count:
+        raise QpoolError(
+            "rng and n_outcomes must be one generator and one count, or equal-length sequences"
+        )
     k = max(counts)
     # Each lane's Gaussian blocks in draw order: block, real or imaginary
     # part, row, column.  A lane fills its first counts[i] blocks in place;
@@ -319,16 +303,15 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     return measurement.validate_povm(elements[:, 0] if single else elements)
 
 
-def _random_diagonal_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
+def _random_diagonal_povm(dim: int, counts: list[int], rngs: list) -> measurement.Povm:
+    """Diagonal POVMs stacked as random_povm stacks them, lane i drawn from rngs[i]."""
     # Columns normalized to 1, so completeness holds to rounding; padding
     # rows are zero, so they change no column sum.
-    rngs, counts, single = _lane_args(rng, n_outcomes)
     w = np.zeros((max(counts), len(rngs), dim))
     for i, (r, m) in enumerate(zip(rngs, counts)):
         w[:m, i] = r.random((m, dim))
     w = w / w.sum(axis=0)
-    elements = (w[..., None] * np.eye(dim)).astype(complex)
-    return measurement.validate_povm(elements[:, 0] if single else elements)
+    return measurement.validate_povm((w[..., None] * np.eye(dim)).astype(complex))
 
 
 def _trial_alone(n: int, family: str, dim: int, tseed: int) -> tuple[float, float, int]:

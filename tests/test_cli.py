@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -241,7 +242,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--suite", "all", *args]) == 0
         assert alone == json.dumps(json.loads(capsys.readouterr().out)[suite]) + "\n"
         swept = harness.sweep(3, range(2, 4), 1e-10, 17, *harness.SUITES[suite])
-        assert alone == json.dumps(swept.as_dict()) + "\n"
+        assert alone == json.dumps(dataclasses.asdict(swept)) + "\n"
         assert swept == verify(3, range(2, 4), 1e-10, 17)
 
     def test_zero_trials_exits_2(self, capsys):

@@ -99,10 +99,6 @@ POVM_BUILDERS = {
     "validate_povm of a list": (lambda: measurement.validate_povm(PROJECTIVE_Z), (2, 2, 2)),
     "random_povm single": (lambda: random_povm(3, 4, np.random.default_rng(0)), (4, 3, 3)),
     "random_povm stacked": (lambda: random_povm(3, [2, 4, 3], _lane_rngs(3)), (4, 3, 3, 3)),
-    "diagonal single": (
-        lambda: harness._random_diagonal_povm(2, 3, np.random.default_rng(0)),
-        (3, 2, 2),
-    ),
     "diagonal stacked": (
         lambda: harness._random_diagonal_povm(2, [3, 2], _lane_rngs(2)),
         (3, 2, 2, 2),

@@ -257,7 +257,6 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
         lambda: harness.run_scenario(harness.Scenario(2, (Z_POVMS,), 0), rng=[1, 2]),
         lambda: random_povm(2, [2, 2], [1, 2]),
         lambda: random_povm(2, [2, 2], [np.random.default_rng(0), None]),
-        lambda: harness._random_diagonal_povm(2, [2, 2], [np.random.default_rng(0), None]),
         lambda: measurement.sample_outcome(
             Z_POVMS, np.array([Z0, Z0]), (np.random.default_rng(0), None)
         ),
@@ -344,7 +343,6 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
         "run_scenario int generators",
         "random_povm int generators",
         "random_povm None generator",
-        "_random_diagonal_povm None generator",
         "sample_outcome None generator",
         "Povm int",
         "Povm None",
