@@ -57,3 +57,9 @@ for suite in two commuting three; do
   run "verify-$suite" verify --suite $suite --trials 5
 done
 run verify-pretty verify --suite all --trials 3 --dims 2..3 --seed 5 --pretty
+# The parser's help text, including --suite's choices, which the parser
+# reads from qpool.suites.
+run help --help
+for cmd in pool compat bloch verify random; do
+  run "help-$cmd" "$cmd" --help
+done

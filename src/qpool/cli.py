@@ -8,11 +8,17 @@ import functools
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import harness, linalg, measurement, pooling, qubit
+# pool and compat need only these; each other command imports what it runs
+# (harness, measurement, qubit) on first call.
+from . import linalg, pooling, suites
 from .errors import IncompatibleStatesError, QpoolError
+
+if TYPE_CHECKING:
+    from . import measurement
 
 # Human-authored files carry fewer digits than internally generated ones.
 FILE_DENSITY_TOL = 1e-8
@@ -80,6 +86,8 @@ def parse_matrix_payload(obj) -> np.ndarray:
 
 
 def parse_povm_payload(obj) -> measurement.Povm:
+    from . import measurement
+
     dim = _payload_dim(obj, "elements", "POVM")
     elements = obj["elements"]
     if not isinstance(elements, list) or not elements:
@@ -174,6 +182,8 @@ def cmd_compat(args) -> int:
 
 
 def cmd_bloch(args) -> int:
+    from . import qubit
+
     pooled, weights, compat = qubit._pool(_parse_bloch(args.a), _parse_bloch(args.b))
     _emit(
         {
@@ -188,10 +198,12 @@ def cmd_bloch(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     dims = _parse_dims(args.dims)
-    names = list(harness.SUITES) if args.suite == "all" else [args.suite]
+    names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     reports = {
-        name: harness.sweep(args.trials, dims, args.tol, args.seed, *harness.SUITES[name])
+        name: harness.sweep(args.trials, dims, args.tol, args.seed, *suites.SUITES[name])
         for name in names
     }
     payload = {name: dataclasses.asdict(r) for name, r in reports.items()}
@@ -201,6 +213,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from . import harness
+
     # Refused rather than ignored: each size option applies to one kind.
     if args.kind == "state" and args.outcomes is not None:
         raise QpoolError("--outcomes does not apply to random state")
@@ -245,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bloch.add_argument("--pretty", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run randomized oracle sweeps")
-    p_verify.add_argument("--suite", choices=(*harness.SUITES, "all"), default="all")
+    p_verify.add_argument("--suite", choices=(*suites.SUITES, "all"), default="all")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--dims", default="2..4", metavar="LO..HI")
     p_verify.add_argument("--tol", type=float, default=1e-10)

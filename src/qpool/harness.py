@@ -6,8 +6,10 @@ run_scenario walks while it samples the outcomes.  sweep(trials, dims, tol,
 seed, observers, family) generates random scenarios of `observers`
 observers measuring POVMs of one family, pools their individual posteriors
 by both rules, and compares against the oracle.  SUITES names the
-(observers, family) pairs that qpool verify runs; each verify_* function is
-one of them.  Trial i of n observers runs at dims[i % len(dims)] from
+(observers, family) pairs that qpool verify runs, and FAMILIES the POVM
+families; both are qpool.suites' objects, kept in that data-only module so
+the CLI parser reads them without loading this one.  Each verify_* function
+is one suite.  Trial i of n observers runs at dims[i % len(dims)] from
 default_rng(trial_seed(seed, i + (n - 2) * _OBSERVER_INDEX_STRIDE)).
 
 A sweep seeds all its trial streams in one pass (trial_generators) and runs
@@ -27,6 +29,7 @@ import numpy as np
 
 from . import linalg, measurement, pooling
 from .errors import IncompatibleStatesError, QpoolError, ZeroProbabilityError
+from .suites import FAMILIES, SUITES
 
 # Odd 64-bit constant; consecutive trial seeds land in well-separated
 # generator streams.
@@ -38,14 +41,6 @@ _OBSERVER_INDEX_STRIDE = 2**61
 
 MAX_CHAIN_RESAMPLES = 32
 SINGULAR_SUM_TOL = 1e-10
-
-# The POVM families a sweep draws from: random_povm, or commuting
-# (_random_diagonal_povm).
-FAMILIES = ("random", "diagonal")
-
-# qpool verify's suites, in the order --suite all runs them: name ->
-# (observers, family), the last two arguments of sweep.
-SUITES = {"two": (2, "random"), "commuting": (2, "diagonal"), "three": (3, "random")}
 
 
 @dataclass(frozen=True)

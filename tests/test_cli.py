@@ -368,6 +368,73 @@ def test_import_leaves_numpy_random_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# The qpool modules that pool and compat run; the other commands import
+# harness, measurement or qubit when they are called.
+POOL_PATH_MODULES = {
+    "qpool", "qpool.cli", "qpool.errors", "qpool.linalg", "qpool.pooling", "qpool.suites",
+}
+
+
+def _pool_and_compat_args(state_files, tmp_path):
+    ins = [state_files["z0"], state_files["plus"], state_files["mixed"]]
+    return {
+        "pool": ["pool", "--mode", "ordered", "--in", *ins, "--out", str(tmp_path / "out.json")],
+        "compat": ["compat", state_files["z0"], state_files["plus"]],
+    }
+
+
+@pytest.mark.parametrize("command", ["pool", "compat"])
+def test_a_pool_or_compat_child_loads_only_the_modules_it_runs(command, state_files, tmp_path):
+    # As the installed qpool script runs: import qpool.cli, call main.  When
+    # the process ends it prints the qpool modules loaded, and whether
+    # numpy.random was loaded where numpy alone had not loaded it (numpy
+    # loads it eagerly before 1.25).
+    code = (
+        "import atexit, json, sys, numpy\n"
+        "lazy = 'numpy.random' not in sys.modules\n"
+        "atexit.register(lambda: print(json.dumps([sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'qpool'), lazy and 'numpy.random' in sys.modules]),"
+        " file=sys.stderr))\n"
+        "from qpool.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    argv = _pool_and_compat_args(state_files, tmp_path)[command]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules, loaded_random = json.loads(proc.stderr.splitlines()[-1])
+    assert set(modules) == POOL_PATH_MODULES
+    assert not loaded_random
+
+
+@pytest.mark.parametrize("command", ["pool", "compat"])
+def test_a_python_m_child_imports_only_the_modules_it_runs(command, state_files, tmp_path):
+    # python -m runs qpool.cli as __main__; -X importtime lists every module
+    # the child imports, one per stderr line ending in "| <name>".
+    argv = _pool_and_compat_args(state_files, tmp_path)[command]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qpool.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {m for m in imported if m.split(".")[0] == "qpool"} == POOL_PATH_MODULES - {"qpool.cli"}
+
+
+def test_import_qpool_loads_no_submodule_and_not_numpy():
+    code = (
+        "import sys, qpool; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('qpool', 'numpy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['qpool']"
+
+
 class TestWriteGate:
     def test_pool_result_the_reader_rejects_exits_2_and_writes_nothing(
         self, state_files, tmp_path, capsys, monkeypatch

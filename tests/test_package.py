@@ -1,7 +1,10 @@
 import ast
 import cmath
+import importlib
 import inspect
 import math
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpool
-from qpool import errors, harness, linalg, measurement, pooling, qubit
+from qpool import errors, harness, linalg, measurement, pooling, qubit, suites
 from qpool.errors import QpoolError
 from qpool.harness import random_density, random_povm
 
@@ -23,6 +26,71 @@ def test_all_lists_names_not_modules():
         if inspect.isclass(obj) and issubclass(obj, QpoolError)
     }
     assert subclasses <= set(qpool.__all__)
+
+
+# The public names, pinned: removing or adding one is a deliberate edit here.
+PUBLIC_NAMES = {
+    "BlochWeights", "IncompatibleStatesError", "PoolReport", "Povm", "QpoolError",
+    "Scenario", "VerificationReport", "ZeroProbabilityError", "bare_update",
+    "bloch_to_density", "bloch_weights", "certainty_weight", "classical_pool",
+    "compatibility", "density_to_bloch", "frobenius_distance", "hermitian_sqrt",
+    "maximally_mixed", "oracle_pool", "outcome_probabilities", "pool_bloch",
+    "pool_ordered", "pool_ordered_multi", "pool_symmetric", "pool_symmetric_multi",
+    "posterior_from_outcome", "random_density", "random_povm", "run_scenario",
+    "sample_outcome", "sweep", "trace_product", "validate_density", "validate_povm",
+    "verify_commuting_reduction", "verify_three_observer", "verify_two_observer",
+    "weight_factor",
+}
+
+
+class TestNamespace:
+    def test_all_is_the_pinned_public_names(self):
+        assert len(qpool.__all__) == 38
+        assert set(qpool.__all__) == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
+    def test_each_name_is_its_submodules_object(self, name):
+        obj = getattr(qpool, name)
+        module = importlib.import_module(obj.__module__)
+        assert module.__name__.startswith("qpool.")
+        assert obj is getattr(module, name)
+
+    def test_dir_lists_all_and_every_public_name(self):
+        assert "__all__" in dir(qpool)
+        assert PUBLIC_NAMES <= set(dir(qpool))
+
+    def test_star_import_binds_every_public_name(self):
+        # In a fresh process, so that every name goes through the lazy lookup.
+        code = (
+            "from qpool import *; "
+            "print(' '.join(n for n in dir() if not n.startswith('_')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == PUBLIC_NAMES
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'qpool' has no attribute 'nope'"):
+            qpool.nope
+
+    def test_a_submodule_resolves_after_a_bare_import(self):
+        code = (
+            "import qpool; "
+            "print(qpool.harness.sweep is qpool.sweep, qpool.suites.SUITES is qpool.harness.SUITES)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
+
+    def test_the_harness_reads_the_one_suite_table(self):
+        assert harness.SUITES is suites.SUITES
+        assert harness.FAMILIES is suites.FAMILIES
+        assert {family for _observers, family in suites.SUITES.values()} <= set(suites.FAMILIES)
+
+    def test_the_suite_table_imports_nothing(self):
+        # The parser reads it on every command, pool included.
+        tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
 
 
 def _densities(n):
