@@ -8,7 +8,6 @@ import functools
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,9 +15,6 @@ import numpy as np
 # (harness, measurement, qubit) on first call.
 from . import linalg, pooling, suites
 from .errors import IncompatibleStatesError, QpoolError
-
-if TYPE_CHECKING:
-    from . import measurement
 
 # Human-authored files carry fewer digits than internally generated ones.
 FILE_DENSITY_TOL = 1e-8

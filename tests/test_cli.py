@@ -375,54 +375,42 @@ POOL_PATH_MODULES = {
 }
 
 
-def _pool_and_compat_args(state_files, tmp_path):
-    ins = [state_files["z0"], state_files["plus"], state_files["mixed"]]
-    return {
-        "pool": ["pool", "--mode", "ordered", "--in", *ins, "--out", str(tmp_path / "out.json")],
+# The installed qpool script imports qpool.cli and calls main; python -m runs
+# qpool.cli as __main__, so that route imports every other module but it.
+LAUNCH_ROUTES = {
+    "script": ["-c", "import sys; from qpool.cli import main; sys.exit(main())"],
+    "-m": ["-m", "qpool.cli"],
+}
+
+
+@pytest.mark.parametrize("route", sorted(LAUNCH_ROUTES))
+@pytest.mark.parametrize("command", ["pool", "compat"])
+def test_a_pool_or_compat_child_imports_only_the_modules_it_runs(
+    command, route, state_files, tmp_path
+):
+    argv = {
+        "pool": [
+            "pool", "--mode", "ordered", "--in", state_files["z0"], state_files["plus"],
+            state_files["mixed"], "--out", str(tmp_path / "out.json"),
+        ],
         "compat": ["compat", state_files["z0"], state_files["plus"]],
-    }
-
-
-@pytest.mark.parametrize("command", ["pool", "compat"])
-def test_a_pool_or_compat_child_loads_only_the_modules_it_runs(command, state_files, tmp_path):
-    # As the installed qpool script runs: import qpool.cli, call main.  When
-    # the process ends it prints the qpool modules loaded, and whether
-    # numpy.random was loaded where numpy alone had not loaded it (numpy
-    # loads it eagerly before 1.25).
-    code = (
-        "import atexit, json, sys, numpy\n"
-        "lazy = 'numpy.random' not in sys.modules\n"
-        "atexit.register(lambda: print(json.dumps([sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'qpool'), lazy and 'numpy.random' in sys.modules]),"
-        " file=sys.stderr))\n"
-        "from qpool.cli import main\n"
-        "sys.exit(main())\n"
-    )
-    argv = _pool_and_compat_args(state_files, tmp_path)[command]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    modules, loaded_random = json.loads(proc.stderr.splitlines()[-1])
-    assert set(modules) == POOL_PATH_MODULES
-    assert not loaded_random
-
-
-@pytest.mark.parametrize("command", ["pool", "compat"])
-def test_a_python_m_child_imports_only_the_modules_it_runs(command, state_files, tmp_path):
-    # python -m runs qpool.cli as __main__; -X importtime lists every module
-    # the child imports, one per stderr line ending in "| <name>".
-    argv = _pool_and_compat_args(state_files, tmp_path)[command]
+    }[command]
+    # -X importtime prints one stderr line per module, "... | <name>", as
+    # each import finishes: a module numpy imports comes before numpy's line.
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "qpool.cli", *argv],
+        [sys.executable, "-X", "importtime", *LAUNCH_ROUTES[route], *argv],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    imported = {
+    imported = [
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
-    }
-    assert {m for m in imported if m.split(".")[0] == "qpool"} == POOL_PATH_MODULES - {"qpool.cli"}
+    ]
+    assert {m for m in imported if m.split(".")[0] == "qpool"} | {"qpool.cli"} == POOL_PATH_MODULES
+    # numpy before 1.25 imports numpy.random inside import numpy; nothing after may.
+    assert "numpy.random" not in imported[imported.index("numpy") + 1:]
 
 
 def test_import_qpool_loads_no_submodule_and_not_numpy():

@@ -87,11 +87,6 @@ class TestNamespace:
         assert harness.FAMILIES is suites.FAMILIES
         assert {family for _observers, family in suites.SUITES.values()} <= set(suites.FAMILIES)
 
-    def test_the_suite_table_imports_nothing(self):
-        # The parser reads it on every command, pool included.
-        tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
-        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
-
 
 def _densities(n):
     return lambda rng, d: [random_density(d, d, rng) for _ in range(n)]
