@@ -57,6 +57,7 @@ for suite in two commuting three; do
   run "verify-$suite" verify --suite $suite --trials 5
 done
 run verify-pretty verify --suite all --trials 3 --dims 2..3 --seed 5 --pretty
+run verify-seed-3 verify --suite all --trials 20 --dims 2..4 --seed 3
 # The parser's help text, including --suite's choices, which the parser
 # reads from qpool.suites.
 run help --help

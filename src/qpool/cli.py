@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     except IncompatibleStatesError:
         print(INCOMPATIBLE_MESSAGE, file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except (QpoolError, OSError, json.JSONDecodeError) as exc:
+    except (QpoolError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

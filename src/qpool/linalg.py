@@ -254,8 +254,7 @@ def check_state(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     unit trace" is composed: check_positive, then check_unit_trace, whose
     message calls the trace "<what> trace".  validate_density and
     pooling._roots gate states by their own eigendecomposition instead,
-    since both need the spectrum, and density_to_bloch by the 2x2 closed
-    form of the smallest eigenvalue.
+    since both need the spectrum.
     """
     h = check_positive(m, tol, what)
     check_unit_trace(h, tol, f"{what} trace")
@@ -389,21 +388,12 @@ def bloch_to_density(v) -> np.ndarray:
 def density_to_bloch(rho) -> np.ndarray:
     """Bloch vector of a 2x2 density matrix, components Re Tr[rho sigma_i].
 
-    rho must pass the state gate at DEFAULT_TOL, in check_state's order and
-    wording: hermitian_part, positivity, then check_unit_trace.  Positivity
-    is the 2x2 closed form of the smallest eigenvalue, so accept and reject
-    can differ from eigvalsh only within rounding of -DEFAULT_TOL.
+    rho must pass check_state at DEFAULT_TOL.
     """
     r = as_complex_matrix(rho)
     if r.shape != (2, 2):
         raise QpoolError(f"expected a 2x2 matrix, got {r.shape}")
-    h = hermitian_part(r, DEFAULT_TOL, "state")
-    (h00, h01), (h10, h11) = h.tolist()
-    low = (h00.real + h11.real) / 2.0 - math.hypot((h00.real - h11.real) / 2.0, abs(h01))
-    if not low >= -DEFAULT_TOL:
-        # A one-entry spectrum, so the rejection has check_positive's wording.
-        _check_lowest(np.array([low]), DEFAULT_TOL, "state")
-    check_unit_trace(h, DEFAULT_TOL, "state trace")
+    (h00, h01), (h10, h11) = check_state(r, DEFAULT_TOL, "state").tolist()
     return np.array([h10.real + h01.real, h10.imag - h01.imag, h00.real - h11.real])
 
 

@@ -356,18 +356,6 @@ def test_console_script_end_to_end(tmp_path):
     assert float(proc.stdout) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # numpy loads numpy.random on first use (from 1.25); loading it when
-    # qpool is imported would add about 6 MB to every CLI process.
-    code = (
-        "import sys, numpy; lazy = 'numpy.random' not in sys.modules; "
-        "import qpool.cli; print(lazy and 'numpy.random' in sys.modules)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 # The qpool modules that pool and compat run; the other commands import
 # harness, measurement or qubit when they are called.
 POOL_PATH_MODULES = {
@@ -452,6 +440,29 @@ class TestWriteGate:
         assert cli.main(["random", "state", "--dim", "3", "--out", str(out)]) == 2
         assert "differs from 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["random", "state", "--dim", "100000", "--out", "s.json"], "random_density"),
+            (["verify", "--trials", "2"], "sweep"),
+        ],
+        ids=["random", "verify"],
+    )
+    def test_out_of_memory_exits_2_and_writes_nothing(
+        self, argv, target, tmp_path, capsys, monkeypatch
+    ):
+        # numpy's message for an allocation it cannot make; nothing is allocated here.
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(harness, target, no_memory)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Unable to allocate 74.5 GiB for an array\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_norm_flag_is_gone(self, state_files, tmp_path):
         with pytest.raises(SystemExit) as exc:

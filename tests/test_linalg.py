@@ -303,6 +303,9 @@ class TestBlochMaps:
     def test_poles_and_origin(self):
         assert np.array_equal(linalg.bloch_to_density([0.0, 0.0, 1.0]), Z0)
         assert np.array_equal(linalg.bloch_to_density([0.0, 0.0, 0.0]), np.eye(2) / 2)
+        # A pole with eigenvalue -5e-11, inside the state gate's -DEFAULT_TOL.
+        back = linalg.density_to_bloch(np.diag([1.0 + 5e-11, -5e-11]))
+        assert back.tolist() == [0.0, 0.0, 1.0 + 1e-10]
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)

@@ -310,6 +310,7 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
             measurement.validate_povm([np.eye(2)]), np.diag([1.5, -0.5])
         ),
         lambda: measurement.posterior_from_outcome(np.diag([1.5, -0.5])),
+        lambda: linalg.density_to_bloch(np.diag([1.5, -0.5])),
         # Before the Povm type gates these raised AttributeError or TypeError.
         lambda: measurement.outcome_probabilities([np.eye(2)], np.eye(2) / 2),
         lambda: measurement.sample_outcome([np.eye(2)], np.eye(2) / 2, np.random.default_rng(0)),
@@ -398,6 +399,7 @@ Z_POVMS = measurement.Povm(np.array([[Z0, Z0], [np.eye(2) - Z0] * 2], dtype=comp
         "bare_update negative state",
         "outcome_probabilities negative state",
         "posterior_from_outcome negative effect",
+        "density_to_bloch negative eigenvalue",
         "outcome_probabilities not a Povm",
         "sample_outcome not a Povm",
         "run_scenario povms None",

@@ -234,17 +234,6 @@ def _ref_bloch_to_density(v):
     return np.array([[1.0 + z, x - 1.0j * y], [x + 1.0j * y, 1.0 - z]], dtype=complex) / 2.0
 
 
-def _ref_density_to_bloch(rho):
-    r = linalg.as_complex_matrix(rho)
-    if r.shape != (2, 2):
-        raise QpoolError(f"expected a 2x2 matrix, got {r.shape}")
-    r = linalg.check_state(r, linalg.DEFAULT_TOL, "state")
-    x = float(r[1, 0].real + r[0, 1].real)
-    y = float(r[1, 0].imag - r[0, 1].imag)
-    z = float(r[0, 0].real - r[1, 1].real)
-    return np.array([x, y, z])
-
-
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -360,57 +349,3 @@ class TestFloatPathBits:
     def test_edges(self, a, b):
         _assert_layer_matches_reference(np.array(a, dtype=float), np.array(b, dtype=float))
         _assert_layer_matches_reference(a, b)
-
-
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-class TestDensityToBloch:
-    """density_to_bloch's qubit-sized positivity gate against check_state."""
-
-    @given(st.floats(0.0, 1.5), st.floats(0.0, 2 * math.pi), st.floats(-1.0, 1.0))
-    @settings(max_examples=400, deadline=None)
-    def test_states_and_near_states(self, length, phase, z):
-        # Bloch lengths up to 1.5 and traces near 1: valid states, negative
-        # eigenvalues and wrong traces, each gated in check_state's order.
-        v = np.array([math.cos(phase), math.sin(phase), z])
-        v *= length / np.linalg.norm(v)
-        rho = (np.eye(2) + np.tensordot(v, _PAULI, 1)) / 2.0
-        self._check(rho)
-        self._check(rho * (1.0 + 1e-9 * z))
-
-    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
-    @settings(max_examples=200, deadline=None)
-    def test_any_hermitian_entries(self, entries):
-        h00, h11, re, im = entries
-        self._check(np.array([[h00, complex(re, -im)], [complex(re, im), h11]]))
-
-    @pytest.mark.parametrize(
-        "rho",
-        [
-            np.diag([1.0, 0.0]),
-            np.eye(2) / 2,
-            np.diag([1.5, -0.5]),
-            np.diag([1.0 + 5e-11, -5e-11]),
-            np.diag([1.0 + 2e-10, -2e-10]),
-            np.diag([2.0, 0.0]),
-            np.array([[0.5, 0.5], [0.5, 0.5]]),
-            np.array([[0.5, 0.6], [0.6, 0.5]]),
-        ],
-    )
-    def test_examples(self, rho):
-        self._check(rho)
-
-    @staticmethod
-    def _check(rho):
-        low = float(np.linalg.eigvalsh(rho)[0])
-        got, ref = _outcome(linalg.density_to_bloch, rho), _outcome(_ref_density_to_bloch, rho)
-        if abs(low + linalg.DEFAULT_TOL) < 1e-14:
-            return  # within rounding of the gate, the two may decide apart
-        if isinstance(ref, tuple) and "negative eigenvalue" in ref[1]:
-            # The closed-form eigenvalue may round apart from eigvalsh's.
-            assert isinstance(got, tuple) and got[0] is ref[0]
-            assert got[1].split(" has")[0] == ref[1].split(" has")[0] == "state"
-            assert float(got[1].split()[4]) == pytest.approx(float(ref[1].split()[4]), rel=1e-3)
-            return
-        _assert_same_bits(got, ref)
