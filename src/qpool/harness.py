@@ -157,27 +157,27 @@ def trial_generators(seed: int, lanes) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words]
 
 
-def _outcome_effect(povm: measurement.Povm, k) -> np.ndarray:
-    """The effect of outcome k, an integer in [0, len(povm)).
+def _outcome_index(povm: measurement.Povm, k) -> tuple:
+    """(k, *lane indices): outcome k's index into povm.elements, k in [0, len(povm)).
 
-    For stacked POVMs k is an integer array with one index per lane.
+    For stacked POVMs k is an integer array with one index per lane, and
+    lane l takes elements[k[l], l]: a plain index, cheaper than take_along_axis.
     """
     idx = np.asarray(k)
     if idx.dtype.kind not in "iu" or ((idx < 0) | (idx >= len(povm))).any():
         raise QpoolError(f"outcome {k!r} is not an integer in [0, {len(povm)})")
     linalg.same_shape((povm.elements[0, ..., 0, 0], idx), ("POVM lanes", "outcome"))
-    # Lane l takes elements[idx[l], l]; a plain index, cheaper than take_along_axis.
-    return povm.elements[(idx, *np.indices(idx.shape, sparse=True))]
+    return (idx, *np.indices(idx.shape, sparse=True))
 
 
 def _walk(scenario: Scenario, outcome) -> tuple[tuple, np.ndarray]:
-    """Bare-update I/dim by each POVM's outcome in turn, outcome(povm, rho) naming it.
+    """Bare-update I/dim by each POVM's outcome in turn; return the outcomes and final state.
 
-    Returns the outcomes and the state the chain ends in.  The POVMs must
-    have the scenario's dim and one lane shape; with stacked POVMs the
-    chain runs once per lane.  Those shapes are checked once, and each
-    chosen effect passes hermitian_sqrt; the states are I/dim and what the
-    update step (measurement._update) made of it, so no state gate runs.
+    outcome(p) names each outcome from the step's distribution p
+    (measurement._probabilities); the update (measurement._update) divides
+    by its entry.  POVM dims and lane shapes must agree, checked once; each
+    outcome is checked before it indexes p, each effect by hermitian_sqrt.
+    The states are I/dim and what the update made of it: no state gate runs.
     """
     rho = linalg.maximally_mixed(scenario.dim)
     if scenario.povms:
@@ -187,9 +187,11 @@ def _walk(scenario: Scenario, outcome) -> tuple[tuple, np.ndarray]:
         linalg.same_shape(firsts, "POVM")
     outcomes = []
     for povm in scenario.povms:
-        k = outcome(povm, rho)
-        effect = _outcome_effect(povm, k)
-        rho = measurement._update(effect, linalg.hermitian_sqrt(effect), rho)
+        p = measurement._probabilities(povm, rho)
+        k = outcome(p)
+        i = _outcome_index(povm, k)
+        s = linalg.hermitian_sqrt(povm.elements[i])
+        rho = measurement._update(s, rho, p[(*i[1:], i[0])])
         outcomes.append(k)
     return tuple(outcomes), rho
 
@@ -198,18 +200,17 @@ def run_scenario(scenario: Scenario, rng=None) -> Scenario:
     """Sample one outcome per POVM along the updated state; return a copy.
 
     The state starts maximally mixed and is bare-updated after each
-    outcome; the copy carries the outcomes and the final state.  With rng
-    None a fresh stream is seeded from scenario.seed; the sweeps pass their
-    own stream instead so outcome draws stay independent of the POVM entries
-    drawn earlier from the same stream.  For stacked POVMs, rng is a
-    list or tuple with one generator per lane.
+    outcome, dividing by the probability it was drawn with; the copy
+    carries the outcomes and the final state.  With rng None a fresh
+    stream is seeded from scenario.seed; the sweeps pass their own stream
+    instead so outcome draws stay independent of the POVM entries drawn
+    earlier from the same stream.  For stacked POVMs, rng is a list or
+    tuple with one generator per lane.
     """
     if rng is None:
         rng = np.random.default_rng(linalg.check_int(scenario.seed, "seed", 0))
     rngs = linalg.generators(rng)[0]
-    outcomes, rho = _walk(
-        scenario, lambda povm, rho: measurement._draw(measurement._probabilities(povm, rho), rngs)
-    )
+    outcomes, rho = _walk(scenario, lambda p: measurement._draw(p, rngs))
     return replace(scenario, sampled_outcomes=outcomes, final_state=rho)
 
 
@@ -227,7 +228,7 @@ def oracle_pool(scenario: Scenario) -> np.ndarray:
     if len(scenario.sampled_outcomes) != len(scenario.povms):
         raise QpoolError("outcome count does not match POVM count")
     recorded = iter(scenario.sampled_outcomes)
-    return _walk(scenario, lambda povm, rho: next(recorded))[1]
+    return _walk(scenario, lambda p: next(recorded))[1]
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -416,7 +417,8 @@ def _trial(n: int, family: str, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]
         make_povm(dim, [int(r.integers(2, 5)) for r in rngs], rngs) for _ in range(n)
     )
     scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rngs)
-    effects = np.array([_outcome_effect(p, k) for p, k in zip(povms, scen.sampled_outcomes)])
+    records = zip(povms, scen.sampled_outcomes)
+    effects = np.array([p.elements[_outcome_index(p, k)] for p, k in records])
     # Already the (n, lanes, d, d) complex stack that pooling._matrices makes.
     posteriors = measurement.posterior_from_outcome(effects)
     roots = pooling._roots(posteriors)

@@ -80,11 +80,9 @@ def outcome_probabilities(povm: Povm, rho) -> np.ndarray:
     return _probabilities(povm, linalg.check_state(r, linalg.DEFAULT_TOL, "state"))
 
 
-def _update(e: np.ndarray, s: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sqrt(E) rho sqrt(E) / Tr[E rho], s being sqrt(E); only Tr[E rho] is gated (normalizer)."""
-    p = linalg.normalizer(
-        np.einsum("...ij,...ji->...", e, r).real, "outcome probability", ZeroProbabilityError
-    )
+def _update(s: np.ndarray, r: np.ndarray, p) -> np.ndarray:
+    """sqrt(E) rho sqrt(E) / p, s being sqrt(E) and p = Tr[E rho]; only p is gated (normalizer)."""
+    p = linalg.normalizer(p, "outcome probability", ZeroProbabilityError)
     return linalg.hermitianize(s @ r @ s) / linalg.per_matrix(p)
 
 
@@ -95,11 +93,12 @@ def bare_update(effect, rho) -> np.ndarray:
     beyond the information gain itself.  E is gated through hermitian_sqrt
     (finite, Hermitian, positive), then rho through the state gate
     (linalg.check_state), both at DEFAULT_TOL and before the outcome
-    probability is formed.
+    probability Tr[E rho] is formed; the update step (_update) gates it.
     """
     e, r = linalg.cast_inputs((effect, rho), linalg.as_complex_matrix, ("effect", "state"))
     s = linalg.hermitian_sqrt(e)
-    return _update(e, s, linalg.check_state(r, linalg.DEFAULT_TOL, "state"))
+    r = linalg.check_state(r, linalg.DEFAULT_TOL, "state")
+    return _update(s, r, np.einsum("...ij,...ji->...", e, r).real)
 
 
 def posterior_from_outcome(effect) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qpool import harness, linalg, measurement, pooling
-from qpool.errors import QpoolError
+from qpool.errors import QpoolError, ZeroProbabilityError
 
 Z0 = np.diag([1.0, 0.0]).astype(complex)
 Z1 = np.diag([0.0, 1.0]).astype(complex)
@@ -214,7 +214,8 @@ def test_the_chain_gates_no_state_it_made(monkeypatch):
     assert np.array_equal(oracle, scen.final_state)
     # Per step and walk, hermitian_sqrt runs once, on the chosen effect,
     # with its own Hermiticity gate; no other gate runs.
-    effects = [harness._outcome_effect(p, k) for p, k in zip(povms, scen.sampled_outcomes)]
+    records = zip(povms, scen.sampled_outcomes)
+    effects = [p.elements[harness._outcome_index(p, k)] for p, k in records]
     names = [name for name, _ in calls]
     assert names == ["hermitian_sqrt", "hermitian_part", "check_finite"] * 6
     rooted = [m for name, m in calls if name == "hermitian_sqrt"]
@@ -225,14 +226,14 @@ PLUS_MINUS = [np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])]
 
 
 @pytest.mark.parametrize(
-    "povms, first",
+    "povms, first, impossible",
     [
-        ([[np.diag([-5e-11, 0.0]), np.diag([1.0 + 5e-11, 1.0])]], 1),
-        ([PLUS_MINUS, [np.eye(2) / 2 + 9e-10 * np.ones((2, 2)), np.eye(2) / 2]], 0),
+        ([[np.diag([-5e-11, 0.0]), np.diag([1.0 + 5e-11, 1.0])]], 1, (0,)),
+        ([PLUS_MINUS, [np.eye(2) / 2 + 9e-10 * np.ones((2, 2)), np.eye(2) / 2]], 0, None),
     ],
     ids=["effect eigenvalue -5e-11", "completeness defect 9e-10"],
 )
-def test_the_chain_runs_povms_at_the_edge_of_their_gates(povms, first):
+def test_the_chain_runs_povms_at_the_edge_of_their_gates(povms, first, impossible):
     # Each POVM passes its own gate, so the chain must run it: from I/2 the
     # first gives p_0 = -2.5e-11, and after outcome + (seed 2) the second
     # gives probabilities summing to 1 + 1.8e-9.
@@ -241,6 +242,48 @@ def test_the_chain_runs_povms_at_the_edge_of_their_gates(povms, first):
     assert scen.sampled_outcomes[0] == first
     assert np.isfinite(scen.final_state).all()
     assert scen.final_state.tobytes() == harness.oracle_pool(scen).tobytes()
+    if impossible is not None:
+        # The replay divides by the distribution's entry, where p_0 is
+        # clipped to 0, so the message quotes 0 and not -2.5e-11.
+        with pytest.raises(
+            ZeroProbabilityError,
+            match=r"^outcome probability 0\.000e\+00 is numerically zero or negative$",
+        ):
+            harness.oracle_pool(replace(scen, sampled_outcomes=impossible))
+
+
+def test_each_update_divides_by_the_drawn_entry_of_its_steps_distribution(monkeypatch):
+    # The chain forms one distribution per step, on the run and on the
+    # replay, and the update step's normalizer is bitwise the entry of the
+    # outcome drawn from it (or read from the record).
+    laws, normalizers = [], []
+    probabilities, update = measurement._probabilities, measurement._update
+
+    def recorded_probabilities(povm, r):
+        laws.append(probabilities(povm, r))
+        return laws[-1]
+
+    def recorded_update(s, r, p):
+        normalizers.append(p)
+        return update(s, r, p)
+
+    monkeypatch.setattr(measurement, "_probabilities", recorded_probabilities)
+    monkeypatch.setattr(measurement, "_update", recorded_update)
+    single = tuple(harness.random_povm(3, 3, np.random.default_rng(90 + i)) for i in range(3))
+    draw = [np.random.default_rng(92 + i) for i in range(5)]
+    stacked = tuple(harness.random_povm(3, [2, 3, 4, 2, 3], draw) for _ in range(3))
+    lanes = [np.random.default_rng(97 + i) for i in range(5)]
+    for povms, rng in [(single, None), (stacked, lanes)]:
+        laws.clear()
+        normalizers.clear()
+        scen = harness.run_scenario(harness.Scenario(dim=3, povms=povms, seed=4), rng=rng)
+        assert harness.oracle_pool(scen).tobytes() == scen.final_state.tobytes()
+        assert len(laws) == len(normalizers) == 6
+        for p, k, t in zip(laws, scen.sampled_outcomes * 2, normalizers):
+            drawn = np.take_along_axis(p, np.asarray(k)[..., None], axis=-1)[..., 0]
+            assert np.shape(t) == drawn.shape and np.asarray(t).tobytes() == drawn.tobytes()
+        # The replay forms the run's distributions again, bit for bit.
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(laws[:3], laws[3:]))
 
 
 def test_a_public_update_or_probability_call_gates_its_state_once(monkeypatch):
@@ -473,7 +516,7 @@ def test_outcome_effect_gathers_what_take_along_axis_gathers(lanes):
     idx = np.random.default_rng(82).integers(0, 3, size=lanes)
     for k in (idx, idx.astype(np.uint8)):
         expected = np.take_along_axis(povm.elements, k[None, ..., None, None], axis=0)[0]
-        got = harness._outcome_effect(povm, k)
+        got = povm.elements[harness._outcome_index(povm, k)]
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -498,7 +541,7 @@ def test_outcome_effect_gathers_what_take_along_axis_gathers(lanes):
 def test_outcome_effect_gates_its_index(lanes, k):
     povm = _outcome_povm(lanes)
     with pytest.raises(QpoolError):
-        harness._outcome_effect(povm, k)
+        harness._outcome_index(povm, k)
 
 
 def _povm_rng():

@@ -82,9 +82,20 @@ def _report_with(change):
 
 
 def _effect_not_its_root():
-    """The update step of bare_update and of the chain, handed E^2 and its root E."""
+    """The update step of bare_update and of the chain, handed the effect E for its root."""
     original = measurement._update
-    return lambda e, s, r: original(e @ e, e, r)
+    return lambda s, r, p: original(s @ s, r, p)
+
+
+def _outcome_zero():
+    """measurement._draw, each lane's draw made and then replaced by outcome 0."""
+    original = measurement._draw
+    return lambda p, rngs: original(p, rngs) * 0
+
+
+def _probabilities_of_transposes(povm, r):
+    """measurement._probabilities with each effect E replaced by its transpose."""
+    return np.stack([np.einsum("...ji,...ji->...", e, r).real for e in povm.elements], axis=-1)
 
 
 # name -> (module, attribute, replacement factory, suites that kill it,
@@ -150,18 +161,42 @@ MUTANTS = {
     "bare_update conjugates by the effect, not its root": (
         measurement, "_update", _effect_not_its_root, set(SUITES), set()
     ),
+    "the chain samples from the uniform distribution": (
+        measurement,
+        "_probabilities",
+        lambda: lambda povm, r: np.full(r.shape[:-2] + (len(povm),), 1.0 / len(povm)),
+        set(SUITES),
+        set(),
+    ),
+    # The diagonal family's effects are real and diagonal, so E^T = E there.
+    "the chain samples Tr[E^T rho], not Tr[E rho]": (
+        measurement,
+        "_probabilities",
+        lambda: _probabilities_of_transposes,
+        {"two", "three"},
+        set(),
+    ),
+    "the chain always draws outcome 0": (
+        measurement, "_draw", _outcome_zero, set(), set()
+    ),
 }
 
 # Survivors, each with the ROADMAP item that adds the check to kill it:
 # 1 holds the symmetric rule to the mixture of all orderings, 7 checks
-# compatibility against the chain's outcome probability, and 8 sweeps
-# n >= 5 observers, where the symmetric rule's Liouville route runs at
-# d <= 3 (no suite pools more than three states).  The invariance laws
-# break the survivors of items 1 and 8, but no suite runs the laws yet.
+# compatibility against the chain's outcome probability, 8 sweeps n >= 5
+# observers, where the symmetric rule's Liouville route runs at d <= 3 (no
+# suite pools more than three states), and 21 checks the drawn outcomes'
+# frequencies against their law.  The invariance laws break the survivors
+# of items 1 and 8, but no suite runs the laws yet.  A sampler that draws
+# from a wrong law dies: each update divides by the drawn entry of the law,
+# so the chain's final state has a trace off 1.  One that draws outcome 0
+# from the right law divides by that outcome's true probability, so it
+# leaves a valid chain and survives.
 SURVIVORS = {
     "symmetric drops the last outermost observer, rescaled": 1,
     "compatibility divides by n! - 1": 7,
     "symmetric Liouville route builds K from r, not its transpose": 8,
+    "the chain always draws outcome 0": 21,
 }
 
 
@@ -204,16 +239,22 @@ def _five_states():
 
 
 def _results():
-    """Every number both rules and bare_update give on three fixed states, and
-    the symmetric rule's pooled state of _five_states."""
+    """Every number both rules and bare_update give on three fixed states, the
+    symmetric rule's pooled state of _five_states, and the outcome
+    probabilities, outcomes and final state of a fixed four-step chain."""
     rng = np.random.default_rng(3)
     states = [harness.random_density(3, 3, rng) for _ in range(3)]
-    effect = harness.random_povm(3, 2, rng).elements[0]
+    povm = harness.random_povm(3, 2, rng)
     reports = [pooling.pool_ordered_multi(states), pooling.pool_symmetric_multi(states)]
     fields = ("pooled", "compatibility", "paper_norm", "trace_norm", "norm_discrepancy")
+    chain = (povm, *(harness.random_povm(3, 3, rng) for _ in range(3)))
+    ran = harness.run_scenario(harness.Scenario(dim=3, povms=chain, seed=3))
     return [getattr(r, f) for r in reports for f in fields] + [
-        measurement.bare_update(effect, states[0]),
+        measurement.bare_update(povm.elements[0], states[0]),
         pooling.pool_symmetric_multi(_five_states()).pooled,
+        measurement.outcome_probabilities(chain[1], states[0]),
+        np.array(ran.sampled_outcomes),
+        ran.final_state,
     ]
 
 
@@ -244,7 +285,7 @@ def test_the_invariances_break_what_the_table_says(monkeypatch, name):
 
 def test_the_survivors_are_named_with_their_item():
     assert {name for name, m in MUTANTS.items() if not m[3]} == set(SURVIVORS)
-    assert set(SURVIVORS.values()) <= {1, 7, 8}
+    assert set(SURVIVORS.values()) <= {1, 7, 8, 21}
 
 
 def test_the_permutation_sum_rejects_the_liouville_mutant(monkeypatch):

@@ -5,6 +5,7 @@ import inspect
 import math
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from types import ModuleType
 
@@ -472,3 +473,43 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, banned)]
         assert not lines, f"{path.name} has assert, global or nonlocal statements at lines {lines}"
+
+
+def _type_checking_names(module) -> dict:
+    """The names a module binds under `if TYPE_CHECKING:`, which only a type checker runs."""
+    ns = {}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            code = compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec")
+            exec(code, {"__name__": module.__name__, "__package__": module.__package__}, ns)
+    return ns
+
+
+def test_every_annotation_resolves():
+    # Annotations are strings (from __future__ import annotations), so a
+    # name one uses is looked up only when something resolves it, as
+    # typing.get_type_hints, a type checker or a documentation tool does:
+    # in the module's namespace or among its TYPE_CHECKING imports.
+    unresolved = []
+    for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
+        name = "qpool" if path.stem == "__init__" else f"qpool.{path.stem}"
+        module = importlib.import_module(name)
+        ns = _type_checking_names(module)
+        defined = [
+            obj
+            for obj in vars(module).values()
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == name
+        ]
+        methods = [
+            getattr(member, "fget", member)
+            for cls in defined
+            if inspect.isclass(cls)
+            for member in vars(cls).values()
+            if inspect.isfunction(member) or isinstance(member, property)
+        ]
+        for obj in defined + methods:
+            try:
+                typing.get_type_hints(obj, localns=ns)
+            except NameError as exc:
+                unresolved.append(f"{name}.{obj.__qualname__}: {exc}")
+    assert unresolved == []
