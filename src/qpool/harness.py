@@ -190,8 +190,8 @@ def _walk(scenario: Scenario, outcome) -> tuple[tuple, np.ndarray]:
         p = measurement._probabilities(povm, rho)
         k = outcome(p)
         i = _outcome_index(povm, k)
-        s = linalg.hermitian_sqrt(povm.elements[i])
-        rho = measurement._update(s, rho, p[(*i[1:], i[0])])
+        # p puts the outcome axis last: lane l divides by p[l, k[l]].
+        rho = measurement._update(linalg.hermitian_sqrt(povm.elements[i]), rho, p[(*i[1:], i[0])])
         outcomes.append(k)
     return tuple(outcomes), rho
 

@@ -82,9 +82,9 @@ def _report_with(change):
 
 
 def _effect_not_its_root():
-    """The update step of bare_update and of the chain, handed the effect E for its root."""
+    """The update step of bare_update and of the chain, handed E^2 and its root E."""
     original = measurement._update
-    return lambda s, r, p: original(s @ s, r, p)
+    return lambda s, r, p: original(s @ s, r, np.einsum("...ij,...ji->...", s @ s @ s @ s, r).real)
 
 
 def _outcome_zero():

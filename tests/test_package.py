@@ -487,9 +487,11 @@ def _type_checking_names(module) -> dict:
 
 def test_every_annotation_resolves():
     # Annotations are strings (from __future__ import annotations), so a
-    # name one uses is looked up only when something resolves it, as
-    # typing.get_type_hints, a type checker or a documentation tool does:
-    # in the module's namespace or among its TYPE_CHECKING imports.
+    # name one uses is looked up only when something resolves it.  This
+    # resolves them as a static type checker does: in the module's
+    # namespace or among its TYPE_CHECKING imports.  A runtime
+    # typing.get_type_hints, or pydoc, sees only the namespace, where cli's
+    # `measurement` (imported inside the functions that run it) is unbound.
     unresolved = []
     for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
         name = "qpool" if path.stem == "__init__" else f"qpool.{path.stem}"
