@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The CLI commands whose files, stdout and exit codes the tests workflow
-# compares between two runs: against the base commit, under python -O, and
-# through the installed qpool script.  One list, so the three comparisons
-# cover the same commands.
+# The CLI commands the tests workflow checks, the reference seeds' sweeps
+# among them.  It runs them once on its head, and every command must exit
+# 0; the files, stdout and exit codes of that run are what the base commit,
+# python -O and the installed qpool script are compared against.
 #
 # Usage: bash .github/cli-commands.sh OUT_DIR QPOOL...
 #   QPOOL... is how to run the CLI, e.g. `python -O -m qpool.cli` or `qpool`;
@@ -58,6 +58,10 @@ for suite in two commuting three; do
 done
 run verify-pretty verify --suite all --trials 3 --dims 2..3 --seed 5 --pretty
 run verify-seed-3 verify --suite all --trials 20 --dims 2..4 --seed 3
+# The reference seeds: every suite at dims 2..5.  A failing trial exits 1.
+for s in 0 7 109 12345; do
+  run "verify-ref-$s" verify --suite all --trials 40 --dims 2..5 --seed "$s"
+done
 # The parser's help text, including --suite's choices, which the parser
 # reads from qpool.suites.
 run help --help

@@ -8,7 +8,6 @@ import functools
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,9 +15,6 @@ import numpy as np
 # (harness, measurement, qubit) on first call.
 from . import linalg, pooling, suites
 from .errors import IncompatibleStatesError, QpoolError
-
-if TYPE_CHECKING:
-    from . import measurement
 
 # Human-authored files carry fewer digits than internally generated ones.
 FILE_DENSITY_TOL = 1e-8
@@ -44,7 +40,8 @@ def matrix_file_text(m: np.ndarray) -> str:
     return _file_text({"dim": m.shape[0], "matrix": _pairs(m)})
 
 
-def povm_file_text(povm: measurement.Povm) -> str:
+def povm_file_text(povm) -> str:
+    """The file text of a measurement.Povm."""
     return _file_text({"dim": povm.dim, "elements": [_pairs(e) for e in povm.elements]})
 
 
@@ -85,7 +82,8 @@ def parse_matrix_payload(obj) -> np.ndarray:
     return _rows_to_matrix(obj["matrix"], dim, "matrix")
 
 
-def parse_povm_payload(obj) -> measurement.Povm:
+def parse_povm_payload(obj):
+    """The measurement.Povm a parsed POVM file holds, validated."""
     from . import measurement
 
     dim = _payload_dim(obj, "elements", "POVM")
@@ -232,7 +230,9 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="qpool",
         description="Pool independent observers' quantum states of knowledge.",
@@ -277,14 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     # cmd_<name> is looked up per call, so a wrapper set on it after the
     # parser was built still sees the call.
     command = globals()[f"cmd_{args.command}"]

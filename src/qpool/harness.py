@@ -70,7 +70,7 @@ class VerificationReport:
 
     failures holds (trial_seed, distance) pairs for trials beyond
     tolerance; resamples counts chains redrawn after a numerically
-    impossible outcome.
+    impossible outcome or a zero overlap of the posteriors.
     """
 
     trials: int
@@ -158,16 +158,16 @@ def trial_generators(seed: int, lanes) -> list[np.random.Generator]:
 
 
 def _outcome_index(povm: measurement.Povm, k) -> tuple:
-    """(k, *lane indices): outcome k's index into povm.elements, k in [0, len(povm)).
+    """(k, lanes): outcome k, checked to lie in [0, len(povm)), and its lane indices.
 
-    For stacked POVMs k is an integer array with one index per lane, and
-    lane l takes elements[k[l], l]: a plain index, cheaper than take_along_axis.
+    For stacked POVMs k holds one index per lane, and elements[(k, *lanes)]
+    takes elements[k[l], l] in lane l: a plain index, cheaper than take_along_axis.
     """
     idx = np.asarray(k)
     if idx.dtype.kind not in "iu" or ((idx < 0) | (idx >= len(povm))).any():
         raise QpoolError(f"outcome {k!r} is not an integer in [0, {len(povm)})")
     linalg.same_shape((povm.elements[0, ..., 0, 0], idx), ("POVM lanes", "outcome"))
-    return (idx, *np.indices(idx.shape, sparse=True))
+    return idx, np.indices(idx.shape, sparse=True)
 
 
 def _walk(scenario: Scenario, outcome) -> tuple[tuple, np.ndarray]:
@@ -188,11 +188,10 @@ def _walk(scenario: Scenario, outcome) -> tuple[tuple, np.ndarray]:
     outcomes = []
     for povm in scenario.povms:
         p = measurement._probabilities(povm, rho)
-        k = outcome(p)
-        i = _outcome_index(povm, k)
-        # p puts the outcome axis last: lane l divides by p[l, k[l]].
-        rho = measurement._update(linalg.hermitian_sqrt(povm.elements[i]), rho, p[(*i[1:], i[0])])
-        outcomes.append(k)
+        outcomes.append(outcome(p))
+        k, lanes = _outcome_index(povm, outcomes[-1])
+        effect = povm.elements[(k, *lanes)]
+        rho = measurement._update(linalg.hermitian_sqrt(effect), rho, p[(*lanes, k)])
     return tuple(outcomes), rho
 
 
@@ -207,6 +206,8 @@ def run_scenario(scenario: Scenario, rng=None) -> Scenario:
     earlier from the same stream.  For stacked POVMs, rng is a list or
     tuple with one generator per lane.
     """
+    if not isinstance(scenario, Scenario):
+        raise QpoolError(f"scenario must be a Scenario, got {type(scenario).__name__}")
     if rng is None:
         rng = np.random.default_rng(linalg.check_int(scenario.seed, "seed", 0))
     rngs = linalg.generators(rng)[0]
@@ -221,6 +222,8 @@ def oracle_pool(scenario: Scenario) -> np.ndarray:
     This is the ground truth the pooling rules are checked against, for a
     record held outside a run (run_scenario carries it as final_state).
     """
+    if not isinstance(scenario, Scenario):
+        raise QpoolError(f"scenario must be a Scenario, got {type(scenario).__name__}")
     if scenario.sampled_outcomes is None:
         raise QpoolError("scenario has no sampled outcomes; run it first")
     if not isinstance(scenario.sampled_outcomes, (list, tuple)):
@@ -417,8 +420,8 @@ def _trial(n: int, family: str, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]
         make_povm(dim, [int(r.integers(2, 5)) for r in rngs], rngs) for _ in range(n)
     )
     scen = run_scenario(Scenario(dim=dim, povms=povms, seed=0), rng=rngs)
-    records = zip(povms, scen.sampled_outcomes)
-    effects = np.array([p.elements[_outcome_index(p, k)] for p, k in records])
+    records = zip(povms, map(_outcome_index, povms, scen.sampled_outcomes))
+    effects = np.array([p.elements[(k, *lanes)] for p, (k, lanes) in records])
     # Already the (n, lanes, d, d) complex stack that pooling._matrices makes.
     posteriors = measurement.posterior_from_outcome(effects)
     roots = pooling._roots(posteriors)

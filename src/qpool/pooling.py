@@ -52,8 +52,9 @@ class PoolReport:
         rule sums them).  It is at most the product of the states' traces,
         so it exceeds 1 only by rounding and by their 1e-10 trace slack.
     paper_norm : float
-        The closed-form denominator n! Re Tr[rho_1 ... rho_n] (just
-        Tr[rho_A rho_B] for the ordered two-observer rule).
+        orderings * Re Tr[rho_1 ... rho_n]: with the symmetric rule's n!
+        orderings its closed-form denominator; with the ordered rule's one,
+        Tr[rho_A rho_B] at n = 2 and no closed form of its trace at n >= 3.
     trace_norm : float
         The numerator's own trace, which always renormalizes exactly.
     norm_discrepancy : float

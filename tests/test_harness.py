@@ -214,8 +214,8 @@ def test_the_chain_gates_no_state_it_made(monkeypatch):
     assert np.array_equal(oracle, scen.final_state)
     # Per step and walk, hermitian_sqrt runs once, on the chosen effect,
     # with its own Hermiticity gate; no other gate runs.
-    records = zip(povms, scen.sampled_outcomes)
-    effects = [p.elements[harness._outcome_index(p, k)] for p, k in records]
+    records = zip(povms, map(harness._outcome_index, povms, scen.sampled_outcomes))
+    effects = [p.elements[(k, *lanes)] for p, (k, lanes) in records]
     names = [name for name, _ in calls]
     assert names == ["hermitian_sqrt", "hermitian_part", "check_finite"] * 6
     rooted = [m for name, m in calls if name == "hermitian_sqrt"]
@@ -516,7 +516,8 @@ def test_outcome_effect_gathers_what_take_along_axis_gathers(lanes):
     idx = np.random.default_rng(82).integers(0, 3, size=lanes)
     for k in (idx, idx.astype(np.uint8)):
         expected = np.take_along_axis(povm.elements, k[None, ..., None, None], axis=0)[0]
-        got = povm.elements[harness._outcome_index(povm, k)]
+        index, lane_indices = harness._outcome_index(povm, k)
+        got = povm.elements[(index, *lane_indices)]
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -552,8 +553,8 @@ def _povm_rng():
 # at least its minimum), the real-number rule for tol (a Python or numpy
 # real, not a bool), the generator rule (one Generator, or a list or tuple
 # with one entry per lane), or passes dims that are not a non-empty list,
-# tuple or range, or outcome counts that are not one integer or a flat list
-# of them.
+# tuple or range, outcome counts that are not one integer or a flat list
+# of them, or a scenario that is not a Scenario.
 TYPED_REJECTIONS = {
     "fractional outcome count": lambda: harness.random_povm(2, 2.7, _povm_rng()),
     "fractional dim range": lambda: harness.verify_two_observer(1, (2.7, 3.9), 1e-10, 0),
@@ -573,6 +574,8 @@ TYPED_REJECTIONS = {
     ),
     "povm rng None": lambda: harness.random_povm(2, 3, None),
     "povm rng int": lambda: harness.random_povm(2, 3, 5),
+    "run_scenario int": lambda: harness.run_scenario(5),
+    "oracle_pool int": lambda: harness.oracle_pool(5),
     "scenario rng int": lambda: harness.run_scenario(
         harness.Scenario(dim=2, povms=(_projective_z(),), seed=0), rng=5
     ),
@@ -608,7 +611,7 @@ def test_integer_and_generator_rules_raise_qpool_error(name):
     with pytest.raises(
         QpoolError,
         match=r"must be an integer|must be >=|must be <=|must be a real|rng must be"
-        r"|dims must be|at least one dim|family must be",
+        r"|dims must be|at least one dim|family must be|must be a Scenario",
     ):
         TYPED_REJECTIONS[name]()
 

@@ -475,28 +475,16 @@ def test_no_assert_statements():
         assert not lines, f"{path.name} has assert, global or nonlocal statements at lines {lines}"
 
 
-def _type_checking_names(module) -> dict:
-    """The names a module binds under `if TYPE_CHECKING:`, which only a type checker runs."""
-    ns = {}
-    for node in ast.parse(inspect.getsource(module)).body:
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-            code = compile(ast.Module(node.body, type_ignores=[]), module.__file__, "exec")
-            exec(code, {"__name__": module.__name__, "__package__": module.__package__}, ns)
-    return ns
-
-
 def test_every_annotation_resolves():
     # Annotations are strings (from __future__ import annotations), so a
     # name one uses is looked up only when something resolves it.  This
-    # resolves them as a static type checker does: in the module's
-    # namespace or among its TYPE_CHECKING imports.  A runtime
-    # typing.get_type_hints, or pydoc, sees only the namespace, where cli's
-    # `measurement` (imported inside the functions that run it) is unbound.
+    # resolves them in the module's own namespace, as a runtime
+    # typing.get_type_hints or pydoc does; a module imported only inside
+    # the functions that run it (cli's `measurement`) is unbound there.
     unresolved = []
     for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
         name = "qpool" if path.stem == "__init__" else f"qpool.{path.stem}"
         module = importlib.import_module(name)
-        ns = _type_checking_names(module)
         defined = [
             obj
             for obj in vars(module).values()
@@ -511,7 +499,7 @@ def test_every_annotation_resolves():
         ]
         for obj in defined + methods:
             try:
-                typing.get_type_hints(obj, localns=ns)
+                typing.get_type_hints(obj)
             except NameError as exc:
                 unresolved.append(f"{name}.{obj.__qualname__}: {exc}")
     assert unresolved == []
