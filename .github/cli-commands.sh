@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The CLI commands the tests workflow checks, the reference seeds' sweeps
-# among them.  It runs them once on its head, and every command must exit
-# 0; the files, stdout and exit codes of that run are what the base commit,
-# python -O and the installed qpool script are compared against.
+# among them.  It runs them once on its head, and every command but
+# verify-fails must exit 0, verify-fails 1; the files, stdout and exit codes
+# of that run are what the base commit, python -O and the installed qpool
+# script are compared against.
 #
 # Usage: bash .github/cli-commands.sh OUT_DIR QPOOL...
 #   QPOOL... is how to run the CLI, e.g. `python -O -m qpool.cli` or `qpool`;
@@ -62,6 +63,11 @@ run verify-seed-3 verify --suite all --trials 20 --dims 2..4 --seed 3
 for s in 0 7 109 12345; do
   run "verify-ref-$s" verify --suite all --trials 40 --dims 2..5 --seed "$s"
 done
+# A tolerance below rounding fails every trial, so the failure report's
+# bytes are compared too; it exits 1.  At seed 0 the norm discrepancy of
+# one "two" trial and two "commuting" trials exceeds both rules' distances
+# and sets theirs (at seed 5 it sets none).
+run verify-fails verify --suite all --trials 3 --dims 2..3 --seed 0 --tol 1e-18
 # The parser's help text, including --suite's choices, which the parser
 # reads from qpool.suites.
 run help --help

@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -230,10 +231,17 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse 3.11+ drops an OSError from writing help; here it reaches
+        # main, as one from any other write does.
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpool",
         description="Pool independent observers' quantum states of knowledge.",
     )
@@ -278,16 +286,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # cmd_<name> is looked up per call, so a wrapper set on it after the
-    # parser was built still sees the call.
-    command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        try:
+            args = build_parser().parse_args(argv)
+            # cmd_<name> is looked up per call, so a wrapper set on it after
+            # the parser was built still sees the call.
+            return globals()[f"cmd_{args.command}"](args)
+        finally:
+            # Help and reports are written here, not at interpreter exit, so
+            # a closed stdout fails like any other write.
+            sys.stdout.flush()
     except IncompatibleStatesError:
         print(INCOMPATIBLE_MESSAGE, file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except (QpoolError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone; what stdout still holds goes to devnull,
+            # or the interpreter's flush at exit fails a second time.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

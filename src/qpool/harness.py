@@ -305,21 +305,21 @@ def _random_diagonal_povm(dim: int, counts: list[int], rngs: list) -> measuremen
     return measurement.validate_povm((w[..., None] * np.eye(dim)).astype(complex))
 
 
-def _trial_alone(n: int, family: str, dim: int, tseed: int) -> tuple[float, float, int]:
+def _trial_alone(n: int, family: str, dim: int, tseed: int) -> tuple[list[float], int]:
     """One trial as a stack of one, redrawn from its stream after a zero
     probability or zero overlap at most MAX_CHAIN_RESAMPLES times.
 
-    Returns (oracle_distance, norm_discrepancy, resamples); a trial that never
-    completes has an infinite distance and no discrepancy.
+    Returns its residual per check of _CHECKS, in their order, and its
+    resamples; a trial that never completes reads each check's last entry.
     """
     rng = np.random.default_rng(tseed)
     for redraw in range(MAX_CHAIN_RESAMPLES):
         try:
-            d, disc = _trial(n, family, dim, [rng])
+            residuals = _trial(n, family, dim, [rng])
         except (ZeroProbabilityError, IncompatibleStatesError):
             continue
-        return float(d[0]), float(np.ravel(disc)[0]), redraw
-    return math.inf, 0.0, MAX_CHAIN_RESAMPLES
+        return residuals[:, 0].tolist(), redraw
+    return [never for _, never in _CHECKS.values()], MAX_CHAIN_RESAMPLES
 
 
 def sweep(
@@ -336,9 +336,9 @@ def sweep(
     the sweep's trials in one pass.  The trials at one dim run as one stack
     (_trial); if it raises QpoolError, each of its trials runs alone
     (_trial_alone), from a fresh default_rng(trial_seed(seed', i)), as a
-    failing seed is replayed.  Each failure carries that seed.  With two
-    observers or the diagonal family, a norm_discrepancy above tol fails
-    its trial.
+    failing seed is replayed.  Each failure carries that seed.  A trial's
+    distance is the largest share that the rules of _CHECKS give its
+    residuals; above tol it fails.
     """
     n = linalg.check_int(observers, "observers", 2)
     if n > pooling.MAX_SYMMETRIC_STATES:
@@ -354,22 +354,21 @@ def sweep(
     if not dims:
         raise QpoolError("a sweep needs at least one dim")
     total = trials * len(dims)
-    dist = np.full(total, math.inf)
-    disc = np.zeros(total)
+    residuals = np.empty((len(_CHECKS), total))
     resamples = 0
     gens = trial_generators(seed, range(total))
     for j, dim in enumerate(dims):
         lanes = range(j, total, len(dims))
         try:
-            dist[lanes], disc[lanes] = _trial(n, family, dim, gens[j :: len(dims)])
+            residuals[:, lanes] = _trial(n, family, dim, gens[j :: len(dims)])
         except QpoolError:
             for i in lanes:
-                dist[i], disc[i], redraws = _trial_alone(n, family, dim, trial_seed(seed, i))
+                residuals[:, i], redraws = _trial_alone(n, family, dim, trial_seed(seed, i))
                 resamples += redraws
-    if n == 2 or family == "diagonal":
-        # trace_norm = paper_norm exactly here, so a discrepancy above tol fails.
-        dist = np.where(disc <= tol, dist, np.maximum(dist, disc))
-    dist, disc = dist.tolist(), disc.tolist()
+    checks = dict(zip(_CHECKS, residuals))
+    # A trial's distance is the largest share of its checks; np.max keeps a NaN.
+    shares = [share(checks[name], tol, n, family) for name, (share, _) in _CHECKS.items()]
+    dist, disc = np.max(shares, axis=0).tolist(), checks["norm"].tolist()
     return VerificationReport(
         trials=total,
         max_oracle_distance=max(dist),
@@ -403,16 +402,34 @@ def _is_density(rho) -> bool:
     return True
 
 
-def _trial(n: int, family: str, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """n observers measure one chain per generator, and both rules are checked.
+# The sweep's checks, in the order of _trial's rows.  Each pairs the rule
+# that turns a per-lane residual r into its share of the trial's distance (a
+# distance above tol fails the trial) with the residual of a trial that
+# never completes.
+_CHECKS = {
+    # The ordered rule's distance from the chain's final state.
+    "ordered": (lambda r, tol, n, family: r, math.inf),
+    # The symmetric rule's distance from the classical product of the
+    # posteriors' diagonals in the diagonal family; in the random family 0,
+    # or inf where it is not a density matrix.
+    "symmetric": (lambda r, tol, n, family: r, math.inf),
+    # The symmetric rule's norm_discrepancy.  With two observers or the
+    # diagonal family trace_norm = paper_norm exactly, so there one above tol
+    # joins the distance; elsewhere it is not zero and only reported.
+    "norm": (
+        lambda r, tol, n, family: np.where((n == 2 or family == "diagonal") & ~(r <= tol), r, 0.0),
+        0.0,
+    ),
+}
+
+
+def _trial(n: int, family: str, dim: int, rngs) -> np.ndarray:
+    """n observers measure one chain per generator; return each check's residuals.
 
     Draws n POVMs of the family with 2 to 4 outcomes per lane and runs them
     from each lane's generator (run_scenario).  The posteriors are rooted
-    once (pooling._roots), and both rules' bodies take those roots: the
-    ordered rule is held to the chain's final state, the symmetric rule to
-    the classical product of the posteriors' diagonals in the diagonal
-    family, else to being a density matrix (inf if not).  Returns per lane
-    the larger distance, and the symmetric norm_discrepancy.
+    once (pooling._roots), and both rules' bodies take those roots.  Returns
+    one row per check of _CHECKS, in its order, with one residual per lane.
     """
     diagonal = family == "diagonal"
     make_povm = _random_diagonal_povm if diagonal else random_povm
@@ -425,14 +442,17 @@ def _trial(n: int, family: str, dim: int, rngs) -> tuple[np.ndarray, np.ndarray]
     # Already the (n, lanes, d, d) complex stack that pooling._matrices makes.
     posteriors = measurement.posterior_from_outcome(effects)
     roots = pooling._roots(posteriors)
-    d = _distance(pooling._ordered(posteriors, roots).pooled, scen.final_state)
+    ordered = _distance(pooling._ordered(posteriors, roots).pooled, scen.final_state)
     symmetric = pooling._symmetric(posteriors, roots)
     if diagonal:
         classical = pooling.classical_pool(*np.diagonal(posteriors, axis1=-2, axis2=-1).real)
-        d = np.maximum(d, _distance(symmetric.pooled, classical[..., None] * np.eye(dim)))
-    elif not _is_density(symmetric.pooled):
-        d[[not _is_density(rho) for rho in symmetric.pooled]] = math.inf
-    return d, symmetric.norm_discrepancy
+        gap = _distance(symmetric.pooled, classical[..., None] * np.eye(dim))
+    elif _is_density(symmetric.pooled):
+        gap = np.zeros(len(rngs))
+    else:
+        gap = np.array([0.0 if _is_density(rho) else math.inf for rho in symmetric.pooled])
+    residuals = {"ordered": ordered, "symmetric": gap, "norm": symmetric.norm_discrepancy}
+    return np.array([residuals[name] for name in _CHECKS])
 
 
 def verify_two_observer(trials: int, dims, tol: float, seed: int) -> VerificationReport:

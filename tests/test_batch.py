@@ -505,6 +505,53 @@ def test_an_invalid_symmetric_lane_fails_only_its_own_trial(monkeypatch):
     assert report.resamples == 0
 
 
+def _spoiling_check(monkeypatch, check, stacked, lane=2):
+    """Make harness._trial report 1.0 as `check`'s residual of trial `lane`.
+
+    With stacked False every stack of more than one lane raises, so each
+    trial runs alone (harness._trial_alone) and run k is trial k.  Returns
+    the list of runs.
+    """
+    real = harness._trial
+    row = list(harness._CHECKS).index(check)
+    runs = []
+
+    def spoiled(n, family, dim, rngs):
+        if not stacked and len(rngs) > 1:
+            raise QpoolError("each trial runs alone")
+        residuals = real(n, family, dim, rngs)
+        runs.append(residuals)
+        if stacked:
+            residuals[row, lane] = 1.0
+        elif len(runs) == lane + 1:
+            residuals[row, 0] = 1.0
+        return residuals
+
+    monkeypatch.setattr(harness, "_trial", spoiled)
+    return runs
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stack", "alone"])
+@pytest.mark.parametrize("check", list(harness._CHECKS))
+def test_each_check_fails_only_its_own_lane(monkeypatch, check, stacked):
+    # Two observers: every check's residual above tol fails its trial.
+    runs = _spoiling_check(monkeypatch, check, stacked)
+    report = harness.verify_two_observer(5, [3], 1e-10, 21)
+    assert len(runs) == (1 if stacked else 5)
+    assert report.failures == [(harness.trial_seed(21, 2), 1.0)]
+    assert report.resamples == 0
+    assert (report.max_norm_discrepancy == 1.0) == (check == "norm")
+
+
+@pytest.mark.parametrize("stacked", [True, False], ids=["stack", "alone"])
+def test_a_random_three_observer_norm_discrepancy_is_only_reported(monkeypatch, stacked):
+    _spoiling_check(monkeypatch, "norm", stacked)
+    report = harness.verify_three_observer(6, [3], 1e-10, 13)
+    assert not report.failures
+    assert report.max_norm_discrepancy == 1.0
+    assert report.max_oracle_distance < 1e-10
+
+
 def test_a_trial_that_never_completes_redraws_then_fails(monkeypatch):
     def incompatible(arrs, roots):
         raise IncompatibleStatesError("never compatible")

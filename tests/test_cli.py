@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -399,6 +400,36 @@ def test_a_pool_or_compat_child_imports_only_the_modules_it_runs(
     assert {m for m in imported if m.split(".")[0] == "qpool"} | {"qpool.cli"} == POOL_PATH_MODULES
     # numpy before 1.25 imports numpy.random inside import numpy; nothing after may.
     assert "numpy.random" not in imported[imported.index("numpy") + 1:]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["pool", "compat", "bloch", "verify", "verify --help"])
+def test_a_closed_stdout_exits_2_with_one_error_line(command, unbuffered, state_files, tmp_path):
+    argv = {
+        "pool": [
+            "pool", "--mode", "symmetric", "--in", state_files["z0"], state_files["plus"],
+            "--out", str(tmp_path / "out.json"),
+        ],
+        "compat": ["compat", state_files["z0"], state_files["plus"]],
+        "bloch": ["bloch", "--a", "0,0.6,0.8", "--b", "1,0,0"],
+        "verify": ["verify", "--trials", "2", "--dims", "2..2"],
+        "verify --help": ["verify", "--help"],
+    }[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # The reader is gone before the child writes.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpool.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
 
 
 def test_import_qpool_loads_no_submodule_and_not_numpy():

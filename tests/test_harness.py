@@ -442,12 +442,25 @@ def test_a_failure_seed_replays_its_trial_alone(monkeypatch, n, sweep):
         return sq / linalg.per_matrix(linalg.trace(sq))
 
     _spoil(monkeypatch, "_ordered", squared)
+    stacks = []
+    stacked = harness._trial
+
+    def recording(*args):
+        stacks.append(stacked(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(harness, "_trial", recording)
     dims = (2, 3)
     report = sweep(4, dims, 1e-10, 5)
-    assert len(report.failures) == 8
+    assert len(report.failures) == 8 and len(stacks) == 2
+    # Trial i is lane i // 2 of the stack at dims[i % 2].
+    lanes = [stacks[i % 2][:, i // 2].tolist() for i in range(8)]
     for i, (seed, d) in enumerate(report.failures):
-        replay, _, _ = harness._trial_alone(n, "random", dims[i % 2], seed)
-        assert replay == pytest.approx(d, rel=1e-9)
+        replay, redraws = harness._trial_alone(n, "random", dims[i % 2], seed)
+        assert replay == pytest.approx(lanes[i], rel=1e-9, abs=1e-15)
+        assert redraws == 0
+        # The ordered check fails the trial; the symmetric one passes.
+        assert replay[:2] == pytest.approx([d, 0.0], rel=1e-9)
         assert d > 1e-6
 
 
@@ -487,7 +500,7 @@ def test_sweep_seeds_each_suite_once_with_each_dims_own_streams(dims, n, monkeyp
 
     def record(n, family, dim, rngs):
         stacks.append((dim, [r.bit_generator.state for r in rngs]))
-        return np.zeros(len(rngs)), np.zeros(len(rngs))
+        return np.zeros((len(harness._CHECKS), len(rngs)))
 
     monkeypatch.setattr(harness, "trial_generators", counted)
     monkeypatch.setattr(harness, "_trial", record)
