@@ -284,10 +284,10 @@ def random_povm(dim: int, n_outcomes, rng) -> measurement.Povm:
     g = np.empty(parts.shape[1:], dtype=complex)
     g.real, g.imag = parts
     g = g.reshape(len(rngs), dim, k * dim)
-    w, v = np.linalg.eigh(g @ linalg.dagger(g))
+    w, v = linalg._eigh(g @ linalg.dagger(g), "POVM sum S")
     low = w[0, 0] if single else w[:, 0]
     linalg.require(low >= SINGULAR_SUM_TOL, "POVM sum S is near-singular: eigenvalue {:.3e}", low)
-    h = (v * (1.0 / np.sqrt(w))[:, None, :]) @ linalg.dagger(v) @ g
+    h = linalg._spectral(1.0 / np.sqrt(w), v) @ g
     # H's blocks as a (k, lanes, dim, dim) stack, so H_k H_k^dag is E_k.
     hk = h.reshape(-1, dim, k, dim).transpose(2, 0, 1, 3)
     elements = hk @ linalg.dagger(hk)

@@ -224,6 +224,30 @@ def check_unit_trace(m: np.ndarray, tol: float, what: str):
     return tr
 
 
+# The only eigendecompositions in qpool.  Each looks its numpy routine up per
+# call, so a wrapper set on np.linalg sees every call, and raises QpoolError
+# naming the matrix where LAPACK does not converge.
+def _eigh(h: np.ndarray, what: str):
+    """np.linalg.eigh(h): ascending eigenvalues and eigenvectors per matrix."""
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise QpoolError(f"eigendecomposition of {what} failed: {exc}") from None
+
+
+def _eigvalsh(h: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.eigvalsh(h): ascending eigenvalues per matrix."""
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:
+        raise QpoolError(f"eigendecomposition of {what} failed: {exc}") from None
+
+
+def _spectral(fw: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """V diag(f(w)) V^dag per matrix, from _eigh's eigenvectors v and f(w)."""
+    return (v * fw[..., None, :]) @ dagger(v)
+
+
 def _check_lowest(w: np.ndarray, tol: float, what: str) -> None:
     """The eigenvalue gate: each matrix's smallest eigenvalue (eigh/eigvalsh output) >= -tol."""
     low = lowest(w)
@@ -243,7 +267,7 @@ def check_positive(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     try:
         np.linalg.cholesky(h + (tol / 2) * np.eye(h.shape[-1]))
     except np.linalg.LinAlgError:
-        _check_lowest(np.linalg.eigvalsh(h), tol, what)
+        _check_lowest(_eigvalsh(h, what), tol, what)
     return h
 
 
@@ -275,15 +299,15 @@ def validate_density(m, tol: float = DEFAULT_TOL) -> np.ndarray:
     # The state rule without check_state: the clip needs the eigenvalues, so
     # this gate takes eigvalsh where check_positive would try a Cholesky accept.
     h = hermitian_part(as_complex_matrix(m), tol, "matrix")
-    w = np.linalg.eigvalsh(h)
+    w = _eigvalsh(h, "matrix")
     _check_lowest(w, tol, "matrix")
     tr = check_unit_trace(h, tol, "trace")
     clip = lowest(w) < 0.0
     if clip.any():
         # Clip rounding-level negatives and rebuild those matrices.
-        w_full, v = np.linalg.eigh(h[clip])
+        w_full, v = _eigh(h[clip], "matrix")
         w_full[w_full < 0.0] = 0.0
-        h[clip] = hermitianize((v * w_full[..., None, :]) @ dagger(v))
+        h[clip] = hermitianize(_spectral(w_full, v))
         tr = trace(h)
     return h / per_matrix(tr)
 
@@ -296,10 +320,10 @@ def hermitian_sqrt(m) -> np.ndarray:
     would otherwise be amplified to ~1e-8 in the result.
     """
     h = hermitian_part(as_complex_matrix(m), DEFAULT_TOL, "matrix")
-    w, v = np.linalg.eigh(h)
+    w, v = _eigh(h, "matrix")
     _check_lowest(w, DEFAULT_TOL, "matrix")
     w[w < EIGENVALUE_FLOOR] = 0.0
-    return hermitianize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return hermitianize(_spectral(np.sqrt(w), v))
 
 
 def same_shape(arrays, names) -> None:

@@ -342,6 +342,21 @@ class TestVerifySweeps:
         assert len(report.failures) == 10
         assert all(d == np.inf for _, d in report.failures)
 
+    def test_wrongly_shaped_pooled_state_is_a_failure(self, monkeypatch):
+        # One row and one column short: _distance reads inf in every lane
+        # instead of ending the sweep.
+        def short_pool(arrs, roots):
+            return pooling.PoolReport(
+                pooled=arrs[0][..., 1:, 1:],
+                compatibility=1.0, paper_norm=1.0, trace_norm=1.0, norm_discrepancy=0.0,
+            )
+
+        monkeypatch.setattr(pooling, "_ordered", short_pool)
+        report = harness.verify_two_observer(5, range(2, 4), 1e-10, 0)
+        assert report.max_oracle_distance == np.inf
+        assert len(report.failures) == 10
+        assert all(d == np.inf for _, d in report.failures)
+
     def test_impossible_tolerance_reports_failures(self):
         report = harness.verify_two_observer(5, range(2, 3), 1e-18, 7)
         assert report.failures

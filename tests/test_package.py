@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpool
-from qpool import errors, harness, linalg, measurement, pooling, qubit, suites
+from qpool import cli, errors, harness, linalg, measurement, pooling, qubit, suites
 from qpool.errors import QpoolError
 from qpool.harness import random_density, random_povm
 
@@ -462,6 +462,87 @@ def test_bare_update_gates_the_effect_before_the_outcome_probability():
     with pytest.raises(QpoolError, match="not Hermitian") as info:
         measurement.bare_update(skew_effect, Z0)
     assert not isinstance(info.value, errors.ZeroProbabilityError)
+
+
+class TestLapackFailure:
+    """An eigendecomposition that does not converge raises QpoolError, and the CLI exits 2."""
+
+    @pytest.fixture(autouse=True)
+    def _unconverged(self, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: linalg.hermitian_sqrt(Z0),
+            lambda: linalg.validate_density(Z0),
+            # Its lowest eigenvalue is in [-tol, -tol / 2): the Cholesky accept
+            # fails, so eigvalsh decides.
+            lambda: linalg.check_positive(np.diag([1.0, -0.75e-10]), 1e-10, "m"),
+            lambda: pooling.pool_ordered_multi([Z0, np.eye(2) / 2]),
+            lambda: pooling.pool_symmetric_multi([Z0, np.eye(2) / 2, Z0]),
+            lambda: measurement.bare_update(Z0, np.eye(2) / 2),
+            lambda: random_povm(3, 4, np.random.default_rng(0)),
+        ],
+        ids=[
+            "hermitian_sqrt", "validate_density", "check_positive", "pool_ordered_multi",
+            "pool_symmetric_multi", "bare_update", "random_povm",
+        ],
+    )
+    def test_library_raises_a_typed_error(self, call):
+        with pytest.raises(QpoolError, match="eigendecomposition of .* failed: Eigenvalues did not"):
+            call()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compat", "{a}", "{b}"],
+            ["pool", "--mode", "ordered", "--in", "{a}", "{b}", "--out", "{out}"],
+            ["random", "povm", "--dim", "3", "--out", "{out}"],
+            ["verify", "--trials", "2", "--dims", "2..3"],
+        ],
+        ids=lambda argv: argv[0] if argv[0] != "random" else "random povm",
+    )
+    def test_cli_exits_2_with_one_error_line(self, argv, tmp_path, capsys):
+        paths = {"a": tmp_path / "a.json", "b": tmp_path / "b.json", "out": tmp_path / "out.json"}
+        paths["a"].write_text(cli.matrix_file_text(Z0))
+        paths["b"].write_text(cli.matrix_file_text(np.eye(2) / 2))
+        assert cli.main([arg.format(**paths) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: eigendecomposition of ")
+        assert not paths["out"].exists()
+
+
+def _numpy_linalg(tree):
+    """Nodes that name numpy.linalg: an attribute .linalg, or an import of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield node
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names):
+            yield node
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            if node.module.startswith("numpy.linalg") or any(a.name == "linalg" for a in node.names):
+                yield node
+
+
+def test_only_linalg_names_numpy_linalg():
+    # Every eigendecomposition, factorization and norm goes through
+    # qpool.linalg, and there each eigensolver has one call site (_eigh and
+    # _eigvalsh), where LAPACK's failure becomes a QpoolError.
+    for path in sorted(Path(qpool.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem != "linalg":
+            lines = [node.lineno for node in _numpy_linalg(tree)]
+            assert not lines, f"{path.name} names numpy.linalg at lines {lines}"
+            continue
+        calls = [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert calls.count("np.linalg.eigh") == 1 and calls.count("np.linalg.eigvalsh") == 1
 
 
 def test_no_assert_statements():
